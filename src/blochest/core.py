@@ -193,16 +193,6 @@ class Prior:
             return int(round(n**0.5))
         return n
 
-    @property
-    def radial_nodes(self) -> list[tuple[float, float]]:
-        """Radial nodes as (r, weight) pairs."""
-        return list(zip(self.radial_r.tolist(), self.radial_w.tolist()))
-
-    @property
-    def angular_nodes(self) -> list[tuple[np.ndarray, float]]:
-        """Angular nodes as (direction, weight) pairs."""
-        return [(self.directions[i], float(self.angular_w[i])) for i in range(len(self.angular_w))]
-
     def total_weight(self) -> float:
         """Sum of all product weights (1 up to round-off)."""
         return float(self.radial_w.sum() * self.angular_w.sum())

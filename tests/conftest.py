@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import settings
 
 from blochest.core import PriorKind, build_prior
 from blochest.evaluator import sweep
@@ -23,6 +24,11 @@ ANGULAR_ORDER = 256
 
 EXPONENT_NS = (64, 128, 256, 512, 1024)
 EVEN_NS = tuple(range(2, 21, 2))
+
+# Property tests draw the same examples on every run and have no per-example
+# time limit, so Tier-1 is deterministic on slow or loaded machines.
+settings.register_profile("blochest", deadline=None, derandomize=True)
+settings.load_profile("blochest")
 
 # fixture name -> wall-clock seconds spent building it (this process).
 BUILD_SECONDS: dict[str, float] = {}

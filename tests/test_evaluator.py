@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom as scipy_binom
 
+from blochest import evaluator
 from blochest.core import PriorKind, build_prior
 from blochest.evaluator import (
     AllOutcomesDiscardedError,
@@ -310,6 +311,40 @@ class TestMonteCarlo:
     def test_sample_count_validated(self, eq_prior):
         with pytest.raises(ValueError):
             monte_carlo_fidelity(SchemeSpec(SchemeKind.LOCAL_XY, 4), "optimal", eq_prior, 0, seed=1)
+
+
+class TestExplicitOrders:
+    @pytest.mark.parametrize("orders", [{"radial_order": 0}, {"angular_order": 0}])
+    @pytest.mark.parametrize(
+        "kind, estimator",
+        [(SchemeKind.LOCAL_XY, "optimal"), (SchemeKind.LOCAL_XY, "ml"), (SchemeKind.COLLECTIVE, "optimal")],
+    )
+    def test_order_zero_raises(self, eq_prior_small, full_prior_small, kind, estimator, orders):
+        prior = eq_prior_small if kind is SchemeKind.LOCAL_XY else full_prior_small
+        spec = SchemeSpec(kind, 4)
+        with pytest.raises(ValueError, match="orders must be >= 2"):
+            exact_fidelity(spec, estimator, prior, **orders)
+        with pytest.raises(ValueError, match="orders must be >= 2"):
+            monte_carlo_fidelity(spec, estimator, prior, 10, seed=1, **orders)
+
+    def test_matching_orders_reuse_the_given_prior(self, eq_prior, full_prior, monkeypatch):
+        def rebuild(*args, **kwargs):
+            raise AssertionError("the prior was rebuilt at its own orders")
+
+        monkeypatch.setattr(evaluator, "build_prior", rebuild)
+        orders = {"radial_order": 128, "angular_order": 256}
+        for kind, prior in ((SchemeKind.LOCAL_XY, eq_prior), (SchemeKind.COLLECTIVE, full_prior)):
+            spec = SchemeSpec(kind, 4)
+            exact_fidelity(spec, "optimal", prior, **orders)
+            monte_carlo_fidelity(spec, "optimal", prior, 10, seed=1, **orders)
+        tomography_with_discard(SchemeSpec(SchemeKind.LOCAL_XY, 4), eq_prior, **orders)
+
+    def test_other_orders_rebuild(self, eq_prior_small):
+        p = evaluator._prior_at_orders(eq_prior_small, 16, None)
+        assert (p.kind, p.radial_order, p.angular_order) == (
+            PriorKind.EQUATORIAL_BURES, 16, evaluator.DEFAULT_ANGULAR_ORDER
+        )
+        assert evaluator._prior_at_orders(eq_prior_small, None, None) is eq_prior_small
 
 
 class TestAdaptivePolicies:
