@@ -241,8 +241,8 @@ def _emit_rows(config: RunConfig, rows: list, extra: dict | None = None) -> None
 def _build_prior_for(config: RunConfig, prior_kind: PriorKind):
     return build_prior(
         prior_kind,
-        radial_order=config.radial_order or 128,
-        angular_order=config.angular_order or 256,
+        radial_order=128 if config.radial_order is None else config.radial_order,
+        angular_order=256 if config.angular_order is None else config.angular_order,
     )
 
 
@@ -342,7 +342,6 @@ def _run_tomography(config: RunConfig) -> None:
                 prior,
                 radial_order=config.radial_order,
                 angular_order=config.angular_order,
-                threads=config.threads,
                 enumeration_limit=config.enumeration_limit,
             )
         rows.append(_report_row(report, prior_kind))

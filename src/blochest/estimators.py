@@ -11,7 +11,9 @@ any scheme:
 * ``ml_estimate`` -- maximum-likelihood over the physical equatorial
   disc.  For R <= 1 it coincides with the tomographic point; for R > 1
   the maximum sits on the pure-state boundary at an angle Phi solving
-  cos(2 Phi) = R cos(gamma + Phi), selected by likelihood among the roots.
+  cos(2 Phi) = R cos(gamma + Phi).  With z = exp(i Phi) that equation is a
+  quartic in z; ``ml_phi_batch`` takes all its roots at once from
+  companion-matrix eigenvalues and keeps the one of largest likelihood.
 
 * ``optimal_estimate`` -- the Bayes rule for mean-fidelity loss: guess
   along the posterior-mean embedded vector V = ∫ dρ(𝐫) 𝐫 p(outcome | 𝐫),
@@ -42,7 +44,10 @@ __all__ = [
     "random_estimate",
 ]
 
-_ROOT_TOL = 5e-15
+# Newton steps that polish the eigenvalue angles: one settles a simple root;
+# the rest serve near-double roots, where Newton converges only linearly.
+_NEWTON_STEPS = 4
+_RESIDUAL_TOL = 1e-12
 _LIKELIHOOD_TIE_TOL = 1e-12
 
 
@@ -87,182 +92,62 @@ def tomography_estimate(outcome) -> TomographicGuess:
     return TomographicGuess(radius=R, azimuth=gamma, physical=R <= 1.0)
 
 
-def boundary_equation(phi, R: float, gamma: float):
-    """g(phi) = cos(2 phi) - R cos(gamma + phi); zero at boundary optima."""
+def boundary_equation(phi, R, gamma):
+    """g(phi) = cos(2 phi) - R cos(gamma + phi); zero at boundary optima.
+
+    R and gamma are floats or arrays that broadcast against phi.
+    """
     phi = np.asarray(phi, dtype=float)
     return np.cos(2.0 * phi) - R * np.cos(gamma + phi)
-
-
-def _pure_log_likelihood(phi: float, ax: float, ay: float) -> float:
-    """Per-copy log-likelihood of a pure equatorial state at azimuth phi.
-
-    l(phi) = ax log((1+cos phi)/2) + (1-ax) log((1-cos phi)/2)
-           + ay log((1+sin phi)/2) + (1-ay) log((1-sin phi)/2),
-    with 0*log(0) = 0 so corner outcomes keep a finite value.
-    """
-    c, s = math.cos(phi), math.sin(phi)
-    total = 0.0
-    for a, trig in ((ax, c), (ay, s)):
-        qp = 0.5 * (1.0 + trig)
-        qm = 0.5 * (1.0 - trig)
-        if a > 0.0:
-            if qp <= 0.0:
-                return -math.inf
-            total += a * math.log(qp)
-        if a < 1.0:
-            if qm <= 0.0:
-                return -math.inf
-            total += (1.0 - a) * math.log(qm)
-    return total
-
-
-def _bisect_root(R: float, gamma: float, lo: float, hi: float, f_lo: float) -> float:
-    """Bisection + final Newton polish on g inside a sign-change bracket."""
-    f_hi = float(boundary_equation(hi, R, gamma))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f_mid = float(boundary_equation(mid, R, gamma))
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-        if hi - lo < _ROOT_TOL:
-            break
-    root = 0.5 * (lo + hi)
-    for _ in range(3):
-        g = float(boundary_equation(root, R, gamma))
-        dg = -2.0 * math.sin(2.0 * root) + R * math.sin(gamma + root)
-        if dg == 0.0:
-            break
-        step = g / dg
-        new = root - step
-        if not (lo - 1e-12 <= new <= hi + 1e-12):
-            break
-        root = new
-        if abs(step) < 1e-16:
-            break
-    return root
-
-
-def _boundary_roots(R: float, gamma: float) -> list[float]:
-    """All roots of g in the window (gamma - pi/4, gamma + pi/4].
-
-    The window always contains at least one root for R > 1; a fine scan is
-    required because g can have two interior roots without changing sign
-    at either window end.
-    """
-    lo_end = gamma - 0.25 * math.pi
-    hi_end = gamma + 0.25 * math.pi
-    grid = np.linspace(lo_end, hi_end, 129)
-    vals = np.asarray(boundary_equation(grid, R, gamma))
-    roots: list[float] = []
-    exact = np.nonzero(vals == 0.0)[0]
-    for i in exact:
-        if i > 0:  # the open left end is excluded
-            roots.append(float(grid[i]))
-    sign_change = np.nonzero((vals[:-1] < 0.0) != (vals[1:] < 0.0))[0]
-    for i in sign_change:
-        if vals[i] == 0.0 or vals[i + 1] == 0.0:
-            continue
-        roots.append(_bisect_root(R, gamma, float(grid[i]), float(grid[i + 1]), float(vals[i])))
-    roots.sort()
-    dedup: list[float] = []
-    for r in roots:
-        if not dedup or abs(r - dedup[-1]) > 1e-10:
-            dedup.append(r)
-    return dedup
-
-
-def _newton_seed_root(R: float, gamma: float) -> float | None:
-    """Newton iteration from the small-(R-1) seed gamma - (R-1) cot(2 gamma).
-
-    Returns a polished root when the iteration stays inside the window and
-    converges; None signals the caller to rely on the scanned brackets
-    (the seed degenerates when cot(2 gamma) blows up near gamma = 0, pi/2).
-    """
-    s2g = math.sin(2.0 * gamma)
-    if s2g == 0.0:
-        return None
-    step0 = (R - 1.0) * math.cos(2.0 * gamma) / s2g
-    if not abs(step0) < 0.25 * math.pi:
-        return None
-    phi = gamma - step0
-    lo_end = gamma - 0.25 * math.pi
-    hi_end = gamma + 0.25 * math.pi
-    for _ in range(60):
-        if not (lo_end - 1e-9 <= phi <= hi_end + 1e-9):
-            return None
-        g = float(boundary_equation(phi, R, gamma))
-        dg = -2.0 * math.sin(2.0 * phi) + R * math.sin(gamma + phi)
-        if dg == 0.0:
-            return None
-        step = g / dg
-        phi -= step
-        if abs(step) < _ROOT_TOL:
-            break
-    if abs(float(boundary_equation(phi, R, gamma))) < 1e-12 and lo_end < phi <= hi_end:
-        return phi
-    return None
-
-
-def _boundary_phi(R: float, gamma: float, ax: float, ay: float) -> float:
-    """Boundary azimuth maximizing the likelihood for an unphysical point.
-
-    Stationary points come from the scanned brackets plus the seeded
-    Newton root; the winner is the one with the largest per-copy
-    log-likelihood, ties within 1e-12 resolving to the root closest to
-    gamma.  Corner outcomes (cos 2 gamma = 0) are solved exactly by
-    Phi = gamma.
-    """
-    if abs(math.cos(2.0 * gamma)) < 1e-14:
-        return gamma
-    roots = _boundary_roots(R, gamma)
-    seeded = _newton_seed_root(R, gamma)
-    if seeded is not None and all(abs(seeded - r) > 1e-10 for r in roots):
-        roots.append(seeded)
-    if not roots:
-        if abs(float(boundary_equation(gamma, R, gamma))) < 1e-9:
-            roots = [gamma]
-        else:
-            raise DegenerateEstimateError(
-                f"no boundary stationary point found for R={R}, gamma={gamma}"
-            )
-    if len(roots) == 1:
-        return roots[0]
-    liks = [_pure_log_likelihood(r, ax, ay) for r in roots]
-    best = max(liks)
-    contenders = [r for r, l in zip(roots, liks) if l >= best - _LIKELIHOOD_TIE_TOL]
-    return min(contenders, key=lambda r: abs(r - gamma))
 
 
 def ml_estimate(outcome) -> MLGuess:
     """Maximum-likelihood estimate for a local x/y outcome.
 
     Physical tomographic points are already the interior maximum.  For
-    R > 1 the maximiser is the boundary azimuth Phi with the largest
-    per-copy log-likelihood among the stationary points; likelihood ties
-    within 1e-12 resolve to the root closest to gamma.
+    R > 1 the maximiser is the boundary azimuth Phi that
+    :func:`ml_phi_batch` picks among the roots of the boundary quartic.
     """
     tomo = tomography_estimate(outcome)
     if tomo.physical:
         return MLGuess(guess=tomo.embedded, phi=None)
 
     ax, ay = outcome.alphas
-    phi = _boundary_phi(tomo.radius, tomo.azimuth, ax, ay)
+    phi = float(ml_phi_batch(np.array([ax]), np.array([ay]))[0])
     guess = EmbeddedBloch(0.0, np.array([math.cos(phi), math.sin(phi), 0.0]))
     return MLGuess(guess=guess, phi=phi)
 
 
-def ml_phi_batch(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
-    """Vectorized boundary azimuths for unphysical count-frequency pairs.
+def _log_likelihood(phi: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
+    """Per-copy log-likelihood of pure equatorial states at azimuths phi.
 
-    Same root-finding contract as :func:`ml_estimate` (fine scan for sign
-    changes, bisection, likelihood selection, corner fallback), organized
-    around a shared grid so whole outcome tables solve at once.
+    l(phi) = ax log((1+cos phi)/2) + (1-ax) log((1-cos phi)/2)
+           + ay log((1+sin phi)/2) + (1-ay) log((1-sin phi)/2),
+    with 0*log(0) = 0 so corner outcomes keep a finite value.
+    """
+    c, s = np.cos(phi), np.sin(phi)
+    out = np.zeros_like(phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a, trig in ((ax, c), (ay, s)):
+            out = out + np.where(a > 0.0, a * np.log(0.5 * (1.0 + trig)), 0.0)
+            out = out + np.where(a < 1.0, (1.0 - a) * np.log(0.5 * (1.0 - trig)), 0.0)
+    return out
+
+
+def ml_phi_batch(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
+    """Boundary azimuths of the ML estimate for unphysical count frequencies.
+
+    With z = exp(i Phi) the boundary equation cos(2 Phi) = R cos(gamma + Phi)
+    is the quartic z^4 - R e^{i gamma} z^3 - R e^{-i gamma} z + 1 = 0, so the
+    eigenvalues of one (m, 4, 4) stack of companion matrices give every
+    stationary point of every row (Edelman & Murakami, Math. Comp. 64, 1995).
+    Their angles, polished by Newton steps on :func:`boundary_equation`, are
+    the candidates; roots off the unit circle leave a residual and are
+    dropped.  The candidate with the largest per-copy log-likelihood wins,
+    and likelihood ties within 1e-12 go to the root closest to gamma as a
+    wrapped angle.  Corner rows (cos 2 gamma = 0) return gamma exactly.
+    Angles are returned in (gamma - pi, gamma + pi]; a row with no
+    admissible root raises :class:`DegenerateEstimateError`.
     """
     ax = np.asarray(ax, dtype=float)
     ay = np.asarray(ay, dtype=float)
@@ -271,56 +156,38 @@ def ml_phi_batch(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
     R = np.hypot(rx, ry)
     gamma = np.arctan2(ry, rx)
     m = ax.size
-    n_grid = 129
 
-    offs = np.linspace(-0.25 * np.pi, 0.25 * np.pi, n_grid)
-    phi_grid = gamma[:, None] + offs[None, :]
-    g = np.cos(2.0 * phi_grid) - R[:, None] * np.cos(gamma[:, None] + phi_grid)
-    neg = g < 0.0
-    change = neg[:, :-1] != neg[:, 1:]
+    companion = np.zeros((m, 4, 4), dtype=complex)
+    companion[:, 0, 0] = R * np.exp(1j * gamma)
+    companion[:, 0, 2] = R * np.exp(-1j * gamma)
+    companion[:, 0, 3] = -1.0
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    z = np.linalg.eigvals(companion)
 
-    lo = np.where(change, phi_grid[:, :-1], np.nan)
-    hi = np.where(change, phi_grid[:, 1:], np.nan)
-    glo = np.where(change, g[:, :-1], np.nan)
-    with np.errstate(invalid="ignore"):
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            gm = np.cos(2.0 * mid) - R[:, None] * np.cos(gamma[:, None] + mid)
-            take_hi = (glo < 0.0) != (gm < 0.0)
-            hi = np.where(take_hi, mid, hi)
-            lo_new = np.where(take_hi, lo, mid)
-            glo = np.where(take_hi, glo, gm)
-            lo = lo_new
-    roots = 0.5 * (lo + hi)
+    Rc = R[:, None]
+    gc = gamma[:, None]
+    roots = gc + np.angle(z * np.exp(-1j * gc))
+    for _ in range(_NEWTON_STEPS):
+        g = boundary_equation(roots, Rc, gc)
+        dg = -2.0 * np.sin(2.0 * roots) + Rc * np.sin(gc + roots)
+        roots = roots - np.divide(g, dg, out=np.zeros_like(g), where=dg != 0.0)
+    admissible = np.abs(boundary_equation(roots, Rc, gc)) <= _RESIDUAL_TOL
 
-    # Likelihood of each bracket root; -inf where no bracket.
-    def loglik(phi):
-        c, s = np.cos(phi), np.sin(phi)
-        out = np.zeros_like(phi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for a, trig in ((ax[:, None], c), (ay[:, None], s)):
-                qp = 0.5 * (1.0 + trig)
-                qm = 0.5 * (1.0 - trig)
-                out = out + np.where(a > 0.0, a * np.log(qp), 0.0)
-                out = out + np.where(a < 1.0, (1.0 - a) * np.log(qm), 0.0)
-        return out
-
-    liks = np.where(np.isnan(roots), -np.inf, loglik(roots))
+    liks = np.where(admissible, _log_likelihood(roots, ax[:, None], ay[:, None]), -np.inf)
     best = liks.max(axis=1, keepdims=True)
     near_best = liks >= best - _LIKELIHOOD_TIE_TOL
-    dist = np.where(near_best, np.abs(roots - gamma[:, None]), np.inf)
-    pick = dist.argmin(axis=1)
+    offset = np.abs((roots - gc + np.pi) % (2.0 * np.pi) - np.pi)
+    pick = np.where(near_best, offset, np.inf).argmin(axis=1)
     phi = roots[np.arange(m), pick]
 
-    # Corner outcomes (cos 2 gamma = 0) are solved exactly by Phi = gamma.
     corner = np.abs(np.cos(2.0 * gamma)) < 1e-14
-    phi = np.where(corner, gamma, phi)
-    # Rows whose likelihood bump fell between grid points (near-axis
-    # outcomes at large copy numbers) go through the scalar solver, which
-    # adds the seeded Newton root the grid cannot see.
-    for i in np.nonzero(~np.isfinite(phi))[0]:
-        phi[i] = _boundary_phi(float(R[i]), float(gamma[i]), float(ax[i]), float(ay[i]))
-    return phi
+    lost = ~(corner | admissible.any(axis=1))
+    if lost.any():
+        i = int(np.argmax(lost))
+        raise DegenerateEstimateError(
+            f"no boundary stationary point found for R={R[i]}, gamma={gamma[i]}"
+        )
+    return np.where(corner, gamma, phi)
 
 
 def optimal_estimate(outcome, probability, prior: Prior) -> tuple[EmbeddedBloch, float]:

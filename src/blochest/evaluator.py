@@ -601,7 +601,6 @@ def exact_fidelity(
             prior,
             radial_order=radial_order,
             angular_order=angular_order,
-            threads=threads,
             enumeration_limit=enumeration_limit,
         )
 
@@ -637,7 +636,6 @@ def tomography_with_discard(
     *,
     radial_order: int | None = None,
     angular_order: int | None = None,
-    threads: int = 1,
     enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> FidelityReport:
     """Linear-inversion estimation conditioned on physical outcomes.
@@ -646,8 +644,7 @@ def tomography_with_discard(
     discarded_fraction = 1 - sum_{x: R<=1} integral dρ p.  Raises
     :class:`AllOutcomesDiscardedError` when no outcome is physical, which
     happens at N = 2 (every count pair has both frequencies extremal, so
-    R = sqrt(2)).  ``threads`` has no effect: the local table engine is
-    serial.
+    R = sqrt(2)).
     """
     if scheme.kind is not SchemeKind.LOCAL_XY:
         raise ValueError("tomography-with-discarding is defined for the local x/y scheme")

@@ -204,6 +204,19 @@ class TestFidelityCommand:
         code, out, err = run_cli(capsys, "fidelity")
         assert code == 2
 
+    def test_order_zero_rejected_without_default_prior(self, capsys, monkeypatch):
+        orders = []
+
+        def recording_build_prior(kind, radial_order, angular_order):
+            orders.append((radial_order, angular_order))
+            return build_prior(kind, radial_order, angular_order)
+
+        monkeypatch.setattr("blochest.cli.build_prior", recording_build_prior)
+        code, out, err = run_cli(capsys, "fidelity", "--n", "4", "--radial-order", "0")
+        assert code == 2
+        assert "quadrature orders must be >= 2" in err
+        assert (128, 256) not in orders
+
     def test_enumeration_limit_enforced(self, capsys):
         code, out, err = run_cli(
             capsys, "fidelity", "--n", "30", "--enumeration-limit", "10", *SMALL

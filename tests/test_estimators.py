@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 from scipy.stats import binom as scipy_binom
 
 from blochest.core import PriorKind, build_prior
@@ -20,7 +22,9 @@ from blochest.estimators import (
     random_estimate,
     tomography_estimate,
 )
+from blochest.evaluator import _physical_mask
 from blochest.schemes import LocalOutcome, SchemeKind, SchemeSpec, enumerate_outcomes, local_probability
+from oracles import ml_phi_scan
 
 
 def _scipy_local_prob(outcome, vecs: np.ndarray) -> np.ndarray:
@@ -176,6 +180,87 @@ class TestMaximumLikelihood:
         vals = boundary_equation(phis, 1.2, 0.3)
         assert vals.shape == (5,)
         assert np.allclose(vals, np.cos(2 * phis) - 1.2 * np.cos(0.3 + phis))
+
+
+SCAN_TOL = 1e-12
+
+# The symmetries of the count square: (ax, ay) -> its images under D4.
+SQUARE_IMAGES = (
+    lambda x, y: (x, y),
+    lambda x, y: (1.0 - x, y),
+    lambda x, y: (x, 1.0 - y),
+    lambda x, y: (1.0 - x, 1.0 - y),
+    lambda x, y: (y, x),
+    lambda x, y: (1.0 - y, x),
+    lambda x, y: (y, 1.0 - x),
+    lambda x, y: (1.0 - y, 1.0 - x),
+)
+
+
+def _batch_vs_scan(ax: float, ay: float) -> tuple[float, float]:
+    """(quartic, scan) boundary azimuths for one unphysical frequency pair."""
+    rx, ry = 2.0 * ax - 1.0, 2.0 * ay - 1.0
+    scan = ml_phi_scan(math.hypot(rx, ry), math.atan2(ry, rx), ax, ay)
+    return float(ml_phi_batch(np.array([ax]), np.array([ay]))[0]), scan
+
+
+class TestQuarticAgainstScan:
+    """The companion-matrix solver against the former scan-and-bisect solver."""
+
+    @given(ax=st.floats(0.0, 1.0), ay=st.floats(0.0, 1.0))
+    @example(ax=1.0, ay=0.5 + 0.5 / 4096)
+    def test_random_unphysical(self, ax, ay):
+        assume(math.hypot(2.0 * ax - 1.0, 2.0 * ay - 1.0) > 1.0)
+        phi, scan = _batch_vs_scan(ax, ay)
+        assert phi == pytest.approx(scan, abs=SCAN_TOL)
+
+    @given(n=st.integers(2, 4096), image=st.sampled_from(SQUARE_IMAGES))
+    @example(n=4096, image=SQUARE_IMAGES[0])
+    @example(n=2, image=SQUARE_IMAGES[0])
+    def test_near_axis(self, n, image):
+        ax, ay = image(1.0, 0.5 * (1.0 + 1.0 / n))
+        phi, scan = _batch_vs_scan(ax, ay)
+        assert phi == pytest.approx(scan, abs=SCAN_TOL)
+
+    @pytest.mark.parametrize("ax,ay", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+    def test_corners(self, ax, ay):
+        phi, scan = _batch_vs_scan(ax, ay)
+        assert phi == scan == math.atan2(2.0 * ay - 1.0, 2.0 * ax - 1.0)
+
+    @given(exponent=st.floats(-15.0, -1.0), gamma=st.floats(-math.pi, math.pi))
+    @example(exponent=-15.0, gamma=0.6)
+    @example(exponent=-15.0, gamma=-2.5)
+    def test_unit_radius_limit(self, exponent, gamma):
+        # At R = 1 the root at gamma meets a second root when gamma is a
+        # multiple of pi/2.  Near there both solvers place the root only to
+        # about 1e-16 / |sin 2 gamma| (a 60-digit solve puts either one up
+        # to ~1e-9 off at |sin 2 gamma| ~ 1e-7), so the 1e-12 comparison
+        # keeps to gamma where the root is well separated.
+        assume(abs(math.sin(2.0 * gamma)) >= 1e-3)
+        R = 1.0 + 10.0**exponent
+        ax = 0.5 * (1.0 + R * math.cos(gamma))
+        ay = 0.5 * (1.0 + R * math.sin(gamma))
+        assume(0.0 <= ax <= 1.0 and 0.0 <= ay <= 1.0)
+        assume(math.hypot(2.0 * ax - 1.0, 2.0 * ay - 1.0) > 1.0)
+        phi, scan = _batch_vs_scan(ax, ay)
+        assert phi == pytest.approx(scan, abs=SCAN_TOL)
+
+    def test_whole_table(self):
+        n = 64
+        alpha = np.arange(n + 1, dtype=float) / n
+        ax, ay = np.meshgrid(alpha, alpha, indexing="ij")
+        unphys = ~_physical_mask(n)
+        assert unphys.sum() == 1016
+        phi = ml_phi_batch(ax[unphys], ay[unphys])
+        for got, x, y in zip(phi, ax[unphys], ay[unphys]):
+            rx, ry = 2.0 * x - 1.0, 2.0 * y - 1.0
+            scan = ml_phi_scan(math.hypot(rx, ry), math.atan2(ry, rx), x, y)
+            assert got == pytest.approx(scan, abs=SCAN_TOL)
+
+    def test_no_admissible_root_raises(self):
+        # R = 2e300: no angle brings the residual of g near 0, so no NaN comes back.
+        with pytest.raises(DegenerateEstimateError):
+            ml_phi_batch(np.array([0.5, 1e300]), np.array([1.0, 0.3]))
 
 
 @pytest.fixture(scope="module")
