@@ -16,12 +16,15 @@ Row-producing commands share one CSV schema:
 for single-result commands and ``{"points": [...]}`` for sweeps.
 
 Reproducibility: identical configuration and seed give byte-identical
-output files; results are written to a temporary file and renamed, so a
-failed run never leaves a partial file.  ``--threads`` controls worker
-threads (default from ``$BLOCHEST_THREADS``); reductions are performed
-in a fixed order, so results do not depend on the thread count.
-``--deterministic`` is accepted for config compatibility and asserts
-that contract (it is always honored).
+output files, because every evaluation runs serially in a fixed order;
+results are written to a temporary file and renamed, so a failed run never
+leaves a partial file.
+
+The command checks only what the library cannot: a single N where one is
+needed, samples and seed for stochastic runs, that sweeps are exact, and
+the output format.  Scheme, estimator, prior and policy pairings are
+validated by :mod:`blochest.evaluator`, whose ``ValueError`` becomes
+exit status 2.
 
 Exit status: 0 on success, 2 on configuration/usage errors, 3 on
 numerical failure (diagnostic includes the achieved tolerance).
@@ -40,22 +43,22 @@ from .asymptotics import DegenerateSweepError, appendix_integrals, constants
 from .core import PriorKind, build_prior
 from .estimators import DegenerateEstimateError
 from .evaluator import (
-    ADAPTIVE_POLICIES,
+    DEFAULT_ANGULAR_ORDER,
+    DEFAULT_RADIAL_ORDER,
     AllOutcomesDiscardedError,
-    EnumerationLimitError,
     FidelityReport,
     adaptive_local_fidelity,
     exact_fidelity,
     monte_carlo_fidelity,
+    sweep,
     tomography_with_discard,
 )
 from .quadrature import QuadratureError
 from .schemes import DEFAULT_ENUMERATION_LIMIT, SchemeKind, SchemeSpec
 
-__all__ = ["RunConfig", "run", "main", "CSV_HEADER", "THREADS_ENV"]
+__all__ = ["RunConfig", "run", "main", "CSV_HEADER"]
 
 CSV_HEADER = "n,scheme,estimator,prior,fidelity,stderr,method,discarded_fraction"
-THREADS_ENV = "BLOCHEST_THREADS"
 USAGE_EXIT = 2
 NUMERICAL_EXIT = 3
 
@@ -82,8 +85,6 @@ class RunConfig:
     seed: int | None = None
     policy: str | None = None
     abs_tol: float = 1e-6
-    threads: int = 1
-    deterministic: bool = False
     enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT
     out: str | None = None
     format: str = "csv"
@@ -93,8 +94,6 @@ class RunConfig:
             raise CliUsageError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise CliUsageError(f"unknown format {self.format!r}")
-        if self.threads < 1:
-            raise CliUsageError("--threads must be >= 1")
 
 
 def parse_n_spec(text) -> tuple:
@@ -144,29 +143,6 @@ def _resolve_prior_kind(config: RunConfig, scheme: SchemeKind) -> PriorKind:
         return PriorKind(config.prior)
     except ValueError:
         raise CliUsageError(f"unknown prior {config.prior!r}") from None
-
-
-def _validate_pairing(scheme: SchemeKind, estimator: str, prior_kind: PriorKind) -> None:
-    if estimator == "random":
-        raise CliUsageError(
-            "the outcome-independent baseline is a prior property; "
-            "see core.random_guess_fidelity"
-        )
-    if estimator not in ("optimal", "ml", "tomography"):
-        raise CliUsageError(f"unknown estimator {estimator!r}")
-    if scheme is SchemeKind.COLLECTIVE and estimator != "optimal":
-        raise CliUsageError("the collective scheme supports the optimal estimator only")
-    if scheme is SchemeKind.LOCAL_XY and prior_kind is not PriorKind.EQUATORIAL_BURES:
-        raise CliUsageError("the local x/y scheme estimates the equatorial ensemble")
-    if scheme is SchemeKind.COLLECTIVE and prior_kind is not PriorKind.FULL_BURES:
-        raise CliUsageError("the collective scheme estimates the full-ball ensemble")
-
-
-def _make_spec(scheme: SchemeKind, n: int) -> SchemeSpec:
-    try:
-        return SchemeSpec(scheme, n)
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from None
 
 
 def _report_row(report: FidelityReport, prior_kind: PriorKind) -> dict:
@@ -239,10 +215,11 @@ def _emit_rows(config: RunConfig, rows: list, extra: dict | None = None) -> None
 
 
 def _build_prior_for(config: RunConfig, prior_kind: PriorKind):
+    ro, ao = config.radial_order, config.angular_order
     return build_prior(
         prior_kind,
-        radial_order=128 if config.radial_order is None else config.radial_order,
-        angular_order=256 if config.angular_order is None else config.angular_order,
+        radial_order=DEFAULT_RADIAL_ORDER if ro is None else ro,
+        angular_order=DEFAULT_ANGULAR_ORDER if ao is None else ao,
     )
 
 
@@ -256,10 +233,9 @@ def _run_fidelity(config: RunConfig) -> None:
     scheme_kind = _resolve_scheme(config)
     estimator = config.estimator or "optimal"
     prior_kind = _resolve_prior_kind(config, scheme_kind)
-    _validate_pairing(scheme_kind, estimator, prior_kind)
     if config.n is None or len(config.n) != 1:
         raise CliUsageError("fidelity evaluates a single N; use sweep for ranges")
-    spec = _make_spec(scheme_kind, config.n[0])
+    spec = SchemeSpec(scheme_kind, config.n[0])
     prior = _build_prior_for(config, prior_kind)
     if config.samples is not None:
         seed = _require_seed(config)
@@ -271,7 +247,6 @@ def _run_fidelity(config: RunConfig) -> None:
             seed,
             radial_order=config.radial_order,
             angular_order=config.angular_order,
-            threads=config.threads,
         )
     else:
         report = exact_fidelity(
@@ -280,7 +255,6 @@ def _run_fidelity(config: RunConfig) -> None:
             prior,
             radial_order=config.radial_order,
             angular_order=config.angular_order,
-            threads=config.threads,
             enumeration_limit=config.enumeration_limit,
         )
     _emit_rows(config, [_report_row(report, prior_kind)])
@@ -290,40 +264,31 @@ def _run_sweep(config: RunConfig) -> None:
     scheme_kind = _resolve_scheme(config)
     estimator = config.estimator or "optimal"
     prior_kind = _resolve_prior_kind(config, scheme_kind)
-    _validate_pairing(scheme_kind, estimator, prior_kind)
     if config.samples is not None:
         raise CliUsageError("sweep is exact; use `fidelity --samples` for Monte Carlo")
-    if config.n is None or len(config.n) < 1:
+    if config.n is None:
         raise CliUsageError("sweep needs an N range (--n start:stop:step)")
-    prior = _build_prior_for(config, prior_kind)
-    rows = []
-    for n in config.n:
-        spec = _make_spec(scheme_kind, n)
-        report = exact_fidelity(
-            spec,
-            estimator,
-            prior,
-            radial_order=config.radial_order,
-            angular_order=config.angular_order,
-            threads=config.threads,
-            enumeration_limit=config.enumeration_limit,
-        )
-        rows.append(_report_row(report, prior_kind))
-    _emit_rows(config, rows)
+    result = sweep(
+        scheme_kind,
+        estimator,
+        _build_prior_for(config, prior_kind),
+        config.n,
+        radial_order=config.radial_order,
+        angular_order=config.angular_order,
+        enumeration_limit=config.enumeration_limit,
+    )
+    _emit_rows(config, [_report_row(report, prior_kind) for _, report in result.points])
 
 
 def _run_tomography(config: RunConfig) -> None:
     scheme_kind = _resolve_scheme(config)
-    if scheme_kind is not SchemeKind.LOCAL_XY:
-        raise CliUsageError("tomography runs on the local x/y scheme")
     prior_kind = _resolve_prior_kind(config, scheme_kind)
-    _validate_pairing(scheme_kind, "tomography", prior_kind)
-    if config.n is None or len(config.n) < 1:
+    if config.n is None:
         raise CliUsageError("tomography needs --n (single value or range)")
     prior = _build_prior_for(config, prior_kind)
     rows = []
     for n in config.n:
-        spec = _make_spec(scheme_kind, n)
+        spec = SchemeSpec(scheme_kind, n)
         if config.samples is not None:
             seed = _require_seed(config)
             report = monte_carlo_fidelity(
@@ -334,7 +299,6 @@ def _run_tomography(config: RunConfig) -> None:
                 seed,
                 radial_order=config.radial_order,
                 angular_order=config.angular_order,
-                threads=config.threads,
             )
         else:
             report = tomography_with_discard(
@@ -350,19 +314,14 @@ def _run_tomography(config: RunConfig) -> None:
 
 def _run_adaptive(config: RunConfig) -> None:
     policy = config.policy or "fixed-xy"
-    if policy not in ADAPTIVE_POLICIES:
-        raise CliUsageError(f"unknown policy {policy!r}; expected one of {ADAPTIVE_POLICIES}")
     prior_kind = _resolve_prior_kind(config, SchemeKind.LOCAL_XY)
-    if prior_kind is not PriorKind.EQUATORIAL_BURES:
-        raise CliUsageError("adaptive local measurements estimate the equatorial ensemble")
     if config.n is None or len(config.n) != 1:
         raise CliUsageError("adaptive evaluates a single N")
     if config.samples is None:
         raise CliUsageError("adaptive is stochastic; --samples is required")
     seed = _require_seed(config)
-    spec = _make_spec(SchemeKind.LOCAL_XY, config.n[0])
     prior = _build_prior_for(config, prior_kind)
-    report = adaptive_local_fidelity(prior, spec.total_copies, policy, config.samples, seed)
+    report = adaptive_local_fidelity(prior, config.n[0], policy, config.samples, seed)
     _emit_rows(config, [_report_row(report, prior_kind)], extra={"policy": policy})
 
 
@@ -407,9 +366,6 @@ def run(config: RunConfig) -> int:
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except EnumerationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except (
         QuadratureError,
         AllOutcomesDiscardedError,
@@ -439,17 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, help="JSON config file; flags override it")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default=None)
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help=f"worker threads (default ${THREADS_ENV} or 1); results do not depend on it",
-        )
-        sp.add_argument(
-            "--deterministic",
-            action="store_true",
-            help="assert ordered-reduction determinism (always honored)",
-        )
         if with_scheme:
             sp.add_argument("--scheme", default=None, help="local-xy or collective")
             sp.add_argument("--estimator", default=None, help="optimal, ml, or tomography")
@@ -487,8 +432,6 @@ _CONFIG_KEYS = (
     "seed",
     "policy",
     "abs_tol",
-    "threads",
-    "deterministic",
     "enumeration_limit",
     "out",
     "format",
@@ -519,18 +462,6 @@ def _merge_config_file(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _resolve_threads(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliUsageError(f"${THREADS_ENV} must be an integer, got {env!r}") from None
-    return 1
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -550,8 +481,6 @@ def main(argv=None) -> int:
             seed=merged.get("seed"),
             policy=merged.get("policy"),
             abs_tol=merged.get("abs_tol") if merged.get("abs_tol") is not None else 1e-6,
-            threads=_resolve_threads(merged.get("threads")),
-            deterministic=bool(merged.get("deterministic")),
             enumeration_limit=(
                 merged.get("enumeration_limit")
                 if merged.get("enumeration_limit") is not None

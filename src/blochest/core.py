@@ -34,6 +34,8 @@ from enum import Enum
 
 import numpy as np
 
+from .quadrature import gauss_legendre
+
 __all__ = [
     "CONSTRUCTION_TOL",
     "NORM_TOL",
@@ -45,6 +47,7 @@ __all__ = [
     "embed",
     "fidelity",
     "clamp_fidelity",
+    "sphere_grid",
     "build_prior",
     "random_guess_fidelity",
     "sample_states",
@@ -221,6 +224,23 @@ class Prior:
         return nodes, weights
 
 
+def sphere_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Direction grid on the unit sphere: ``order`` Gauss nodes in cos(theta)
+    times ``order`` uniform azimuths.
+
+    Returns (directions, weights): (order**2, 3) unit vectors, cosine-major,
+    and their weights, which sum to 1.
+    """
+    mu, wmu = gauss_legendre(order)
+    phi = 2.0 * np.pi * np.arange(order) / order
+    sin_th = np.sqrt(1.0 - mu**2)
+    dirs = np.empty((order * order, 3))
+    dirs[:, 0] = np.repeat(sin_th, order) * np.tile(np.cos(phi), order)
+    dirs[:, 1] = np.repeat(sin_th, order) * np.tile(np.sin(phi), order)
+    dirs[:, 2] = np.repeat(mu, order)
+    return dirs, np.repeat(wmu / wmu.sum(), order) / order
+
+
 def build_prior(kind: PriorKind, radial_order: int = 128, angular_order: int = 256) -> Prior:
     """Build the quadrature grid for an ensemble.
 
@@ -247,14 +267,7 @@ def build_prior(kind: PriorKind, radial_order: int = 128, angular_order: int = 2
     wr = wr / wr.sum()  # unit total mass at every order
 
     if kind is PriorKind.FULL_BURES:
-        mu, wmu = np.polynomial.legendre.leggauss(angular_order)
-        phi = 2.0 * np.pi * np.arange(angular_order) / angular_order
-        sin_th = np.sqrt(1.0 - mu**2)
-        dirs = np.empty((angular_order * angular_order, 3))
-        dirs[:, 0] = np.repeat(sin_th, angular_order) * np.tile(np.cos(phi), angular_order)
-        dirs[:, 1] = np.repeat(sin_th, angular_order) * np.tile(np.sin(phi), angular_order)
-        dirs[:, 2] = np.repeat(mu, angular_order)
-        wa = np.repeat(wmu / wmu.sum(), angular_order) / angular_order
+        dirs, wa = sphere_grid(angular_order)
     else:
         theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
         dirs = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(angular_order)])

@@ -29,7 +29,6 @@ collapses and a 2-D (radius x polar-cosine) grid suffices.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,6 +40,7 @@ from .core import (
     build_prior,
     clamp_fidelity,
     sample_states,
+    sphere_grid,
 )
 from .estimators import ml_phi_batch
 from .quadrature import QuadratureError, gauss_legendre
@@ -125,6 +125,11 @@ class FidelityReport:
             raise ValueError("discarded_fraction must lie in [0, 1]")
 
 
+def _check_increasing(ns) -> None:
+    if any(b <= a for a, b in zip(ns[:-1], ns[1:])):
+        raise ValueError("sweep copy numbers must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Fidelity reports over a strictly increasing list of copy numbers."""
@@ -132,9 +137,7 @@ class SweepResult:
     points: tuple
 
     def __post_init__(self):
-        ns = [n for n, _ in self.points]
-        if any(b <= a for a, b in zip(ns[:-1], ns[1:])):
-            raise ValueError("sweep copy numbers must be strictly increasing")
+        _check_increasing([n for n, _ in self.points])
         object.__setattr__(self, "points", tuple((int(n), rep) for n, rep in self.points))
 
 
@@ -370,9 +373,7 @@ class CollectiveTables:
     v_par: np.ndarray
 
 
-def collective_tables(
-    total_copies: int, prior: Prior, cos_order: int, threads: int = 1
-) -> CollectiveTables:
+def collective_tables(total_copies: int, prior: Prior, cos_order: int) -> CollectiveTables:
     """Reduced 2-D quadrature (radius x polar cosine) for the collective scheme."""
     _require_prior(SchemeKind.COLLECTIVE, prior)
     r = prior.radial_r
@@ -389,33 +390,18 @@ def collective_tables(
     w2_rc = w2 * (r[:, None] * c[None, :])
 
     ks = collective_k_values(total_copies)
-
-    def k_contribution(idx: int):
-        k = ks[idx]
+    prob = np.empty(ks.size)
+    v_t = np.empty(ks.size)
+    v_par = np.empty(ks.size)
+    for i, k in enumerate(ks):
         hk = total_copies / 2.0 - k
         logd = collective_log_weight(k, total_copies) + (2.0 * k) * log_cos
         if hk > 0:
             logd = logd + hk * log_quarter[:, None]
         d = np.exp(logd)
-        return (
-            float(np.einsum("ij,ij->", w2, d)),
-            float(np.einsum("ij,ij->", w2_t, d)),
-            float(np.einsum("ij,ij->", w2_rc, d)),
-        )
-
-    K = ks.size
-    prob = np.empty(K)
-    v_t = np.empty(K)
-    v_par = np.empty(K)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(k_contribution, range(K)))
-    else:
-        results = [k_contribution(i) for i in range(K)]
-    for i, (p, vt, vp) in enumerate(results):
-        prob[i] = p
-        v_t[i] = vt
-        v_par[i] = vp
+        prob[i] = float(np.einsum("ij,ij->", w2, d))
+        v_t[i] = float(np.einsum("ij,ij->", w2_t, d))
+        v_par[i] = float(np.einsum("ij,ij->", w2_rc, d))
     return CollectiveTables(
         total_copies=total_copies, k_values=ks, prob=prob, v_t=v_t, v_par=v_par
     )
@@ -430,23 +416,26 @@ def collective_v_norm(total_copies: int, prior: Prior, k: float, direction) -> f
     """|V(k, m̂)| by direct 3-D quadrature over the prior's own grid.
 
     The independent route for the rotational-invariance check: no
-    reduction, just sum w * 𝐫 * p(k, m̂ | r⃗) over the full product grid.
+    reduction, just sum w * 𝐫 * p(k, m̂ | r⃗) over every (radial node,
+    direction) pair of the prior, one radial node at a time.
     """
     _require_prior(SchemeKind.COLLECTIVE, prior)
     d = np.asarray(direction, dtype=float)
     d = d / float(np.sqrt(d @ d))
-    nodes4, weights = prior.product_nodes()
-    p = _collective_density(total_copies, float(k), nodes4, d)
-    v = (weights * p) @ nodes4
+    dirs = prior.directions
+    dots = dirs @ d
+    v = np.zeros(4)
+    for r, t, wr in zip(prior.radial_r, prior.radial_t, prior.radial_w):
+        wp = wr * prior.angular_w * _collective_density(total_copies, float(k), t, r * dots)
+        v[0] += t * wp.sum()
+        v[1:] += r * (wp @ dirs)
     return float(np.sqrt(v @ v))
 
 
-def _collective_density(total_copies: int, k: float, nodes4: np.ndarray, direction: np.ndarray):
-    """Vectorized p(k, m̂ | r⃗) over embedded prior nodes (t, r⃗)."""
-    t = nodes4[:, 0]
-    dots = nodes4[:, 1:] @ direction
+def _collective_density(total_copies: int, k: float, t, dots):
+    """Vectorized p(k, m̂ | r⃗) from time components t and projections dots = r⃗·m̂."""
     hk = total_copies / 2.0 - k
-    logp = np.full(t.shape, collective_log_weight(k, total_copies))
+    logp = collective_log_weight(k, total_copies)
     with np.errstate(divide="ignore"):
         if hk > 0:
             logp = logp + hk * (2.0 * np.log(t) - math.log(4.0))
@@ -465,20 +454,14 @@ def collective_fidelity_full_grid(
     slow independent route that the reduced engine is checked against.
     """
     _require_prior(SchemeKind.COLLECTIVE, prior)
-    mu, wmu = gauss_legendre(angular_order)
-    phi = 2.0 * np.pi * np.arange(angular_order) / angular_order
-    sin_th = np.sqrt(1.0 - mu**2)
-    dirs = np.empty((angular_order * angular_order, 3))
-    dirs[:, 0] = np.repeat(sin_th, angular_order) * np.tile(np.cos(phi), angular_order)
-    dirs[:, 1] = np.repeat(sin_th, angular_order) * np.tile(np.sin(phi), angular_order)
-    dirs[:, 2] = np.repeat(mu, angular_order)
-    wdir = np.repeat(wmu / wmu.sum(), angular_order) / angular_order
-
+    dirs, wdir = sphere_grid(angular_order)
     nodes4, weights = prior.product_nodes()
     total = 0.0
     for k in collective_k_values(total_copies):
         for j in range(dirs.shape[0]):
-            p = _collective_density(total_copies, float(k), nodes4, dirs[j])
+            p = _collective_density(
+                total_copies, float(k), nodes4[:, 0], nodes4[:, 1:] @ dirs[j]
+            )
             wp = weights * p
             mass = float(wp.sum())
             v = wp @ nodes4
@@ -582,7 +565,6 @@ def exact_fidelity(
     *,
     radial_order: int | None = None,
     angular_order: int | None = None,
-    threads: int = 1,
     enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> FidelityReport:
     """Exact average fidelity by outcome enumeration and prior quadrature.
@@ -615,7 +597,7 @@ def exact_fidelity(
 
         def evaluate(p: Prior):
             value = _collective_exact_value(
-                collective_tables(scheme.total_copies, p, cos_order=p.angular_order, threads=threads)
+                collective_tables(scheme.total_copies, p, cos_order=p.angular_order)
             )
             return (value,)
 
@@ -764,10 +746,9 @@ def _mc_collective(
     prior: Prior,
     samples: int,
     seed,
-    threads: int,
 ) -> FidelityReport:
     N = scheme.total_copies
-    tables = collective_tables(N, prior, cos_order=prior.angular_order, threads=threads)
+    tables = collective_tables(N, prior, cos_order=prior.angular_order)
     norm = np.hypot(tables.v_t, tables.v_par)
     g_t = tables.v_t / norm
     g_par = tables.v_par / norm
@@ -839,7 +820,6 @@ def monte_carlo_fidelity(
     *,
     radial_order: int | None = None,
     angular_order: int | None = None,
-    threads: int = 1,
 ) -> FidelityReport:
     """Stochastic estimate of the average fidelity.
 
@@ -859,7 +839,7 @@ def monte_carlo_fidelity(
     prior = _prior_at_orders(prior, radial_order, angular_order)
     if scheme.kind is SchemeKind.LOCAL_XY:
         return _mc_local(scheme, estimator, prior, samples, seed)
-    return _mc_collective(scheme, prior, samples, seed, threads)
+    return _mc_collective(scheme, prior, samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -962,21 +942,24 @@ def sweep(
     *,
     radial_order: int | None = None,
     angular_order: int | None = None,
-    threads: int = 1,
     enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> SweepResult:
-    """Exact fidelity reports over a strictly increasing list of N."""
+    """Exact fidelity reports over a strictly increasing list of N.
+
+    The list is checked before any evaluation runs.
+    """
+    ns = [int(n) for n in copies_list]
+    _check_increasing(ns)
     points = []
-    for n in copies_list:
-        spec = SchemeSpec(scheme_kind, int(n))
+    for n in ns:
+        spec = SchemeSpec(scheme_kind, n)
         report = exact_fidelity(
             spec,
             estimator,
             prior,
             radial_order=radial_order,
             angular_order=angular_order,
-            threads=threads,
             enumeration_limit=enumeration_limit,
         )
-        points.append((int(n), report))
+        points.append((n, report))
     return SweepResult(points=tuple(points))

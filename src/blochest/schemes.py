@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CONSTRUCTION_TOL, as_bloch_vector
+from .core import CONSTRUCTION_TOL, as_bloch_vector, sphere_grid
 
 __all__ = [
     "SchemeKind",
@@ -288,14 +288,7 @@ def enumerate_outcomes(
         )
         return OutcomeSet(outcomes=outcomes, weights=np.ones(len(outcomes)))
 
-    mu, wmu = np.polynomial.legendre.leggauss(angular_order)
-    phi = 2.0 * np.pi * np.arange(angular_order) / angular_order
-    sin_th = np.sqrt(1.0 - mu**2)
-    dirs = np.empty((angular_order * angular_order, 3))
-    dirs[:, 0] = np.repeat(sin_th, angular_order) * np.tile(np.cos(phi), angular_order)
-    dirs[:, 1] = np.repeat(sin_th, angular_order) * np.tile(np.sin(phi), angular_order)
-    dirs[:, 2] = np.repeat(mu, angular_order)
-    wdir = np.repeat(wmu / wmu.sum(), angular_order) / angular_order
+    dirs, wdir = sphere_grid(angular_order)
 
     outcomes = []
     weights = []

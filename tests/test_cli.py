@@ -17,7 +17,7 @@ import pytest
 
 import blochest
 from blochest.asymptotics import appendix_integrals, constants
-from blochest.cli import CSV_HEADER, THREADS_ENV, main, parse_n_spec
+from blochest.cli import CSV_HEADER, main, parse_n_spec
 from blochest.core import PriorKind, build_prior
 from blochest.evaluator import (
     adaptive_local_fidelity,
@@ -260,6 +260,21 @@ class TestSweepCommand:
         assert code == 2
         assert "sweep is exact" in err
 
+    def test_decreasing_config_list_rejected_before_evaluation(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            "blochest.evaluator.exact_fidelity", lambda *a, **k: calls.append(a)
+        )
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": [8, 4], "radial_order": 32, "angular_order": 32}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert "strictly increasing" in err
+        assert out == ""
+        assert calls == []
+
 
 # --------------------------------------------------------------------------
 # tomography command
@@ -418,6 +433,12 @@ class TestPairingValidation:
             main([])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flag", [("--threads", "2"), ("--deterministic",)])
+    def test_unknown_flag_is_argparse_error(self, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fidelity", "--n", "4", *flag, *SMALL])
+        assert excinfo.value.code == 2
+
 
 # --------------------------------------------------------------------------
 # file output
@@ -514,9 +535,10 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, "fidelity", "--config", str(cfg))
         assert code == 0
 
-    def test_unknown_key_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize("key", ["frobnicate", "threads", "deterministic"])
+    def test_unknown_key_rejected(self, capsys, tmp_path, key):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"n": 4, "frobnicate": 1}))
+        cfg.write_text(json.dumps({"n": 4, key: 1}))
         code, out, err = run_cli(capsys, "fidelity", "--config", str(cfg))
         assert code == 2
         assert "unknown config key" in err
@@ -541,43 +563,6 @@ class TestConfigFile:
         )
         assert code == 2
         assert "cannot read config file" in err
-
-
-# --------------------------------------------------------------------------
-# threads / determinism
-# --------------------------------------------------------------------------
-
-
-class TestThreadsAndDeterminism:
-    def test_env_var_supplies_thread_count(self, capsys, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "2")
-        code, out, err = run_cli(capsys, "fidelity", "--n", "4", *SMALL)
-        assert code == 0
-
-    def test_flag_wins_over_bad_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "zebra")
-        code, out, err = run_cli(capsys, "fidelity", "--n", "4", "--threads", "1", *SMALL)
-        assert code == 0
-
-    def test_bad_env_rejected_when_used(self, capsys, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "zebra")
-        code, out, err = run_cli(capsys, "constants")
-        assert code == 2
-        assert THREADS_ENV in err
-
-    def test_zero_threads_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "fidelity", "--n", "4", "--threads", "0")
-        assert code == 2
-
-    def test_thread_count_does_not_change_results(self, capsys):
-        _, out1, _ = run_cli(capsys, "fidelity", "--n", "6", "--threads", "1", *SMALL)
-        _, out2, _ = run_cli(capsys, "fidelity", "--n", "6", "--threads", "3", *SMALL)
-        assert out1 == out2
-
-    def test_deterministic_flag_is_a_no_op_on_results(self, capsys):
-        _, out1, _ = run_cli(capsys, "fidelity", "--n", "4", *SMALL)
-        _, out2, _ = run_cli(capsys, "fidelity", "--n", "4", "--deterministic", *SMALL)
-        assert out1 == out2
 
 
 # --------------------------------------------------------------------------

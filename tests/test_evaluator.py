@@ -395,6 +395,18 @@ class TestSweep:
             sweep(SchemeKind.LOCAL_XY, "optimal", eq_prior_small, [2, 2],
                   radial_order=32, angular_order=64)
 
+    def test_ordering_checked_before_any_evaluation(self, full_prior_small, monkeypatch):
+        calls = []
+
+        def recording_exact_fidelity(*args, **kwargs):
+            calls.append(args[0].total_copies)
+            return exact_fidelity(*args, **kwargs)
+
+        monkeypatch.setattr(evaluator, "exact_fidelity", recording_exact_fidelity)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sweep(SchemeKind.COLLECTIVE, "optimal", full_prior_small, [8, 4])
+        assert calls == []
+
     def test_collective_prefactor_monotone(self, collective_sweep, the_constants):
         scaled = [n * (1.0 - rep.fidelity) for n, rep in collective_sweep.points]
         assert all(b > a for a, b in zip(scaled, scaled[1:]))
