@@ -47,6 +47,7 @@ from .evaluator import (
     DEFAULT_RADIAL_ORDER,
     AllOutcomesDiscardedError,
     FidelityReport,
+    _check_increasing,
     adaptive_local_fidelity,
     exact_fidelity,
     monte_carlo_fidelity,
@@ -285,6 +286,7 @@ def _run_tomography(config: RunConfig) -> None:
     prior_kind = _resolve_prior_kind(config, scheme_kind)
     if config.n is None:
         raise CliUsageError("tomography needs --n (single value or range)")
+    _check_increasing(config.n)
     prior = _build_prior_for(config, prior_kind)
     rows = []
     for n in config.n:

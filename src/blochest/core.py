@@ -256,7 +256,7 @@ def build_prior(kind: PriorKind, radial_order: int = 128, angular_order: int = 2
     if radial_order < 2 or angular_order < 2:
         raise ValueError("quadrature orders must be >= 2")
 
-    x, w = np.polynomial.legendre.leggauss(radial_order)
+    x, w = gauss_legendre(radial_order)
     u = 0.25 * np.pi * (x + 1.0)  # u in (0, pi/2)
     r = np.sin(u)
     t = np.cos(u)

@@ -11,6 +11,21 @@ gamma + pi/4] for sign changes of the boundary equation, bisection with a
 Newton polish inside each bracket, a Newton root seeded at
 gamma - (R - 1) cot(2 gamma) for likelihood bumps narrower than the scan
 grid, and selection by likelihood.
+
+``collective_tables_dense`` is the collective engine as it was before the
+support windows: for every spin label it exponentiates and sums the whole
+(radius x polar cosine) grid, negligible entries included.
+
+The cross-check routes share no code with the table engines:
+
+* ``fidelity_from_guesses`` sums sum_x integral dρ f(r⃗, R⃗(x)) p(x|r⃗) for
+  given local x/y guess tables, forming every direction's outcome
+  probabilities explicitly;
+* ``collective_v_norm`` is |V(k, m̂)| by direct 3-D quadrature over the
+  prior's own grid, for the rotational-invariance check;
+* ``collective_fidelity_full_grid`` is the collective optimal fidelity by
+  brute-force quadrature over a direction grid for m̂ and the prior's full
+  product grid.
 """
 
 from __future__ import annotations
@@ -19,9 +34,17 @@ import math
 
 import numpy as np
 
+from blochest.core import Prior, sphere_grid
 from blochest.estimators import DegenerateEstimateError, boundary_equation
-from blochest.evaluator import LocalTables
-from blochest.schemes import SchemeKind, binom_log_pmf_matrix
+from blochest.evaluator import CollectiveTables, LocalTables, _require_prior
+from blochest.quadrature import gauss_legendre
+from blochest.schemes import (
+    SchemeKind,
+    SchemeSpec,
+    binom_log_pmf_matrix,
+    collective_k_values,
+    collective_log_weight,
+)
 
 
 def local_tables_per_node(spec, prior) -> LocalTables:
@@ -56,6 +79,134 @@ def local_tables_per_node(spec, prior) -> LocalTables:
         v_x += mx
         v_y += my
     return LocalTables(n_per_axis=n, prob=prob, v_t=v_t, v_x=v_x, v_y=v_y)
+
+
+def collective_tables_dense(total_copies: int, prior, cos_order: int) -> CollectiveTables:
+    """Reduced 2-D quadrature (radius x polar cosine) over the full grid for every k."""
+    _require_prior(SchemeKind.COLLECTIVE, prior)
+    r = prior.radial_r
+    t = prior.radial_t
+    wr = prior.radial_w
+    c, gw = gauss_legendre(cos_order)
+    wc = gw / 2.0  # uniform sphere measure: integral dm g(cosΘ) = ∫ g(c) dc/2
+
+    # log((1 - r^2)/4) = 2 log t - log 4, with t = cos u exact near r = 1
+    log_quarter = 2.0 * np.log(t) - math.log(4.0)
+    log_cos = np.log(0.5 * (1.0 + np.outer(r, c)))
+    w2 = np.outer(wr, wc)
+    w2_t = w2 * t[:, None]
+    w2_rc = w2 * (r[:, None] * c[None, :])
+
+    ks = collective_k_values(total_copies)
+    prob = np.empty(ks.size)
+    v_t = np.empty(ks.size)
+    v_par = np.empty(ks.size)
+    for i, k in enumerate(ks):
+        hk = total_copies / 2.0 - k
+        logd = collective_log_weight(k, total_copies) + (2.0 * k) * log_cos
+        if hk > 0:
+            logd = logd + hk * log_quarter[:, None]
+        d = np.exp(logd)
+        prob[i] = float(np.einsum("ij,ij->", w2, d))
+        v_t[i] = float(np.einsum("ij,ij->", w2_t, d))
+        v_par[i] = float(np.einsum("ij,ij->", w2_rc, d))
+    return CollectiveTables(
+        total_copies=total_copies, k_values=ks, prob=prob, v_t=v_t, v_par=v_par
+    )
+
+
+def collective_v_norm(total_copies: int, prior: Prior, k: float, direction) -> float:
+    """|V(k, m̂)| by direct 3-D quadrature over the prior's own grid.
+
+    The independent route for the rotational-invariance check: no
+    reduction, just sum w * 𝐫 * p(k, m̂ | r⃗) over every (radial node,
+    direction) pair of the prior, one radial node at a time.
+    """
+    _require_prior(SchemeKind.COLLECTIVE, prior)
+    d = np.asarray(direction, dtype=float)
+    d = d / float(np.sqrt(d @ d))
+    dirs = prior.directions
+    dots = dirs @ d
+    v = np.zeros(4)
+    for r, t, wr in zip(prior.radial_r, prior.radial_t, prior.radial_w):
+        wp = wr * prior.angular_w * _collective_density(total_copies, float(k), t, r * dots)
+        v[0] += t * wp.sum()
+        v[1:] += r * (wp @ dirs)
+    return float(np.sqrt(v @ v))
+
+
+def _collective_density(total_copies: int, k: float, t, dots):
+    """Vectorized p(k, m̂ | r⃗) from time components t and projections dots = r⃗·m̂."""
+    hk = total_copies / 2.0 - k
+    logp = collective_log_weight(k, total_copies)
+    with np.errstate(divide="ignore"):
+        if hk > 0:
+            logp = logp + hk * (2.0 * np.log(t) - math.log(4.0))
+        if k > 0:
+            logp = logp + 2.0 * k * np.log(0.5 * (1.0 + dots))
+    return np.exp(logp)
+
+
+def collective_fidelity_full_grid(
+    total_copies: int, prior: Prior, angular_order: int = 12
+) -> float:
+    """Collective optimal fidelity by brute-force 3-D quadrature.
+
+    Enumerates a direction grid (Gauss x uniform azimuth) for m̂ and sums
+    (P + |V|)/2 over (k, m̂) against the prior's full product grid — the
+    slow independent route that the reduced engine is checked against.
+    """
+    _require_prior(SchemeKind.COLLECTIVE, prior)
+    dirs, wdir = sphere_grid(angular_order)
+    nodes4, weights = prior.product_nodes()
+    total = 0.0
+    for k in collective_k_values(total_copies):
+        for j in range(dirs.shape[0]):
+            p = _collective_density(
+                total_copies, float(k), nodes4[:, 0], nodes4[:, 1:] @ dirs[j]
+            )
+            wp = weights * p
+            mass = float(wp.sum())
+            v = wp @ nodes4
+            total += wdir[j] * (mass + float(np.sqrt(v @ v)))
+    return 0.5 * total
+
+
+def fidelity_from_guesses(
+    spec: SchemeSpec, prior: Prior, guesses, kept: np.ndarray | None = None
+) -> tuple[float, float]:
+    """Direct Eq.-5-style route: sum_x integral dρ f(r⃗, R⃗(x)) p(x|r⃗).
+
+    ``guesses`` is an (t, x, y) triple of (n+1, n+1) guess-component
+    tables; ``kept`` optionally restricts the outcome sum.  For each radial
+    node it forms every direction's outcome probabilities and fidelities
+    explicitly as (directions, n+1, n+1) arrays — no shared code with the
+    table engine, no factorization of the outcome sum, no use of symmetry —
+    and returns (fidelity_sum, probability_mass) over the kept outcomes.
+    Intended for cross-checks at modest orders: memory grows as
+    directions x (n+1)^2.
+    """
+    if spec.kind is not SchemeKind.LOCAL_XY:
+        raise ValueError("the outcome-sum route is implemented for the local x/y scheme")
+    _require_prior(spec.kind, prior)
+    n = spec.n_per_axis
+    tg, gx, gy = guesses
+    mask = np.ones((n + 1, n + 1), dtype=bool) if kept is None else kept
+    total = 0.0
+    mass = 0.0
+    for i in range(prior.radial_r.size):
+        r = prior.radial_r[i]
+        t = prior.radial_t[i]
+        w = prior.radial_w[i] * prior.angular_w
+        rx = r * prior.directions[:, 0]
+        ry = r * prior.directions[:, 1]
+        bx = np.exp(binom_log_pmf_matrix(n, 0.5 * (1.0 + rx))).T
+        by = np.exp(binom_log_pmf_matrix(n, 0.5 * (1.0 + ry))).T
+        pmat = bx[:, :, None] * by[:, None, :]
+        fmat = 0.5 * (1.0 + t * tg + rx[:, None, None] * gx + ry[:, None, None] * gy)
+        total += float(w @ (pmat * fmat)[:, mask].sum(axis=1))
+        mass += float(w @ pmat[:, mask].sum(axis=1))
+    return total, mass
 
 
 _ROOT_TOL = 5e-15

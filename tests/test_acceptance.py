@@ -31,9 +31,7 @@ from blochest.estimators import ml_estimate, ml_phi_batch, optimal_estimate
 from blochest.evaluator import (
     AllOutcomesDiscardedError,
     adaptive_local_fidelity,
-    collective_v_norm,
     exact_fidelity,
-    fidelity_from_guesses,
     local_tables,
     monte_carlo_fidelity,
     tomography_with_discard,
@@ -50,6 +48,7 @@ from blochest.schemes import (
     local_probability,
 )
 from blochest.special import bessel_i, bessel_k
+from oracles import collective_v_norm, fidelity_from_guesses
 
 # Headline targets.  The first six are the asymptotic rate constants; the
 # remaining entries anchor the finite-N experiments.

@@ -323,6 +323,21 @@ class TestTomographyCommand:
         assert row["stderr"] == ref.stderr
         assert row["discarded_fraction"] == ref.discarded_fraction
 
+    @pytest.mark.parametrize("extra", [(), ("--samples", "100", "--seed", "1")])
+    def test_decreasing_config_list_rejected_before_evaluation(
+        self, capsys, tmp_path, monkeypatch, extra
+    ):
+        calls = []
+        for name in ("tomography_with_discard", "monte_carlo_fidelity"):
+            monkeypatch.setattr(f"blochest.cli.{name}", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": [8, 4], "radial_order": 16, "angular_order": 16}))
+        code, out, err = run_cli(capsys, "tomography", "--config", str(cfg), *extra)
+        assert code == 2
+        assert "strictly increasing" in err
+        assert out == ""
+        assert calls == []
+
     def test_two_copies_is_a_numerical_failure(self, capsys):
         code, out, err = run_cli(capsys, "tomography", "--n", "2", *SMALL)
         assert code == 3

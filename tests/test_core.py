@@ -142,6 +142,22 @@ class TestPriors:
         with pytest.raises(ValueError):
             build_prior(PriorKind.FULL_BURES, 8, 1)
 
+    @pytest.mark.parametrize("kind", list(PriorKind))
+    def test_rebuild_reuses_cached_rules(self, kind, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        first = build_prior(kind, 37, 6)
+        calls.clear()
+        second = build_prior(kind, 37, 6)
+        assert calls == []
+        np.testing.assert_array_equal(second.radial_w, first.radial_w)
+
 
 class TestRandomGuessFidelity:
     def test_full_value_high_order(self):

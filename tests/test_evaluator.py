@@ -19,17 +19,15 @@ from blochest.evaluator import (
     Method,
     SweepResult,
     adaptive_local_fidelity,
-    collective_fidelity_full_grid,
     collective_tables,
-    collective_v_norm,
     exact_fidelity,
-    fidelity_from_guesses,
     local_tables,
     monte_carlo_fidelity,
     sweep,
     tomography_with_discard,
 )
 from blochest.schemes import SchemeKind, SchemeSpec
+from oracles import collective_fidelity_full_grid, collective_v_norm, fidelity_from_guesses
 
 # Anchor values computed at the frozen production orders (128 radial, 256
 # angular); regression tolerance leaves room for BLAS reassociation only.
