@@ -36,6 +36,8 @@ __all__ = [
     "CollectiveOutcome",
     "OutcomeSet",
     "DEFAULT_ENUMERATION_LIMIT",
+    "EnumerationLimitError",
+    "check_enumerable",
     "local_probability",
     "binom_log_pmf_matrix",
     "collective_weight",
@@ -49,6 +51,18 @@ __all__ = [
 # Log-space probabilities keep this range numerically safe; exponent fits
 # need several decades of N.
 DEFAULT_ENUMERATION_LIMIT = 2048
+
+
+class EnumerationLimitError(ValueError):
+    """The requested copy number exceeds the exact-enumeration limit."""
+
+
+def check_enumerable(total_copies: int, enumeration_limit: int) -> None:
+    """Raise :class:`EnumerationLimitError` when N exceeds the limit."""
+    if total_copies > enumeration_limit:
+        raise EnumerationLimitError(
+            f"N = {total_copies} exceeds the enumeration limit {enumeration_limit}"
+        )
 
 
 class SchemeKind(Enum):
@@ -277,10 +291,7 @@ def enumerate_outcomes(
     directions (Gauss nodes in cos(theta) times uniform azimuths), each
     carrying its angular weight.
     """
-    if spec.total_copies > enumeration_limit:
-        raise ValueError(
-            f"N = {spec.total_copies} exceeds the enumeration limit {enumeration_limit}"
-        )
+    check_enumerable(spec.total_copies, enumeration_limit)
     if spec.kind is SchemeKind.LOCAL_XY:
         n = spec.n_per_axis
         outcomes = tuple(

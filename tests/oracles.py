@@ -12,6 +12,11 @@ Newton polish inside each bracket, a Newton root seeded at
 gamma - (R - 1) cot(2 gamma) for likelihood bumps narrower than the scan
 grid, and selection by likelihood.
 
+``local_tables_dense`` is the symmetry-wedge engine as it was before the
+binomial support tiles: it integrates one direction per orbit of the prior's
+D4 symmetries, like the package engine, but multiplies every column's full
+(n+1)-row binomial tables, negligible rows included.
+
 ``collective_tables_dense`` is the collective engine as it was before the
 support windows: for every spin label it exponentiates and sums the whole
 (radius x polar cosine) grid, negligible entries included.
@@ -36,7 +41,14 @@ import numpy as np
 
 from blochest.core import Prior, sphere_grid
 from blochest.estimators import DegenerateEstimateError, boundary_equation
-from blochest.evaluator import CollectiveTables, LocalTables, _require_prior
+from blochest.evaluator import (
+    _TABLE_CHUNK,
+    CollectiveTables,
+    LocalTables,
+    _d4_table_image,
+    _require_prior,
+    _symmetry_wedge,
+)
 from blochest.quadrature import gauss_legendre
 from blochest.schemes import (
     SchemeKind,
@@ -78,6 +90,39 @@ def local_tables_per_node(spec, prior) -> LocalTables:
         v_t += prior.radial_t[i] * m
         v_x += mx
         v_y += my
+    return LocalTables(n_per_axis=n, prob=prob, v_t=v_t, v_x=v_x, v_y=v_y)
+
+
+def local_tables_dense(spec: SchemeSpec, prior: Prior) -> LocalTables:
+    """Wedge tables by GEMMs over every binomial row, unfolded over G."""
+    if spec.kind is not SchemeKind.LOCAL_XY:
+        raise ValueError("local_tables expects the local x/y scheme")
+    _require_prior(spec.kind, prior)
+    n = spec.n_per_axis
+    K = n + 1
+    group, reps, rep_w = _symmetry_wedge(prior)
+    n_r = prior.radial_r.size
+    r = np.repeat(prior.radial_r, reps.size)
+    t = np.repeat(prior.radial_t, reps.size)
+    w = np.outer(prior.radial_w, rep_w).ravel()
+    rx = r * np.tile(prior.directions[reps, 0], n_r)
+    ry = r * np.tile(prior.directions[reps, 1], n_r)
+
+    wedge = np.zeros((4, K, K))
+    for s in range(0, w.size, _TABLE_CHUNK):
+        c = slice(s, s + _TABLE_CHUNK)
+        bx = np.exp(binom_log_pmf_matrix(n, 0.5 * (1.0 + rx[c])))
+        wby = np.exp(binom_log_pmf_matrix(n, 0.5 * (1.0 + ry[c]))) * w[c]
+        wedge[0] += bx @ wby.T
+        wedge[1] += bx @ (wby * t[c]).T
+        wedge[2] += (bx * rx[c]) @ wby.T
+        wedge[3] += bx @ (wby * ry[c]).T
+
+    total = np.zeros((4, K, K))
+    for g in group:
+        for acc, image in zip(total, _d4_table_image(g, wedge)):
+            acc += image
+    prob, v_t, v_x, v_y = total
     return LocalTables(n_per_axis=n, prob=prob, v_t=v_t, v_x=v_x, v_y=v_y)
 
 

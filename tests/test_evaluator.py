@@ -26,6 +26,7 @@ from blochest.evaluator import (
     sweep,
     tomography_with_discard,
 )
+from blochest.quadrature import QuadratureError
 from blochest.schemes import SchemeKind, SchemeSpec
 from oracles import collective_fidelity_full_grid, collective_v_norm, fidelity_from_guesses
 
@@ -343,6 +344,73 @@ class TestExplicitOrders:
             PriorKind.EQUATORIAL_BURES, 16, evaluator.DEFAULT_ANGULAR_ORDER
         )
         assert evaluator._prior_at_orders(eq_prior_small, None, None) is eq_prior_small
+
+
+def _record_builds(monkeypatch):
+    """Record the (radial, angular) orders of every prior the evaluator builds."""
+    built = []
+
+    def recording_build_prior(kind, radial_order, angular_order):
+        built.append((radial_order, angular_order))
+        return build_prior(kind, radial_order, angular_order)
+
+    monkeypatch.setattr(evaluator, "build_prior", recording_build_prior)
+    return built
+
+
+class TestAutoRefinement:
+    @pytest.mark.parametrize("estimator", evaluator.EXACT_ESTIMATORS)
+    @pytest.mark.parametrize("copies", [2, 128, 384])
+    def test_local_auto_is_the_given_grid_value(self, eq_prior, estimator, copies, monkeypatch):
+        spec = SchemeSpec(SchemeKind.LOCAL_XY, copies)
+        built = _record_builds(monkeypatch)
+        if estimator == "tomography" and copies == 2:
+            with pytest.raises(AllOutcomesDiscardedError):
+                exact_fidelity(spec, estimator, eq_prior)
+            assert built == []
+            return
+        auto = exact_fidelity(spec, estimator, eq_prior)
+        assert built == [(64, 128)]  # checked against half the orders only
+        given = exact_fidelity(spec, estimator, eq_prior, radial_order=128, angular_order=256)
+        assert auto.fidelity == given.fidelity
+        assert auto.discarded_fraction == given.discarded_fraction
+
+    @pytest.mark.parametrize("estimator", evaluator.EXACT_ESTIMATORS)
+    def test_failed_half_order_check_doubles_upward(self, estimator, monkeypatch):
+        # at N = 8, F on 8x8 and 16x16 differs by 1e-5 or more, on 16x16 and
+        # 32x32 by at most 1e-16
+        spec = SchemeSpec(SchemeKind.LOCAL_XY, 8)
+        prior = build_prior(PriorKind.EQUATORIAL_BURES, 16, 16)
+        built = _record_builds(monkeypatch)
+        auto = exact_fidelity(spec, estimator, prior)
+        assert built == [(8, 8), (32, 32)]
+        doubled = exact_fidelity(spec, estimator, prior, radial_order=32, angular_order=32)
+        assert auto.fidelity == doubled.fidelity
+        assert auto.discarded_fraction == doubled.discarded_fraction
+
+    @pytest.mark.parametrize("orders", [(3, 16), (16, 2)])
+    def test_orders_below_four_start_at_the_given_grid(self, orders, monkeypatch):
+        prior = build_prior(PriorKind.EQUATORIAL_BURES, *orders)
+        built = _record_builds(monkeypatch)
+        exact_fidelity(SchemeSpec(SchemeKind.LOCAL_XY, 2), "optimal", prior)
+        ro, ao = orders
+        assert built[0] == (2 * ro, 2 * ao)
+
+    def test_ladder_stops_at_eight_times_the_given_orders(self, monkeypatch):
+        # 4x4 at N = 64 moves F by ~1e-4 or more on every rung up to 32x32
+        prior = build_prior(PriorKind.EQUATORIAL_BURES, 4, 4)
+        built = _record_builds(monkeypatch)
+        with pytest.raises(QuadratureError):
+            exact_fidelity(SchemeSpec(SchemeKind.LOCAL_XY, 64), "optimal", prior)
+        assert built == [(2, 2), (8, 8), (16, 16), (32, 32)]
+
+    def test_collective_auto_is_the_doubled_grid_value(self, full_prior, monkeypatch):
+        spec = SchemeSpec(SchemeKind.COLLECTIVE, 1024)
+        built = _record_builds(monkeypatch)
+        auto = exact_fidelity(spec, "optimal", full_prior)
+        assert built == [(256, 512)]
+        doubled = exact_fidelity(spec, "optimal", full_prior, radial_order=256, angular_order=512)
+        assert auto.fidelity == doubled.fidelity
 
 
 class TestAdaptivePolicies:

@@ -1,4 +1,5 @@
-"""The symmetry-wedge local table engine against the full per-node sum."""
+"""The local table engine against its oracles: the full per-node sum, and the
+dense wedge engine that multiplies every binomial row."""
 
 from __future__ import annotations
 
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from blochest import evaluator
 from blochest.core import Prior, PriorKind, build_prior
-from blochest.evaluator import _local_exact_value, _symmetry_wedge, local_tables
-from blochest.schemes import SchemeKind, SchemeSpec
-from oracles import local_tables_per_node
+from blochest.evaluator import _local_exact_value, _symmetry_wedge, _tile_spans, local_tables
+from blochest.schemes import SchemeKind, SchemeSpec, binom_log_pmf_matrix
+from oracles import local_tables_dense, local_tables_per_node
 
 FIELDS = ("prob", "v_t", "v_x", "v_y")
 TABLE_TOL = 1e-14
@@ -99,3 +101,84 @@ def test_frozen_grid_at_n384(eq_prior):
     diff, fast, slow = _table_diffs(spec, eq_prior)
     assert diff <= TABLE_TOL
     assert abs(_local_exact_value(fast, None) - _local_exact_value(slow, None)) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# binomial support tiles against the dense wedge engine
+
+
+def _tile_diffs(spec, prior, force_tiles=False):
+    """Largest table difference and |ΔF| between the tile and dense engines.
+
+    ``force_tiles`` tiles the tables even where every tile would span them.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if force_tiles:
+            mp.setattr(evaluator, "_tiles_pay", lambda n: True)
+        fast = local_tables(spec, prior)
+    dense = local_tables_dense(spec, prior)
+    diff = max(float(np.abs(getattr(fast, f) - getattr(dense, f)).max()) for f in FIELDS)
+    return diff, abs(_local_exact_value(fast, None) - _local_exact_value(dense, None))
+
+
+@given(
+    n=st.integers(1, 64),
+    radial=st.integers(2, 24),
+    angular=st.integers(2, 48),
+)
+@example(n=1, radial=2, angular=7)  # odd: G = {id, y-flip}
+@example(n=64, radial=24, angular=46)  # 2 mod 4: the four sign flips
+@example(n=37, radial=17, angular=48)  # 0 mod 8: all of D4, 3 cells per axis
+def test_tiles_match_dense_engine(n, radial, angular):
+    prior = build_prior(PriorKind.EQUATORIAL_BURES, radial, angular)
+    diff, dF = _tile_diffs(SchemeSpec(SchemeKind.LOCAL_XY, 2 * n), prior, force_tiles=True)
+    assert diff <= TABLE_TOL
+    assert dF <= TABLE_TOL
+
+
+def test_tiles_without_symmetry_match_dense_engine():
+    prior = _hand_built(_uniform_angles(25, offset=math.sqrt(2.0) / 10.0), np.ones(25))
+    assert len(_symmetry_wedge(prior)[0]) == 1  # G = {id}
+    for n in (5, 40, 150):
+        diff, dF = _tile_diffs(SchemeSpec(SchemeKind.LOCAL_XY, 2 * n), prior, force_tiles=True)
+        assert diff <= TABLE_TOL
+        assert dF <= TABLE_TOL
+
+
+@pytest.mark.parametrize("copies", [256, 1024, 2048])
+def test_tiles_at_default_orders(eq_prior, copies):
+    assert evaluator._tiles_pay(copies // 2)
+    diff, dF = _tile_diffs(SchemeSpec(SchemeKind.LOCAL_XY, copies), eq_prior)
+    assert diff <= TABLE_TOL
+    assert dF <= TABLE_TOL
+
+
+def test_tiles_pay_from_the_support_width():
+    # sqrt(2 n ln 1e22) < n + 1 from n = 100 on
+    assert not evaluator._tiles_pay(99)
+    assert evaluator._tiles_pay(100)
+
+
+@given(
+    n=st.integers(1, 300),
+    qs=st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 0.5, 1e-9, 1.0 - 1e-9])),
+        min_size=1,
+        max_size=40,
+    ),
+    cuts=st.sets(st.integers(1, 39), max_size=6),
+)
+def test_tile_spans_skip_only_rows_below_the_cut(n, qs, cuts):
+    log_pmf = binom_log_pmf_matrix(n, np.array(qs))
+    starts = np.array([0] + sorted(c for c in cuts if c < len(qs)))
+    lo, hi = _tile_spans(log_pmf, starts)
+    floor = log_pmf.max(axis=0) + math.log(evaluator._SUPPORT_CUT)
+    ends = np.append(starts[1:], len(qs))
+    rows = np.arange(n + 1)
+    for a, b, x0, x1 in zip(starts, ends, lo, hi):
+        tile = log_pmf[:, a:b]
+        skipped = (rows < x0) | (rows >= x1)
+        # every skipped row is below the cut for every column of the tile
+        assert np.all(tile[skipped] <= floor[a:b])
+        # the span is the hull: its edge rows are in some column's support
+        assert np.any(tile[x0] > floor[a:b]) and np.any(tile[x1 - 1] > floor[a:b])

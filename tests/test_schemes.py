@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from blochest import evaluator
 from blochest.core import PriorKind, sample_states
 from blochest.quadrature import gauss_legendre
 from blochest.schemes import (
     CollectiveOutcome,
+    EnumerationLimitError,
     LocalOutcome,
     SchemeKind,
     SchemeSpec,
@@ -255,8 +257,12 @@ class TestEnumerateOutcomes:
             assert w == pytest.approx(1.0, abs=1e-10)
 
     def test_enumeration_limit_enforced(self):
-        with pytest.raises(ValueError):
-            enumerate_outcomes(SchemeSpec(SchemeKind.LOCAL_XY, 200), enumeration_limit=50)
+        # the evaluator's check and error: one class, re-exported unchanged
+        assert evaluator.EnumerationLimitError is EnumerationLimitError
+        assert issubclass(EnumerationLimitError, ValueError)
+        for kind in SchemeKind:
+            with pytest.raises(EnumerationLimitError, match="exceeds the enumeration limit 50"):
+                enumerate_outcomes(SchemeSpec(kind, 200), enumeration_limit=50)
 
     def test_odd_local_copies_rejected(self):
         with pytest.raises(ValueError):
