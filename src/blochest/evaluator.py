@@ -727,27 +727,56 @@ def tomography_with_discard(
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
+#
+# The sampling loops run over blocks of whole samples.  A block's work
+# arrays hold about _MC_BLOCK_ELEMS doubles (1 MB, inside one core's L2
+# cache), are allocated once per call and are written in place.  Uniforms
+# are drawn with ``rng.random(out=...)``, which fills row-major, so the
+# random stream -- and every seeded report -- does not depend on the block
+# size.
+
+_MC_BLOCK_ELEMS = 1 << 17
+
+
+def _block_rows(width: int, samples: int) -> int:
+    """Samples per block when each sample needs ``width`` work entries."""
+    return min(max(1, _MC_BLOCK_ELEMS // width), samples)
+
+
+def _mc_report(
+    scheme: SchemeSpec, estimator: str, f: np.ndarray, discarded_fraction: float | None = None
+) -> FidelityReport:
+    """Mean and standard error of per-sample fidelities (stderr 0 for one sample)."""
+    stderr = float(np.std(f, ddof=1) / math.sqrt(f.size)) if f.size > 1 else 0.0
+    return FidelityReport(
+        scheme=scheme,
+        estimator=estimator,
+        copies=scheme.total_copies,
+        fidelity=clamp_fidelity(float(f.mean())),
+        stderr=stderr,
+        method=Method.MONTE_CARLO,
+        discarded_fraction=discarded_fraction,
+    )
 
 
 def _mc_draw_counts(rng, vecs: np.ndarray, n_half: int) -> tuple[np.ndarray, np.ndarray]:
     """Simulate per-axis +1 counts; one uniform per copy, row-major.
 
-    Chunked by whole samples so the stream is identical to a single
-    (samples, N) draw.
+    Each sample's N uniforms are its x copies, then its y copies.
     """
     samples = vecs.shape[0]
-    total = 2 * n_half
-    chunk = max(1, (1 << 23) // max(total, 1))
-    kx = np.empty(samples, dtype=np.int64)
-    ky = np.empty(samples, dtype=np.int64)
-    qx = 0.5 * (1.0 + vecs[:, 0])
-    qy = 0.5 * (1.0 + vecs[:, 1])
-    for s in range(0, samples, chunk):
-        e = min(s + chunk, samples)
-        u = rng.random((e - s, total))
-        kx[s:e] = (u[:, :n_half] < qx[s:e, None]).sum(axis=1)
-        ky[s:e] = (u[:, n_half:] < qy[s:e, None]).sum(axis=1)
-    return kx, ky
+    rows = _block_rows(2 * n_half, samples)
+    u = np.empty((rows, 2, n_half))
+    plus = np.empty((rows, 2, n_half), dtype=bool)
+    q = 0.5 * (1.0 + vecs[:, :2])
+    counts = np.empty((samples, 2), dtype=np.int64)
+    for s in range(0, samples, rows):
+        e = min(s + rows, samples)
+        ub, pb = u[: e - s], plus[: e - s]
+        rng.random(out=ub)
+        np.less(ub, q[s:e, :, None], out=pb)
+        counts[s:e] = np.count_nonzero(pb, axis=2)
+    return counts[:, 0], counts[:, 1]
 
 
 def _mc_local(
@@ -782,27 +811,85 @@ def _mc_local(
             + vecs[kept, 0] * gx[kx[kept], ky[kept]]
             + vecs[kept, 1] * gy[kx[kept], ky[kept]]
         )
-        stderr = float(np.std(f, ddof=1) / math.sqrt(kept_count)) if kept_count > 1 else 0.0
-        return FidelityReport(
-            scheme=scheme,
-            estimator=estimator,
-            copies=scheme.total_copies,
-            fidelity=clamp_fidelity(float(f.mean())),
-            stderr=stderr,
-            method=Method.MONTE_CARLO,
-            discarded_fraction=1.0 - kept_count / samples,
-        )
+        return _mc_report(scheme, estimator, f, discarded_fraction=1.0 - kept_count / samples)
 
     f = 0.5 * (1.0 + t_states * tg[kx, ky] + vecs[:, 0] * gx[kx, ky] + vecs[:, 1] * gy[kx, ky])
-    stderr = float(np.std(f, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return FidelityReport(
-        scheme=scheme,
-        estimator=estimator,
-        copies=scheme.total_copies,
-        fidelity=clamp_fidelity(float(f.mean())),
-        stderr=stderr,
-        method=Method.MONTE_CARLO,
-    )
+    return _mc_report(scheme, estimator, f)
+
+
+def _collective_fidelities(rng, tables: CollectiveTables, t_states, vecs) -> np.ndarray:
+    """Per-sample fidelities of the optimal collective guess.
+
+    Each sample draws two uniforms: its spin label k by inverse CDF over
+    p(k|r), then the polar cosine of its state against the measured axis.
+    The label CDFs of a block are built in two (rows x labels) buffers.
+    """
+    N = tables.total_copies
+    samples = t_states.size
+    norm = np.hypot(tables.v_t, tables.v_par)
+    g_t = tables.v_t / norm
+    g_par = tables.v_par / norm
+    r = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
+
+    ks = tables.k_values
+    K = ks.size
+    logc = np.array([collective_log_weight(k, N) for k in ks])
+    hk = N / 2.0 - ks
+    m_exp = 2.0 * ks + 1.0
+
+    rows = _block_rows(K, samples)
+    u = np.empty((rows, 2))
+    work = np.empty((rows, K))
+    cum = np.empty((rows, K))
+    above = np.empty((rows, K), dtype=bool)
+    f = np.empty(samples)
+    for s in range(0, samples, rows):
+        e = min(s + rows, samples)
+        ub, lw, cw, aw = u[: e - s], work[: e - s], cum[: e - s], above[: e - s]
+        rng.random(out=ub)
+        rr = r[s:e]
+        tt = t_states[s:e]
+        log_a = np.log1p(rr) - math.log(2.0)
+        log_b = np.log1p(-rr) - math.log(2.0)
+        log_ratio = log_b - log_a
+        # marginal over directions: p(k|r) = c_k ((1-r^2)/4)^(N/2-k) I_k(r),
+        # I_k = (a^m - b^m)/(r m) with m = 2k+1, via expm1 for stability;
+        # lw holds the tail log(1 - (b/a)^m) - log(r m) of log I_k
+        small = rr < 1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(log_ratio[:, None], m_exp, out=lw)
+            np.expm1(lw, out=lw)
+            np.negative(lw, out=lw)
+            np.log(lw, out=lw)
+            np.multiply(rr[:, None], m_exp, out=cw)
+            np.log(cw, out=cw)
+            np.subtract(lw, cw, out=lw)
+        if small.any():
+            lw[small] = math.log(2.0)
+        # log I_k = m log a + tail; log p = (log c_k + (N/2 - k) log_quarter) + log I_k
+        np.multiply(log_a[:, None], m_exp, out=cw)
+        np.add(cw, lw, out=lw)
+        log_quarter = 2.0 * np.log(np.maximum(tt, 1e-300)) - math.log(4.0)
+        np.multiply(log_quarter[:, None], hk, out=cw)
+        np.add(logc, cw, out=cw)
+        np.add(cw, lw, out=lw)
+        np.subtract(lw, lw.max(axis=1, keepdims=True), out=lw)
+        np.exp(lw, out=lw)
+        np.cumsum(lw, axis=1, out=cw)
+        cw /= cw[:, -1:]
+        np.greater(ub[:, 0:1], cw, out=aw)
+        idx = np.minimum(np.count_nonzero(aw, axis=1), K - 1)
+
+        mm = m_exp[idx]
+        a = 0.5 * (1.0 + rr)
+        d = np.exp(mm * log_ratio)
+        base = d + ub[:, 1] * (1.0 - d)
+        with np.errstate(divide="ignore"):
+            root = np.exp(np.log(np.maximum(base, 1e-300)) / mm)
+        cos_th = np.where(small, 2.0 * ub[:, 1] - 1.0, (2.0 * a * root - 1.0) / np.maximum(rr, 1e-300))
+        cos_th = np.clip(cos_th, -1.0, 1.0)
+        f[s:e] = 0.5 * (1.0 + tt * g_t[idx] + g_par[idx] * (rr * cos_th))
+    return f
 
 
 def _mc_collective(
@@ -811,68 +898,10 @@ def _mc_collective(
     samples: int,
     seed,
 ) -> FidelityReport:
-    N = scheme.total_copies
-    tables = collective_tables(N, prior, cos_order=prior.angular_order)
-    norm = np.hypot(tables.v_t, tables.v_par)
-    g_t = tables.v_t / norm
-    g_par = tables.v_par / norm
-
+    tables = collective_tables(scheme.total_copies, prior, cos_order=prior.angular_order)
     rng = np.random.default_rng(seed)
     t_states, vecs = sample_states(prior.kind, samples, rng)
-    r = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
-
-    ks = tables.k_values
-    logc = np.array([collective_log_weight(k, N) for k in ks])
-    hk = N / 2.0 - ks
-    m_exp = 2.0 * ks + 1.0
-
-    f = np.empty(samples)
-    chunk = max(1, (1 << 22) // max(ks.size, 1))
-    for s in range(0, samples, chunk):
-        e = min(s + chunk, samples)
-        u = rng.random((e - s, 2))
-        rr = r[s:e]
-        tt = t_states[s:e]
-        log_a = np.log1p(rr) - math.log(2.0)
-        log_b = np.log1p(-rr) - math.log(2.0)
-        log_ratio = log_b - log_a
-        # marginal over directions: p(k|r) = c_k ((1-r^2)/4)^(N/2-k) I_k(r),
-        # I_k = (a^m - b^m)/(r m) with m = 2k+1, via expm1 for stability
-        small = rr < 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tail = np.log(-np.expm1(np.outer(log_ratio, m_exp))) - np.log(
-                np.outer(rr, m_exp)
-            )
-        if small.any():
-            tail[small] = math.log(2.0)
-        log_i = np.outer(log_a, m_exp) + tail
-        log_quarter = 2.0 * np.log(np.maximum(tt, 1e-300)) - math.log(4.0)
-        logp = logc[None, :] + np.outer(log_quarter, hk) + log_i
-        probs = np.exp(logp - logp.max(axis=1, keepdims=True))
-        cum = np.cumsum(probs, axis=1)
-        cum /= cum[:, -1:]
-        idx = (u[:, 0:1] > cum).sum(axis=1)
-        idx = np.minimum(idx, ks.size - 1)
-
-        mm = m_exp[idx]
-        a = 0.5 * (1.0 + rr)
-        d = np.exp(mm * log_ratio)
-        base = d + u[:, 1] * (1.0 - d)
-        with np.errstate(divide="ignore"):
-            root = np.exp(np.log(np.maximum(base, 1e-300)) / mm)
-        cos_th = np.where(small, 2.0 * u[:, 1] - 1.0, (2.0 * a * root - 1.0) / np.maximum(rr, 1e-300))
-        cos_th = np.clip(cos_th, -1.0, 1.0)
-        f[s:e] = 0.5 * (1.0 + tt * g_t[idx] + g_par[idx] * (rr * cos_th))
-
-    stderr = float(np.std(f, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return FidelityReport(
-        scheme=scheme,
-        estimator="optimal",
-        copies=N,
-        fidelity=clamp_fidelity(float(f.mean())),
-        stderr=stderr,
-        method=Method.MONTE_CARLO,
-    )
+    return _mc_report(scheme, "optimal", _collective_fidelities(rng, tables, t_states, vecs))
 
 
 def monte_carlo_fidelity(
@@ -890,11 +919,13 @@ def monte_carlo_fidelity(
     Draw order is fixed: first all states (one batch), then outcome
     uniforms row by row — (samples, N) for the local scheme, (samples, 2)
     for the collective scheme (spin label, then polar cosine by inverse
-    CDF).  The same seed therefore yields a bit-identical report.  With a
-    single sample the standard error is reported as 0 (no variance
-    estimate exists), never NaN.  Explicit orders set the quadrature of
-    the tables the optimal estimator is built from (an unset one takes its
-    default); orders below 2 raise for every estimator.
+    CDF).  The samples are processed in cache-sized blocks, and neither
+    the stream nor any per-sample value depends on the block size, so the
+    same seed yields a bit-identical report.  With a single sample the
+    standard error is reported as 0 (no variance estimate exists), never
+    NaN.  Explicit orders set the quadrature of the tables the optimal
+    estimator is built from (an unset one takes its default); orders
+    below 2 raise for every estimator.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -913,11 +944,18 @@ _GREEDY_AXES = 12
 _GREEDY_RADIAL_ORDER = 32
 _GREEDY_ANGULAR_ORDER = 64
 _GREEDY_CHUNK = 1024
+# Axis scores within this relative distance of a sample's best score tie,
+# and the tie goes to the lowest axis index.
+_GREEDY_TIE_RTOL = 1e-13
 
 
-def _greedy_adaptive(
-    prior: Prior, total_copies: int, samples: int, seed
-) -> tuple[np.ndarray, float]:
+def _greedy_pick(scores: np.ndarray) -> np.ndarray:
+    """Best axis per row of (samples, axes) scores, ties to the lowest axis."""
+    best = scores.max(axis=1, keepdims=True)
+    return np.argmax(scores >= best * (1.0 - _GREEDY_TIE_RTOL), axis=1)
+
+
+def _greedy_adaptive(prior: Prior, total_copies: int, samples: int, seed) -> np.ndarray:
     """Greedy-fidelity adaptive runs; returns per-sample fidelities."""
     grid = build_prior(
         prior.kind, radial_order=_GREEDY_RADIAL_ORDER, angular_order=_GREEDY_ANGULAR_ORDER
@@ -927,6 +965,11 @@ def _greedy_adaptive(
     cos_b, sin_b = np.cos(betas), np.sin(betas)
     # q_plus[j, node] = probability of the +1 outcome along axis j
     q_plus = 0.5 * (1.0 + cos_b[:, None] * nodes4[None, :, 1] + sin_b[:, None] * nodes4[None, :, 2])
+    # post @ branch = [V | V_+(axis 0) | ... | V_+(axis 11)]: one GEMM per step
+    branch = np.concatenate([nodes4] + [q[:, None] * nodes4 for q in q_plus], axis=1)
+    # rows j and j + 12: likelihood factors of the +1 and -1 outcomes along axis j
+    factors = np.concatenate([q_plus, 1.0 - q_plus])
+    nodes_t = np.ascontiguousarray(nodes4.T)
 
     rng = np.random.default_rng(seed)
     t_states, vecs = sample_states(prior.kind, samples, rng)
@@ -938,21 +981,20 @@ def _greedy_adaptive(
         u = rng.random((S, total_copies))
         post = np.repeat(w0[None, :], S, axis=0)
         for step in range(total_copies):
-            v_tot = post @ nodes4  # (S, 4)
-            scores = np.empty((S, _GREEDY_AXES))
-            for j in range(_GREEDY_AXES):
-                v_plus = (post * q_plus[j]) @ nodes4
-                v_minus = v_tot - v_plus
-                scores[:, j] = np.sqrt(np.einsum("sd,sd->s", v_plus, v_plus)) + np.sqrt(
-                    np.einsum("sd,sd->s", v_minus, v_minus)
-                )
-            jstar = scores.argmax(axis=1)
+            v = (post @ branch).reshape(S, _GREEDY_AXES + 1, 4)
+            v_plus = v[:, 1:]
+            v_minus = v[:, :1] - v_plus
+            scores = np.sqrt(np.einsum("sjd,sjd->sj", v_plus, v_plus)) + np.sqrt(
+                np.einsum("sjd,sjd->sj", v_minus, v_minus)
+            )
+            jstar = _greedy_pick(scores)
             q_true = 0.5 * (1.0 + vecs[s:e, 0] * cos_b[jstar] + vecs[s:e, 1] * sin_b[jstar])
-            plus = u[:, step] < q_true
-            q_sel = q_plus[jstar]
-            post = post * np.where(plus[:, None], q_sel, 1.0 - q_sel)
+            minus = u[:, step] >= q_true
+            post *= factors[jstar + _GREEDY_AXES * minus]
             post /= post.sum(axis=1, keepdims=True)
-        v = post @ nodes4
+        # one dot product per (sample, component): a GEMM's sums round
+        # differently for different row counts, these do not
+        v = np.vecdot(post[:, None, :], nodes_t)
         v /= np.sqrt(np.einsum("sd,sd->s", v, v))[:, None]
         f[s:e] = 0.5 * (
             1.0 + t_states[s:e] * v[:, 0] + vecs[s:e, 0] * v[:, 1] + vecs[s:e, 1] * v[:, 2]
@@ -972,6 +1014,11 @@ def adaptive_local_fidelity(
     the equatorial axis maximizing the expected posterior |V| (the
     expected fidelity of the optimal guess) on a quadrature posterior;
     the final guess is the optimal rule applied to the sequence posterior.
+    Axes whose scores lie within a relative 1e-13 of the best one tie (the
+    rotation-symmetric prior makes all twelve tie at the first copy), and
+    a tie goes to the lowest axis index.  Round-off therefore cannot pick
+    the axis, and the seeded report does not depend on how the samples
+    are batched.
     """
     if policy not in ADAPTIVE_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {ADAPTIVE_POLICIES}")
@@ -982,16 +1029,7 @@ def adaptive_local_fidelity(
     scheme = SchemeSpec(SchemeKind.LOCAL_XY, total_copies)
     if policy == "fixed-xy":
         return _mc_local(scheme, "optimal", prior, samples, seed)
-    f = _greedy_adaptive(prior, total_copies, samples, seed)
-    stderr = float(np.std(f, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return FidelityReport(
-        scheme=scheme,
-        estimator="optimal",
-        copies=total_copies,
-        fidelity=clamp_fidelity(float(f.mean())),
-        stderr=stderr,
-        method=Method.MONTE_CARLO,
-    )
+    return _mc_report(scheme, "optimal", _greedy_adaptive(prior, total_copies, samples, seed))
 
 
 # ---------------------------------------------------------------------------

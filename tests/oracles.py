@@ -21,6 +21,21 @@ D4 symmetries, like the package engine, but multiplies every column's full
 support windows: for every spin label it exponentiates and sums the whole
 (radius x polar cosine) grid, negligible entries included.
 
+The Monte Carlo loops as they were before the cache-sized blocks:
+
+* ``mc_draw_counts_chunked`` draws each chunk of up to 2^23 local outcome
+  uniforms as a fresh array and counts the +1 outcomes with ``<`` and
+  ``sum``;
+* ``collective_fidelities_chunked`` samples the collective spin label and
+  polar cosine on chunks of up to 2^22 (sample, label) entries, each
+  expression a fresh temporary;
+* ``greedy_adaptive_per_axis`` scores the twelve greedy axes one
+  elementwise product and one GEMM at a time.  It takes two rules from the
+  package: score ties go to the lowest axis (``_greedy_pick``), and the
+  final posterior mean is one dot product per sample and component.  Its
+  per-sample fidelities then match the package's bit for bit, whatever
+  the chunk size.
+
 The cross-check routes share no code with the table engines:
 
 * ``fidelity_from_guesses`` sums sum_x integral dρ f(r⃗, R⃗(x)) p(x|r⃗) for
@@ -39,13 +54,17 @@ import math
 
 import numpy as np
 
-from blochest.core import Prior, sphere_grid
+from blochest.core import Prior, build_prior, sample_states, sphere_grid
 from blochest.estimators import DegenerateEstimateError, boundary_equation
 from blochest.evaluator import (
+    _GREEDY_ANGULAR_ORDER,
+    _GREEDY_AXES,
+    _GREEDY_RADIAL_ORDER,
     _TABLE_CHUNK,
     CollectiveTables,
     LocalTables,
     _d4_table_image,
+    _greedy_pick,
     _require_prior,
     _symmetry_wedge,
 )
@@ -402,3 +421,123 @@ def ml_phi_scan(R: float, gamma: float, ax: float, ay: float) -> float:
     best = max(liks)
     contenders = [r for r, l in zip(roots, liks) if l >= best - _LIKELIHOOD_TIE_TOL]
     return min(contenders, key=lambda r: abs(r - gamma))
+
+
+def mc_draw_counts_chunked(rng, vecs: np.ndarray, n_half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate per-axis +1 counts; one uniform per copy, row-major.
+
+    Chunked by whole samples so the stream is identical to a single
+    (samples, N) draw.
+    """
+    samples = vecs.shape[0]
+    total = 2 * n_half
+    chunk = max(1, (1 << 23) // max(total, 1))
+    kx = np.empty(samples, dtype=np.int64)
+    ky = np.empty(samples, dtype=np.int64)
+    qx = 0.5 * (1.0 + vecs[:, 0])
+    qy = 0.5 * (1.0 + vecs[:, 1])
+    for s in range(0, samples, chunk):
+        e = min(s + chunk, samples)
+        u = rng.random((e - s, total))
+        kx[s:e] = (u[:, :n_half] < qx[s:e, None]).sum(axis=1)
+        ky[s:e] = (u[:, n_half:] < qy[s:e, None]).sum(axis=1)
+    return kx, ky
+
+
+def collective_fidelities_chunked(rng, tables: CollectiveTables, t_states, vecs) -> np.ndarray:
+    """Per-sample collective fidelities, one fresh temporary per expression."""
+    N = tables.total_copies
+    samples = t_states.size
+    norm = np.hypot(tables.v_t, tables.v_par)
+    g_t = tables.v_t / norm
+    g_par = tables.v_par / norm
+    r = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
+
+    ks = tables.k_values
+    logc = np.array([collective_log_weight(k, N) for k in ks])
+    hk = N / 2.0 - ks
+    m_exp = 2.0 * ks + 1.0
+
+    f = np.empty(samples)
+    chunk = max(1, (1 << 22) // max(ks.size, 1))
+    for s in range(0, samples, chunk):
+        e = min(s + chunk, samples)
+        u = rng.random((e - s, 2))
+        rr = r[s:e]
+        tt = t_states[s:e]
+        log_a = np.log1p(rr) - math.log(2.0)
+        log_b = np.log1p(-rr) - math.log(2.0)
+        log_ratio = log_b - log_a
+        # marginal over directions: p(k|r) = c_k ((1-r^2)/4)^(N/2-k) I_k(r),
+        # I_k = (a^m - b^m)/(r m) with m = 2k+1, via expm1 for stability
+        small = rr < 1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tail = np.log(-np.expm1(np.outer(log_ratio, m_exp))) - np.log(
+                np.outer(rr, m_exp)
+            )
+        if small.any():
+            tail[small] = math.log(2.0)
+        log_i = np.outer(log_a, m_exp) + tail
+        log_quarter = 2.0 * np.log(np.maximum(tt, 1e-300)) - math.log(4.0)
+        logp = logc[None, :] + np.outer(log_quarter, hk) + log_i
+        probs = np.exp(logp - logp.max(axis=1, keepdims=True))
+        cum = np.cumsum(probs, axis=1)
+        cum /= cum[:, -1:]
+        idx = (u[:, 0:1] > cum).sum(axis=1)
+        idx = np.minimum(idx, ks.size - 1)
+
+        mm = m_exp[idx]
+        a = 0.5 * (1.0 + rr)
+        d = np.exp(mm * log_ratio)
+        base = d + u[:, 1] * (1.0 - d)
+        with np.errstate(divide="ignore"):
+            root = np.exp(np.log(np.maximum(base, 1e-300)) / mm)
+        cos_th = np.where(small, 2.0 * u[:, 1] - 1.0, (2.0 * a * root - 1.0) / np.maximum(rr, 1e-300))
+        cos_th = np.clip(cos_th, -1.0, 1.0)
+        f[s:e] = 0.5 * (1.0 + tt * g_t[idx] + g_par[idx] * (rr * cos_th))
+    return f
+
+
+def greedy_adaptive_per_axis(
+    prior: Prior, total_copies: int, samples: int, seed, chunk: int = 1024
+) -> np.ndarray:
+    """Greedy-fidelity adaptive runs, axis by axis; returns per-sample fidelities."""
+    grid = build_prior(
+        prior.kind, radial_order=_GREEDY_RADIAL_ORDER, angular_order=_GREEDY_ANGULAR_ORDER
+    )
+    nodes4, w0 = grid.product_nodes()
+    betas = np.pi * np.arange(_GREEDY_AXES) / _GREEDY_AXES
+    cos_b, sin_b = np.cos(betas), np.sin(betas)
+    # q_plus[j, node] = probability of the +1 outcome along axis j
+    q_plus = 0.5 * (1.0 + cos_b[:, None] * nodes4[None, :, 1] + sin_b[:, None] * nodes4[None, :, 2])
+
+    rng = np.random.default_rng(seed)
+    t_states, vecs = sample_states(prior.kind, samples, rng)
+
+    f = np.empty(samples)
+    for s in range(0, samples, chunk):
+        e = min(s + chunk, samples)
+        S = e - s
+        u = rng.random((S, total_copies))
+        post = np.repeat(w0[None, :], S, axis=0)
+        for step in range(total_copies):
+            v_tot = post @ nodes4  # (S, 4)
+            scores = np.empty((S, _GREEDY_AXES))
+            for j in range(_GREEDY_AXES):
+                v_plus = (post * q_plus[j]) @ nodes4
+                v_minus = v_tot - v_plus
+                scores[:, j] = np.sqrt(np.einsum("sd,sd->s", v_plus, v_plus)) + np.sqrt(
+                    np.einsum("sd,sd->s", v_minus, v_minus)
+                )
+            jstar = _greedy_pick(scores)
+            q_true = 0.5 * (1.0 + vecs[s:e, 0] * cos_b[jstar] + vecs[s:e, 1] * sin_b[jstar])
+            plus = u[:, step] < q_true
+            q_sel = q_plus[jstar]
+            post = post * np.where(plus[:, None], q_sel, 1.0 - q_sel)
+            post /= post.sum(axis=1, keepdims=True)
+        v = np.vecdot(post[:, None, :], np.ascontiguousarray(nodes4.T))
+        v /= np.sqrt(np.einsum("sd,sd->s", v, v))[:, None]
+        f[s:e] = 0.5 * (
+            1.0 + t_states[s:e] * v[:, 0] + vecs[s:e, 0] * v[:, 1] + vecs[s:e, 1] * v[:, 2]
+        )
+    return f
