@@ -12,8 +12,9 @@ any scheme:
   disc.  For R <= 1 it coincides with the tomographic point; for R > 1
   the maximum sits on the pure-state boundary at an angle Phi solving
   cos(2 Phi) = R cos(gamma + Phi).  With z = exp(i Phi) that equation is a
-  quartic in z; ``ml_phi_batch`` takes all its roots at once from
-  companion-matrix eigenvalues and keeps the one of largest likelihood.
+  quartic in z; ``ml_phi_batch`` takes its four roots in closed form
+  (Ferrari) and keeps the admissible one closest to gamma, which is the
+  one of largest likelihood.
 
 * ``optimal_estimate`` -- the Bayes rule for mean-fidelity loss: guess
   along the posterior-mean embedded vector V = ∫ dρ(𝐫) 𝐫 p(outcome | 𝐫),
@@ -44,11 +45,10 @@ __all__ = [
     "random_estimate",
 ]
 
-# Newton steps that polish the eigenvalue angles: one settles a simple root;
+# Newton steps that polish the root angles: one settles a simple root;
 # the rest serve near-double roots, where Newton converges only linearly.
 _NEWTON_STEPS = 4
 _RESIDUAL_TOL = 1e-12
-_LIKELIHOOD_TIE_TOL = 1e-12
 
 
 class DegenerateEstimateError(ValueError):
@@ -118,67 +118,90 @@ def ml_estimate(outcome) -> MLGuess:
     return MLGuess(guess=guess, phi=phi)
 
 
-def _log_likelihood(phi: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
-    """Per-copy log-likelihood of pure equatorial states at azimuths phi.
+def _quartic_roots(R: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """(m, 4) roots of z^4 - a z^3 - conj(a) z + 1 = 0 with a = R e^{i gamma}.
 
-    l(phi) = ax log((1+cos phi)/2) + (1-ax) log((1-cos phi)/2)
-           + ay log((1+sin phi)/2) + (1-ay) log((1-sin phi)/2),
-    with 0*log(0) = 0 so corner outcomes keep a finite value.
+    Ferrari's method on the depressed quartic y^4 + p y^2 + q y + r = 0,
+    z = y + a/4, with p = -3 a^2/8, q = -a^3/8 - conj(a) and
+    r = 1 - R^2/4 - 3 a^4/256.  Any root m of the resolvent cubic
+    m^3 + p m^2 + (p^2/4 - r) m - q^2/8 = 0 serves; Cardano's formula, with
+    the larger of the two cube-root arguments, gives one.  For
+    1 <= R <= sqrt 2 every such root has modulus above 1/8 (checked on a
+    600 x 2001 grid of R and gamma), so sqrt(2 m) stays away from 0.  Then
+    y = (+-s sqrt(2 m) +- sqrt(-(2 p + 2 m +-s 2 q / sqrt(2 m)))) / 2.
     """
-    c, s = np.cos(phi), np.sin(phi)
-    out = np.zeros_like(phi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a, trig in ((ax, c), (ay, s)):
-            out = out + np.where(a > 0.0, a * np.log(0.5 * (1.0 + trig)), 0.0)
-            out = out + np.where(a < 1.0, (1.0 - a) * np.log(0.5 * (1.0 - trig)), 0.0)
-    return out
+    a = R * np.exp(1j * gamma)
+    a2 = a * a
+    p = -0.375 * a2
+    q = -0.125 * a2 * a - np.conj(a)
+    r = 1.0 - 0.25 * R * R - (3.0 / 256.0) * a2 * a2
+    # resolvent cubic with m = u - p/3: u^3 + P u + Q = 0
+    P = -p * p / 12.0 - r
+    Q = -p * p * p / 108.0 + p * r / 3.0 - 0.125 * q * q
+    h = -0.5 * Q
+    d = np.sqrt(h * h + P * P * P / 27.0)
+    d = np.where((np.conj(h) * d).real < 0.0, -d, d)
+    c = (h + d) ** (1.0 / 3.0)
+    m = c - np.divide(P, 3.0 * c, out=np.zeros_like(c), where=c != 0.0) - p / 3.0
+    s = np.sqrt(2.0 * m)
+    e = -2.0 * (p + m)
+    f = 2.0 * q / s
+    d_plus = np.sqrt(e - f)
+    d_minus = np.sqrt(e + f)
+    y = 0.5 * np.stack([s + d_plus, s - d_plus, d_minus - s, -s - d_minus], axis=1)
+    return y + 0.25 * a[:, None]
+
+
+def _boundary_candidates(R: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, 4) boundary azimuths from the quartic's roots, and which solve g = 0.
+
+    Each root's angle, taken in (gamma - pi, gamma + pi], is polished by
+    Newton steps on :func:`boundary_equation`; roots off the unit circle
+    leave a residual above 1e-12 and are marked inadmissible.
+    """
+    Rc = R[:, None]
+    gc = gamma[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _quartic_roots(R, gamma)
+        roots = gc + np.angle(z * np.exp(-1j * gc))
+        for _ in range(_NEWTON_STEPS):
+            g = boundary_equation(roots, Rc, gc)
+            dg = -2.0 * np.sin(2.0 * roots) + Rc * np.sin(gc + roots)
+            roots = roots - np.divide(g, dg, out=np.zeros_like(g), where=dg != 0.0)
+        admissible = np.abs(boundary_equation(roots, Rc, gc)) <= _RESIDUAL_TOL
+    return roots, admissible
 
 
 def ml_phi_batch(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
     """Boundary azimuths of the ML estimate for unphysical count frequencies.
 
     With z = exp(i Phi) the boundary equation cos(2 Phi) = R cos(gamma + Phi)
-    is the quartic z^4 - R e^{i gamma} z^3 - R e^{-i gamma} z + 1 = 0, so the
-    eigenvalues of one (m, 4, 4) stack of companion matrices give every
-    stationary point of every row (Edelman & Murakami, Math. Comp. 64, 1995).
-    Their angles, polished by Newton steps on :func:`boundary_equation`, are
-    the candidates; roots off the unit circle leave a residual and are
-    dropped.  The candidate with the largest per-copy log-likelihood wins,
-    and likelihood ties within 1e-12 go to the root closest to gamma as a
-    wrapped angle.  Corner rows (cos 2 gamma = 0) return gamma exactly.
-    Angles are returned in (gamma - pi, gamma + pi]; a row with no
-    admissible root raises :class:`DegenerateEstimateError`.
+    is the quartic z^4 - R e^{i gamma} z^3 - R e^{-i gamma} z + 1 = 0, whose
+    four roots per row come in closed form (:func:`_quartic_roots`).  Their
+    angles, polished by Newton steps on :func:`boundary_equation`, are the
+    candidates; roots off the unit circle leave a residual and are
+    dropped.  The admissible candidate closest to gamma as a wrapped angle
+    wins: it is the candidate of largest likelihood on every unphysical
+    outcome with k_x >= k_y >= n/2 (one per orbit of the count model's
+    symmetries) up to n = 1024 counts per axis, and at n = 2048 and 4096
+    (``demos/ml_pick_check.py``).  Corner rows (cos 2 gamma = 0) return
+    gamma exactly.  Angles are returned in (gamma - pi, gamma + pi];
+    non-finite input raises ValueError and a row with no admissible root
+    :class:`DegenerateEstimateError`.
     """
     ax = np.asarray(ax, dtype=float)
     ay = np.asarray(ay, dtype=float)
+    if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
+        raise ValueError("count frequencies must be finite")
     rx = 2.0 * ax - 1.0
     ry = 2.0 * ay - 1.0
     R = np.hypot(rx, ry)
     gamma = np.arctan2(ry, rx)
-    m = ax.size
 
-    companion = np.zeros((m, 4, 4), dtype=complex)
-    companion[:, 0, 0] = R * np.exp(1j * gamma)
-    companion[:, 0, 2] = R * np.exp(-1j * gamma)
-    companion[:, 0, 3] = -1.0
-    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
-    z = np.linalg.eigvals(companion)
-
-    Rc = R[:, None]
-    gc = gamma[:, None]
-    roots = gc + np.angle(z * np.exp(-1j * gc))
-    for _ in range(_NEWTON_STEPS):
-        g = boundary_equation(roots, Rc, gc)
-        dg = -2.0 * np.sin(2.0 * roots) + Rc * np.sin(gc + roots)
-        roots = roots - np.divide(g, dg, out=np.zeros_like(g), where=dg != 0.0)
-    admissible = np.abs(boundary_equation(roots, Rc, gc)) <= _RESIDUAL_TOL
-
-    liks = np.where(admissible, _log_likelihood(roots, ax[:, None], ay[:, None]), -np.inf)
-    best = liks.max(axis=1, keepdims=True)
-    near_best = liks >= best - _LIKELIHOOD_TIE_TOL
-    offset = np.abs((roots - gc + np.pi) % (2.0 * np.pi) - np.pi)
-    pick = np.where(near_best, offset, np.inf).argmin(axis=1)
-    phi = roots[np.arange(m), pick]
+    roots, admissible = _boundary_candidates(R, gamma)
+    offset = np.abs((roots - gamma[:, None] + np.pi) % (2.0 * np.pi) - np.pi)
+    pick = np.where(admissible, offset, np.inf).argmin(axis=1)
+    phi = roots[np.arange(ax.size), pick]
 
     corner = np.abs(np.cos(2.0 * gamma)) < 1e-14
     lost = ~(corner | admissible.any(axis=1))

@@ -247,14 +247,18 @@ def _symmetry_wedge(prior: Prior):
 
 
 def _d4_table_image(g, tables):
-    """(prob, v_t, v_x, v_y) of the directions mapped by g, from those of the originals."""
+    """Count tables of the directions mapped by g, from those of the originals.
+
+    ``tables`` ends with the x and y components (v_x, v_y); the tables
+    before them are scalars, such as prob and v_t.
+    """
     sx, sy, swap = g
-    prob, v_t, v_x, v_y = (a[::sx, ::sy] for a in tables)
+    *scalars, v_x, v_y = (a[::sx, ::sy] for a in tables)
     v_x = sx * v_x
     v_y = sy * v_y
     if swap:
-        return prob.T, v_t.T, v_y.T, v_x.T
-    return prob, v_t, v_x, v_y
+        return (*(a.T for a in scalars), v_y.T, v_x.T)
+    return (*scalars, v_x, v_y)
 
 
 def _tiles_pay(n: int) -> bool:
@@ -395,19 +399,37 @@ def _tomography_guess_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return tg, gx, gy, phys
 
 
+def _ml_wedge(n: int) -> np.ndarray:
+    """Unphysical outcomes with k_x >= k_y >= n/2: one per orbit of D4 on the counts."""
+    k = np.arange(n + 1)
+    return ~_physical_mask(n) & (k[:, None] >= k[None, :]) & (2 * k[None, :] >= n)
+
+
 def _ml_guess_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, x, y) guess components of the ML estimator for every outcome."""
+    """(t, x, y) guess components of the ML estimator for every outcome.
+
+    The count model's D4 symmetries act on the ML azimuth as on directions:
+    k_x -> n - k_x maps phi to pi - phi, k_y -> n - k_y maps it to -phi and
+    the swap to pi/2 - phi.  So the boundary is solved only on the wedge
+    (:func:`_ml_wedge`, about an eighth of the unphysical outcomes), and
+    its (cos phi, sin phi) tables are unfolded by :func:`_d4_table_image`.
+    """
     tg, gx, gy, phys = _tomography_guess_tables(n)
-    if not np.all(phys):
-        alpha = np.arange(n + 1, dtype=float) / n
-        ax, ay = np.meshgrid(alpha, alpha, indexing="ij")
-        phi = ml_phi_batch(ax[~phys], ay[~phys])
-        tg = tg.copy()
-        gx = gx.copy()
-        gy = gy.copy()
-        tg[~phys] = 0.0
-        gx[~phys] = np.cos(phi)
-        gy[~phys] = np.sin(phi)
+    if np.all(phys):
+        return tg, gx, gy
+    wedge = _ml_wedge(n)
+    kx, ky = np.nonzero(wedge)
+    phi = ml_phi_batch(kx / n, ky / n)
+    wx = np.zeros((n + 1, n + 1))
+    wy = np.zeros((n + 1, n + 1))
+    wx[wedge] = np.cos(phi)
+    wy[wedge] = np.sin(phi)
+    tg[~phys] = 0.0
+    # the identity comes last, so the wedge keeps its own values
+    for g in reversed(_D4):
+        image, ix, iy = _d4_table_image(g, (wedge, wx, wy))
+        np.copyto(gx, ix, where=image)
+        np.copyto(gy, iy, where=image)
     return tg, gx, gy
 
 
@@ -943,7 +965,7 @@ def monte_carlo_fidelity(
 _GREEDY_AXES = 12
 _GREEDY_RADIAL_ORDER = 32
 _GREEDY_ANGULAR_ORDER = 64
-_GREEDY_CHUNK = 1024
+_GREEDY_CHUNK = 128
 # Axis scores within this relative distance of a sample's best score tie,
 # and the tie goes to the lowest axis index.
 _GREEDY_TIE_RTOL = 1e-13

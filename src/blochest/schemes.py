@@ -21,6 +21,7 @@ copy numbers in the thousands neither overflow nor underflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -177,24 +178,34 @@ def _safe_klogq(k, logq) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=128)
+def _log_binom_coefficients(n: int) -> np.ndarray:
+    """log C(n, k) for k = 0..n, read-only (cached per n)."""
+    lgn = math.lgamma(n + 1.0)
+    lgb = lgn - np.array([math.lgamma(v + 1.0) + math.lgamma(n - v + 1.0) for v in range(n + 1)])
+    lgb.flags.writeable = False
+    return lgb
+
+
 def binom_log_pmf_matrix(n: int, q: np.ndarray) -> np.ndarray:
     """Matrix of log binomial pmfs: entry [k, j] = log C(n,k) q_j^k (1-q_j)^(n-k).
 
     q values of exactly 0 or 1 are handled by the 0^0 = 1 convention:
     impossible counts get -inf, the forced count gets 0.
     """
-    k = np.arange(n + 1, dtype=float)
-    lgn = math.lgamma(n + 1.0)
-    lgb = lgn - np.array([math.lgamma(v + 1.0) + math.lgamma(n - v + 1.0) for v in k])
+    k = np.arange(n + 1, dtype=float)[:, None]
+    lgb = _log_binom_coefficients(n)[:, None]
     q = np.asarray(q, dtype=float)
     with np.errstate(divide="ignore"):
         logq = np.log(q)
         log1mq = np.log1p(-q)
-    return (
-        lgb[:, None]
-        + _safe_klogq(k[:, None], logq[None, :])
-        + _safe_klogq((n - k)[:, None], log1mq[None, :])
-    )
+    if not np.all((q > 0.0) & (q < 1.0)):
+        return lgb + _safe_klogq(k, logq[None, :]) + _safe_klogq(n - k, log1mq[None, :])
+    # every log is finite: 0 * log q is -0.0 rather than 0.0, which adds alike
+    out = k * logq
+    out += lgb
+    out += (n - k) * log1mq
+    return out
 
 
 def local_probability(outcome: LocalOutcome, state) -> float:

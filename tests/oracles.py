@@ -12,10 +12,23 @@ Newton polish inside each bracket, a Newton root seeded at
 gamma - (R - 1) cot(2 gamma) for likelihood bumps narrower than the scan
 grid, and selection by likelihood.
 
+``ml_phi_companion`` is the batched ML boundary solver as it was before the
+closed-form quartic: the four roots of each row from one (m, 4, 4) stack of
+companion-matrix eigenvalues, the same Newton polish and residual filter,
+and selection by likelihood (``likelihood_pick``), as the package made it
+before the closest-to-gamma pick was checked equal to it.
+``ml_phi_likelihood`` applies that pick to the package's own candidates.
+``ml_guess_tables_full`` is the ML guess table as it was before the wedge:
+every unphysical outcome solved by the package's ``ml_phi_batch``.
+
 ``local_tables_dense`` is the symmetry-wedge engine as it was before the
 binomial support tiles: it integrates one direction per orbit of the prior's
 D4 symmetries, like the package engine, but multiplies every column's full
 (n+1)-row binomial tables, negligible rows included.
+
+``binom_log_pmf_matrix_uncached`` is the log binomial table as it was before
+the coefficients were cached: 2(n + 1) ``math.lgamma`` calls on every call,
+and k log q formed by a masked multiply into zeros whatever q is.
 
 ``collective_tables_dense`` is the collective engine as it was before the
 support windows: for every spin label it exponentiates and sums the whole
@@ -55,7 +68,14 @@ import math
 import numpy as np
 
 from blochest.core import Prior, build_prior, sample_states, sphere_grid
-from blochest.estimators import DegenerateEstimateError, boundary_equation
+from blochest.estimators import (
+    _NEWTON_STEPS,
+    _RESIDUAL_TOL,
+    DegenerateEstimateError,
+    _boundary_candidates,
+    boundary_equation,
+    ml_phi_batch,
+)
 from blochest.evaluator import (
     _GREEDY_ANGULAR_ORDER,
     _GREEDY_AXES,
@@ -67,11 +87,13 @@ from blochest.evaluator import (
     _greedy_pick,
     _require_prior,
     _symmetry_wedge,
+    _tomography_guess_tables,
 )
 from blochest.quadrature import gauss_legendre
 from blochest.schemes import (
     SchemeKind,
     SchemeSpec,
+    _safe_klogq,
     binom_log_pmf_matrix,
     collective_k_values,
     collective_log_weight,
@@ -143,6 +165,22 @@ def local_tables_dense(spec: SchemeSpec, prior: Prior) -> LocalTables:
             acc += image
     prob, v_t, v_x, v_y = total
     return LocalTables(n_per_axis=n, prob=prob, v_t=v_t, v_x=v_x, v_y=v_y)
+
+
+def binom_log_pmf_matrix_uncached(n: int, q: np.ndarray) -> np.ndarray:
+    """Log binomial pmf table, lgamma sums per call and masked products."""
+    k = np.arange(n + 1, dtype=float)
+    lgn = math.lgamma(n + 1.0)
+    lgb = lgn - np.array([math.lgamma(v + 1.0) + math.lgamma(n - v + 1.0) for v in k])
+    q = np.asarray(q, dtype=float)
+    with np.errstate(divide="ignore"):
+        logq = np.log(q)
+        log1mq = np.log1p(-q)
+    return (
+        lgb[:, None]
+        + _safe_klogq(k[:, None], logq[None, :])
+        + _safe_klogq((n - k)[:, None], log1mq[None, :])
+    )
 
 
 def collective_tables_dense(total_copies: int, prior, cos_order: int) -> CollectiveTables:
@@ -421,6 +459,100 @@ def ml_phi_scan(R: float, gamma: float, ax: float, ay: float) -> float:
     best = max(liks)
     contenders = [r for r, l in zip(roots, liks) if l >= best - _LIKELIHOOD_TIE_TOL]
     return min(contenders, key=lambda r: abs(r - gamma))
+
+
+def _log_likelihood(phi: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
+    """Per-copy log-likelihood of pure equatorial states at azimuths phi.
+
+    l(phi) = ax log((1+cos phi)/2) + (1-ax) log((1-cos phi)/2)
+           + ay log((1+sin phi)/2) + (1-ay) log((1-sin phi)/2),
+    with 0*log(0) = 0 so corner outcomes keep a finite value.
+    """
+    c, s = np.cos(phi), np.sin(phi)
+    out = np.zeros_like(phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a, trig in ((ax, c), (ay, s)):
+            out = out + np.where(a > 0.0, a * np.log(0.5 * (1.0 + trig)), 0.0)
+            out = out + np.where(a < 1.0, (1.0 - a) * np.log(0.5 * (1.0 - trig)), 0.0)
+    return out
+
+
+def likelihood_pick(roots, admissible, ax, ay, gamma) -> np.ndarray:
+    """Per row, the admissible root of largest log-likelihood.
+
+    Likelihood ties within 1e-12 go to the root closest to gamma as a
+    wrapped angle.
+    """
+    liks = np.where(admissible, _log_likelihood(roots, ax[:, None], ay[:, None]), -np.inf)
+    best = liks.max(axis=1, keepdims=True)
+    near_best = liks >= best - _LIKELIHOOD_TIE_TOL
+    offset = np.abs((roots - gamma[:, None] + np.pi) % (2.0 * np.pi) - np.pi)
+    pick = np.where(near_best, offset, np.inf).argmin(axis=1)
+    return roots[np.arange(roots.shape[0]), pick]
+
+
+def _frequency_polar(ax, ay):
+    ax = np.asarray(ax, dtype=float)
+    ay = np.asarray(ay, dtype=float)
+    rx = 2.0 * ax - 1.0
+    ry = 2.0 * ay - 1.0
+    return ax, ay, np.hypot(rx, ry), np.arctan2(ry, rx)
+
+
+def ml_phi_likelihood(ax, ay) -> np.ndarray:
+    """The package's boundary candidates with the likelihood pick."""
+    ax, ay, R, gamma = _frequency_polar(ax, ay)
+    roots, admissible = _boundary_candidates(R, gamma)
+    phi = likelihood_pick(roots, admissible, ax, ay, gamma)
+    return np.where(np.abs(np.cos(2.0 * gamma)) < 1e-14, gamma, phi)
+
+
+def ml_phi_companion(ax, ay) -> np.ndarray:
+    """Boundary azimuths from companion-matrix eigenvalues, likelihood pick."""
+    ax, ay, R, gamma = _frequency_polar(ax, ay)
+    m = ax.size
+
+    companion = np.zeros((m, 4, 4), dtype=complex)
+    companion[:, 0, 0] = R * np.exp(1j * gamma)
+    companion[:, 0, 2] = R * np.exp(-1j * gamma)
+    companion[:, 0, 3] = -1.0
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    z = np.linalg.eigvals(companion)
+
+    Rc = R[:, None]
+    gc = gamma[:, None]
+    roots = gc + np.angle(z * np.exp(-1j * gc))
+    for _ in range(_NEWTON_STEPS):
+        g = boundary_equation(roots, Rc, gc)
+        dg = -2.0 * np.sin(2.0 * roots) + Rc * np.sin(gc + roots)
+        roots = roots - np.divide(g, dg, out=np.zeros_like(g), where=dg != 0.0)
+    admissible = np.abs(boundary_equation(roots, Rc, gc)) <= _RESIDUAL_TOL
+    phi = likelihood_pick(roots, admissible, ax, ay, gamma)
+
+    corner = np.abs(np.cos(2.0 * gamma)) < 1e-14
+    lost = ~(corner | admissible.any(axis=1))
+    if lost.any():
+        i = int(np.argmax(lost))
+        raise DegenerateEstimateError(
+            f"no boundary stationary point found for R={R[i]}, gamma={gamma[i]}"
+        )
+    return np.where(corner, gamma, phi)
+
+
+def ml_guess_tables_full(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, x, y) ML guess components, solving every unphysical outcome."""
+    tg, gx, gy, phys = _tomography_guess_tables(n)
+    if not np.all(phys):
+        alpha = np.arange(n + 1, dtype=float) / n
+        ax, ay = np.meshgrid(alpha, alpha, indexing="ij")
+        phi = ml_phi_batch(ax[~phys], ay[~phys])
+        tg = tg.copy()
+        gx = gx.copy()
+        gy = gy.copy()
+        tg[~phys] = 0.0
+        gx[~phys] = np.cos(phi)
+        gy[~phys] = np.sin(phi)
+    return tg, gx, gy
 
 
 def mc_draw_counts_chunked(rng, vecs: np.ndarray, n_half: int) -> tuple[np.ndarray, np.ndarray]:

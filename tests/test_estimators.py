@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom as scipy_binom
 
 from blochest.core import PriorKind, build_prior
 from blochest.estimators import (
     DegenerateEstimateError,
+    _quartic_roots,
     MLGuess,
     TomographicGuess,
     boundary_equation,
@@ -24,7 +26,7 @@ from blochest.estimators import (
 )
 from blochest.evaluator import _physical_mask
 from blochest.schemes import LocalOutcome, SchemeKind, SchemeSpec, enumerate_outcomes, local_probability
-from oracles import ml_phi_scan
+from oracles import ml_phi_companion, ml_phi_likelihood, ml_phi_scan
 
 
 def _scipy_local_prob(outcome, vecs: np.ndarray) -> np.ndarray:
@@ -197,70 +199,152 @@ SQUARE_IMAGES = (
 )
 
 
-def _batch_vs_scan(ax: float, ay: float) -> tuple[float, float]:
-    """(quartic, scan) boundary azimuths for one unphysical frequency pair."""
+def _batch_vs_scan(solve, ax: float, ay: float) -> tuple[float, float]:
+    """(batch, scan) boundary azimuths for one unphysical frequency pair."""
     rx, ry = 2.0 * ax - 1.0, 2.0 * ay - 1.0
     scan = ml_phi_scan(math.hypot(rx, ry), math.atan2(ry, rx), ax, ay)
-    return float(ml_phi_batch(np.array([ax]), np.array([ay]))[0]), scan
+    return float(solve(np.array([ax]), np.array([ay]))[0]), scan
 
 
-class TestQuarticAgainstScan:
-    """The companion-matrix solver against the former scan-and-bisect solver."""
+def _against_scan(solver):
+    """Tests of ``solver`` against the former scan-and-bisect solver.
+
+    Each class gets its own test functions, so that hypothesis sees one
+    executor per function.
+    """
+
+    class AgainstScan:
+        solve = staticmethod(solver)
+
+        @given(ax=st.floats(0.0, 1.0), ay=st.floats(0.0, 1.0))
+        @example(ax=1.0, ay=0.5 + 0.5 / 4096)
+        def test_random_unphysical(self, ax, ay):
+            assume(math.hypot(2.0 * ax - 1.0, 2.0 * ay - 1.0) > 1.0)
+            phi, scan = _batch_vs_scan(self.solve, ax, ay)
+            assert phi == pytest.approx(scan, abs=SCAN_TOL)
+
+        @given(n=st.integers(2, 4096), image=st.sampled_from(SQUARE_IMAGES))
+        @example(n=4096, image=SQUARE_IMAGES[0])
+        @example(n=2, image=SQUARE_IMAGES[0])
+        def test_near_axis(self, n, image):
+            ax, ay = image(1.0, 0.5 * (1.0 + 1.0 / n))
+            phi, scan = _batch_vs_scan(self.solve, ax, ay)
+            assert phi == pytest.approx(scan, abs=SCAN_TOL)
+
+        @pytest.mark.parametrize("ax,ay", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+        def test_corners(self, ax, ay):
+            phi, scan = _batch_vs_scan(self.solve, ax, ay)
+            assert phi == scan == math.atan2(2.0 * ay - 1.0, 2.0 * ax - 1.0)
+
+        @given(exponent=st.floats(-15.0, -1.0), gamma=st.floats(-math.pi, math.pi))
+        @example(exponent=-15.0, gamma=0.6)
+        @example(exponent=-15.0, gamma=-2.5)
+        def test_unit_radius_limit(self, exponent, gamma):
+            # At R = 1 the root at gamma meets a second root when gamma is
+            # a multiple of pi/2.  Near there both solvers place the root
+            # only to about 1e-16 / |sin 2 gamma| (a 60-digit solve puts
+            # either one up to ~1e-9 off at |sin 2 gamma| ~ 1e-7), so the
+            # 1e-12 comparison keeps to gamma where the root is well
+            # separated.
+            assume(abs(math.sin(2.0 * gamma)) >= 1e-3)
+            R = 1.0 + 10.0**exponent
+            ax = 0.5 * (1.0 + R * math.cos(gamma))
+            ay = 0.5 * (1.0 + R * math.sin(gamma))
+            assume(0.0 <= ax <= 1.0 and 0.0 <= ay <= 1.0)
+            assume(math.hypot(2.0 * ax - 1.0, 2.0 * ay - 1.0) > 1.0)
+            phi, scan = _batch_vs_scan(self.solve, ax, ay)
+            assert phi == pytest.approx(scan, abs=SCAN_TOL)
+
+        def test_whole_table(self):
+            n = 64
+            alpha = np.arange(n + 1, dtype=float) / n
+            ax, ay = np.meshgrid(alpha, alpha, indexing="ij")
+            unphys = ~_physical_mask(n)
+            assert unphys.sum() == 1016
+            phi = self.solve(ax[unphys], ay[unphys])
+            for got, x, y in zip(phi, ax[unphys], ay[unphys]):
+                rx, ry = 2.0 * x - 1.0, 2.0 * y - 1.0
+                scan = ml_phi_scan(math.hypot(rx, ry), math.atan2(ry, rx), x, y)
+                assert got == pytest.approx(scan, abs=SCAN_TOL)
+
+        def test_no_admissible_root_raises(self):
+            # R = 2e300: no angle brings the residual of g near 0, so no
+            # NaN comes back.
+            with pytest.raises(DegenerateEstimateError):
+                self.solve(np.array([0.5, 1e300]), np.array([1.0, 0.3]))
+
+    return AgainstScan
+
+
+# the closed-form quartic solver, and the companion-matrix solver it replaced
+TestQuarticAgainstScan = _against_scan(ml_phi_batch)
+TestCompanionAgainstScan = _against_scan(ml_phi_companion)
+
+
+def _unphysical_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    alpha = np.arange(n + 1, dtype=float) / n
+    ax, ay = np.meshgrid(alpha, alpha, indexing="ij")
+    unphys = ~_physical_mask(n)
+    return ax[unphys], ay[unphys]
+
+
+class TestClosedFormSolver:
+    """The closed-form solver against the companion solver and the likelihood pick."""
+
+    @settings(max_examples=25)
+    @given(n=st.integers(1, 128))
+    @example(n=1)
+    @example(n=2)
+    @example(n=255)
+    @example(n=256)
+    def test_whole_table_matches_companion(self, n):
+        ax, ay = _unphysical_rows(n)
+        phi = ml_phi_batch(ax, ay)
+        assert np.abs(phi - ml_phi_companion(ax, ay)).max() <= SCAN_TOL
 
     @given(ax=st.floats(0.0, 1.0), ay=st.floats(0.0, 1.0))
     @example(ax=1.0, ay=0.5 + 0.5 / 4096)
-    def test_random_unphysical(self, ax, ay):
+    @example(ax=1.0, ay=1.0)
+    @example(ax=1.0 - 1e-15, ay=1.0)
+    def test_closest_root_is_likeliest(self, ax, ay):
         assume(math.hypot(2.0 * ax - 1.0, 2.0 * ay - 1.0) > 1.0)
-        phi, scan = _batch_vs_scan(ax, ay)
-        assert phi == pytest.approx(scan, abs=SCAN_TOL)
+        ax, ay = np.array([ax]), np.array([ay])
+        assert ml_phi_batch(ax, ay)[0] == ml_phi_likelihood(ax, ay)[0]
 
-    @given(n=st.integers(2, 4096), image=st.sampled_from(SQUARE_IMAGES))
-    @example(n=4096, image=SQUARE_IMAGES[0])
-    @example(n=2, image=SQUARE_IMAGES[0])
-    def test_near_axis(self, n, image):
-        ax, ay = image(1.0, 0.5 * (1.0 + 1.0 / n))
-        phi, scan = _batch_vs_scan(ax, ay)
-        assert phi == pytest.approx(scan, abs=SCAN_TOL)
-
-    @pytest.mark.parametrize("ax,ay", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
-    def test_corners(self, ax, ay):
-        phi, scan = _batch_vs_scan(ax, ay)
-        assert phi == scan == math.atan2(2.0 * ay - 1.0, 2.0 * ax - 1.0)
-
-    @given(exponent=st.floats(-15.0, -1.0), gamma=st.floats(-math.pi, math.pi))
-    @example(exponent=-15.0, gamma=0.6)
-    @example(exponent=-15.0, gamma=-2.5)
-    def test_unit_radius_limit(self, exponent, gamma):
-        # At R = 1 the root at gamma meets a second root when gamma is a
-        # multiple of pi/2.  Near there both solvers place the root only to
-        # about 1e-16 / |sin 2 gamma| (a 60-digit solve puts either one up
-        # to ~1e-9 off at |sin 2 gamma| ~ 1e-7), so the 1e-12 comparison
-        # keeps to gamma where the root is well separated.
-        assume(abs(math.sin(2.0 * gamma)) >= 1e-3)
-        R = 1.0 + 10.0**exponent
-        ax = 0.5 * (1.0 + R * math.cos(gamma))
-        ay = 0.5 * (1.0 + R * math.sin(gamma))
-        assume(0.0 <= ax <= 1.0 and 0.0 <= ay <= 1.0)
+    @given(
+        n=st.integers(1, 4096),
+        kx=st.floats(0.0, 1.0),
+        ky=st.floats(0.0, 1.0),
+        image=st.sampled_from(SQUARE_IMAGES),
+    )
+    @example(n=4096, kx=1.0, ky=0.5, image=SQUARE_IMAGES[0])
+    def test_closest_root_is_likeliest_on_counts(self, n, kx, ky, image):
+        # counts drawn as fractions of n, rounded, then mapped by a square symmetry
+        ax, ay = image(round(kx * n) / n, round(ky * n) / n)
         assume(math.hypot(2.0 * ax - 1.0, 2.0 * ay - 1.0) > 1.0)
-        phi, scan = _batch_vs_scan(ax, ay)
-        assert phi == pytest.approx(scan, abs=SCAN_TOL)
+        ax, ay = np.array([ax]), np.array([ay])
+        assert ml_phi_batch(ax, ay)[0] == ml_phi_likelihood(ax, ay)[0]
 
-    def test_whole_table(self):
-        n = 64
-        alpha = np.arange(n + 1, dtype=float) / n
-        ax, ay = np.meshgrid(alpha, alpha, indexing="ij")
-        unphys = ~_physical_mask(n)
-        assert unphys.sum() == 1016
-        phi = ml_phi_batch(ax[unphys], ay[unphys])
-        for got, x, y in zip(phi, ax[unphys], ay[unphys]):
-            rx, ry = 2.0 * x - 1.0, 2.0 * y - 1.0
-            scan = ml_phi_scan(math.hypot(rx, ry), math.atan2(ry, rx), x, y)
-            assert got == pytest.approx(scan, abs=SCAN_TOL)
+    @given(R=st.floats(1.0, math.sqrt(2.0)), gamma=st.floats(-math.pi, math.pi))
+    @example(R=1.0, gamma=0.0)  # a double root at z = 1
+    @example(R=1.0, gamma=math.pi / 4.0)
+    @example(R=math.sqrt(2.0), gamma=math.pi / 4.0)  # the corner
+    def test_closed_form_roots(self, R, gamma):
+        z = _quartic_roots(np.array([R]), np.array([gamma]))[0]
+        a = R * cmath.exp(1j * gamma)
+        assert np.abs(z**4 - a * z**3 - a.conjugate() * z + 1.0).max() <= 1e-13
+        # the same four roots as the companion-matrix eigenvalues, up to
+        # the sqrt(eps) spread of a double root
+        ref = np.roots([1.0, -a, 0.0, -a.conjugate(), 1.0])
+        assert np.abs(z[:, None] - ref[None, :]).min(axis=1).max() <= 1e-7
+        assert np.abs(z[:, None] - ref[None, :]).min(axis=0).max() <= 1e-7
 
-    def test_no_admissible_root_raises(self):
-        # R = 2e300: no angle brings the residual of g near 0, so no NaN comes back.
-        with pytest.raises(DegenerateEstimateError):
-            ml_phi_batch(np.array([0.5, 1e300]), np.array([1.0, 0.3]))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rows_raise(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ml_phi_batch(np.array([1.0, bad]), np.array([1.0, 0.9]))
+        with pytest.raises(ValueError, match="finite"):
+            ml_phi_batch(np.array([0.9]), np.array([bad]))
 
 
 @pytest.fixture(scope="module")

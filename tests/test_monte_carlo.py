@@ -169,6 +169,24 @@ class TestGreedy:
             chunked = evaluator._greedy_adaptive(eq_prior, N, samples, seed)
         assert np.array_equal(chunked, default)
 
+    @pytest.mark.parametrize("chunk", [7, 128, 1024])
+    def test_report_does_not_depend_on_chunk_size(self, eq_prior, chunk):
+        default = adaptive_local_fidelity(eq_prior, 20, "greedy-fidelity", 300, seed=805)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluator, "_GREEDY_CHUNK", chunk)
+            chunked = adaptive_local_fidelity(eq_prior, 20, "greedy-fidelity", 300, seed=805)
+        assert chunked == default
+
+    def test_memory_stays_at_one_chunk(self, eq_prior):
+        """1000 samples at N = 20: 1024-sample chunks peaked at 33.8 MiB."""
+        tracemalloc.start()
+        try:
+            adaptive_local_fidelity(eq_prior, 20, "greedy-fidelity", 1000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
     @settings(max_examples=15)
     @given(
         N=st.integers(1, 10),

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from blochest import evaluator
 from blochest.core import PriorKind, sample_states
@@ -24,6 +26,7 @@ from blochest.schemes import (
     enumerate_outcomes,
     local_probability,
 )
+from oracles import binom_log_pmf_matrix_uncached
 
 
 def _direction_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,6 +137,28 @@ class TestBinomLogPmfMatrix:
         p1 = np.exp(mat[:, 1])
         assert p0 == pytest.approx([1, 0, 0, 0, 0], abs=1e-300)
         assert p1 == pytest.approx([0, 0, 0, 0, 1], abs=1e-300)
+
+
+    @given(
+        n=st.integers(0, 2048),
+        q=st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324, 0.5])),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @example(n=512, q=[0.3, 0.5, 0.99])  # every q inside (0, 1)
+    @example(n=4, q=[0.0, 0.5, 1.0])  # the 0^0 = 1 convention
+    def test_bit_identical_to_uncached_formula(self, n, q):
+        fast = binom_log_pmf_matrix(n, np.array(q))
+        slow = binom_log_pmf_matrix_uncached(n, np.array(q))
+        assert fast.tobytes() == slow.tobytes()
+
+    @pytest.mark.parametrize("q", [[0.25], [0.0, 0.25]])
+    def test_returned_table_is_the_callers_own(self, q):
+        first = binom_log_pmf_matrix(9, np.array(q)).copy()
+        binom_log_pmf_matrix(9, np.array(q))[:] = 0.0
+        assert np.array_equal(binom_log_pmf_matrix(9, np.array(q)), first)
 
 
 class TestCollectiveWeight:
