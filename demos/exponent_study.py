@@ -15,8 +15,8 @@ import numpy as np
 
 from blochest.asymptotics import constants, fit_exponent
 from blochest.core import PriorKind, build_prior
-from blochest.evaluator import sweep, tomography_with_discard
-from blochest.schemes import SchemeKind, SchemeSpec
+from blochest.evaluator import sweep
+from blochest.schemes import SchemeKind
 
 RADIAL_ORDER = 128
 ANGULAR_ORDER = 256
@@ -48,10 +48,7 @@ def main() -> None:
             SchemeKind.LOCAL_XY, estimator, eq, NS,
             radial_order=RADIAL_ORDER, angular_order=ANGULAR_ORDER,
         )
-    tomo = [
-        (n, tomography_with_discard(SchemeSpec(SchemeKind.LOCAL_XY, n), eq))
-        for n in NS
-    ]
+    tomo = sweep(SchemeKind.LOCAL_XY, "tomography", eq, NS).points
     print(f"{'N':>6}  {'1-F opt':>12}  {'1-F ML':>12}  {'1-F tomo*':>12}  {'discarded':>10}")
     for (n, rep_o), (_, rep_m), (_, rep_t) in zip(
         results["optimal"].points, results["ml"].points, tomo

@@ -49,10 +49,8 @@ from .evaluator import (
     FidelityReport,
     _check_increasing,
     adaptive_local_fidelity,
-    exact_fidelity,
     monte_carlo_fidelity,
     sweep,
-    tomography_with_discard,
 )
 from .quadrature import QuadratureError
 from .schemes import DEFAULT_ENUMERATION_LIMIT, SchemeKind, SchemeSpec
@@ -64,7 +62,6 @@ USAGE_EXIT = 2
 NUMERICAL_EXIT = 3
 
 _COMMANDS = ("constants", "fidelity", "sweep", "tomography", "adaptive", "integrals")
-_ROW_COMMANDS = ("fidelity", "sweep", "tomography", "adaptive")
 
 
 class CliUsageError(Exception):
@@ -230,88 +227,48 @@ def _require_seed(config: RunConfig) -> int:
     return config.seed
 
 
-def _run_fidelity(config: RunConfig) -> None:
+def _run_rows(config: RunConfig, estimator: str) -> None:
+    """One row per N: exact through :func:`sweep`, or Monte Carlo with --samples."""
     scheme_kind = _resolve_scheme(config)
-    estimator = config.estimator or "optimal"
     prior_kind = _resolve_prior_kind(config, scheme_kind)
+    _check_increasing(config.n)
+    prior = _build_prior_for(config, prior_kind)
+    orders = {"radial_order": config.radial_order, "angular_order": config.angular_order}
+    if config.samples is None:
+        result = sweep(
+            scheme_kind, estimator, prior, config.n,
+            enumeration_limit=config.enumeration_limit, **orders,
+        )
+        reports = [report for _, report in result.points]
+    else:
+        reports = [
+            monte_carlo_fidelity(
+                SchemeSpec(scheme_kind, n), estimator, prior, config.samples,
+                _require_seed(config), **orders,
+            )
+            for n in config.n
+        ]
+    _emit_rows(config, [_report_row(report, prior_kind) for report in reports])
+
+
+def _run_fidelity(config: RunConfig) -> None:
     if config.n is None or len(config.n) != 1:
         raise CliUsageError("fidelity evaluates a single N; use sweep for ranges")
-    spec = SchemeSpec(scheme_kind, config.n[0])
-    prior = _build_prior_for(config, prior_kind)
-    if config.samples is not None:
-        seed = _require_seed(config)
-        report = monte_carlo_fidelity(
-            spec,
-            estimator,
-            prior,
-            config.samples,
-            seed,
-            radial_order=config.radial_order,
-            angular_order=config.angular_order,
-        )
-    else:
-        report = exact_fidelity(
-            spec,
-            estimator,
-            prior,
-            radial_order=config.radial_order,
-            angular_order=config.angular_order,
-            enumeration_limit=config.enumeration_limit,
-        )
-    _emit_rows(config, [_report_row(report, prior_kind)])
+    _run_rows(config, config.estimator or "optimal")
 
 
 def _run_sweep(config: RunConfig) -> None:
-    scheme_kind = _resolve_scheme(config)
-    estimator = config.estimator or "optimal"
-    prior_kind = _resolve_prior_kind(config, scheme_kind)
     if config.samples is not None:
         raise CliUsageError("sweep is exact; use `fidelity --samples` for Monte Carlo")
     if config.n is None:
         raise CliUsageError("sweep needs an N range (--n start:stop:step)")
-    result = sweep(
-        scheme_kind,
-        estimator,
-        _build_prior_for(config, prior_kind),
-        config.n,
-        radial_order=config.radial_order,
-        angular_order=config.angular_order,
-        enumeration_limit=config.enumeration_limit,
-    )
-    _emit_rows(config, [_report_row(report, prior_kind) for _, report in result.points])
+    _run_rows(config, config.estimator or "optimal")
 
 
 def _run_tomography(config: RunConfig) -> None:
-    scheme_kind = _resolve_scheme(config)
-    prior_kind = _resolve_prior_kind(config, scheme_kind)
     if config.n is None:
         raise CliUsageError("tomography needs --n (single value or range)")
-    _check_increasing(config.n)
-    prior = _build_prior_for(config, prior_kind)
-    rows = []
-    for n in config.n:
-        spec = SchemeSpec(scheme_kind, n)
-        if config.samples is not None:
-            seed = _require_seed(config)
-            report = monte_carlo_fidelity(
-                spec,
-                "tomography",
-                prior,
-                config.samples,
-                seed,
-                radial_order=config.radial_order,
-                angular_order=config.angular_order,
-            )
-        else:
-            report = tomography_with_discard(
-                spec,
-                prior,
-                radial_order=config.radial_order,
-                angular_order=config.angular_order,
-                enumeration_limit=config.enumeration_limit,
-            )
-        rows.append(_report_row(report, prior_kind))
-    _emit_rows(config, rows)
+    _run_rows(config, "tomography")
 
 
 def _run_adaptive(config: RunConfig) -> None:
@@ -469,27 +426,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         merged = _merge_config_file(args)
-        n_spec = merged.get("n")
+        if merged["n"] is not None:
+            merged["n"] = parse_n_spec(merged["n"])
         default_format = "json" if args.command in ("constants", "integrals") else "csv"
+        merged["format"] = merged["format"] or default_format
+        # unset values take the RunConfig defaults
         config = RunConfig(
-            command=args.command,
-            scheme=merged.get("scheme"),
-            estimator=merged.get("estimator"),
-            prior=merged.get("prior"),
-            n=None if n_spec is None else parse_n_spec(n_spec),
-            radial_order=merged.get("radial_order"),
-            angular_order=merged.get("angular_order"),
-            samples=merged.get("samples"),
-            seed=merged.get("seed"),
-            policy=merged.get("policy"),
-            abs_tol=merged.get("abs_tol") if merged.get("abs_tol") is not None else 1e-6,
-            enumeration_limit=(
-                merged.get("enumeration_limit")
-                if merged.get("enumeration_limit") is not None
-                else DEFAULT_ENUMERATION_LIMIT
-            ),
-            out=merged.get("out"),
-            format=merged.get("format") or default_format,
+            command=args.command, **{k: v for k, v in merged.items() if v is not None}
         )
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

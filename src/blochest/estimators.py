@@ -112,8 +112,7 @@ def ml_estimate(outcome) -> MLGuess:
     if tomo.physical:
         return MLGuess(guess=tomo.embedded, phi=None)
 
-    ax, ay = outcome.alphas
-    phi = float(ml_phi_batch(np.array([ax]), np.array([ay]))[0])
+    phi = float(ml_phi_batch(*outcome.alphas))
     guess = EmbeddedBloch(0.0, np.array([math.cos(phi), math.sin(phi), 0.0]))
     return MLGuess(guess=guess, phi=phi)
 
@@ -187,10 +186,12 @@ def ml_phi_batch(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
     (``demos/ml_pick_check.py``).  Corner rows (cos 2 gamma = 0) return
     gamma exactly.  Angles are returned in (gamma - pi, gamma + pi];
     non-finite input raises ValueError and a row with no admissible root
-    :class:`DegenerateEstimateError`.
+    :class:`DegenerateEstimateError`.  ``ax`` and ``ay`` broadcast against
+    each other, and the result has their common shape.
     """
-    ax = np.asarray(ax, dtype=float)
-    ay = np.asarray(ay, dtype=float)
+    ax, ay = np.broadcast_arrays(np.asarray(ax, dtype=float), np.asarray(ay, dtype=float))
+    shape = ax.shape
+    ax, ay = ax.ravel(), ay.ravel()
     if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
         raise ValueError("count frequencies must be finite")
     rx = 2.0 * ax - 1.0
@@ -210,7 +211,7 @@ def ml_phi_batch(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
         raise DegenerateEstimateError(
             f"no boundary stationary point found for R={R[i]}, gamma={gamma[i]}"
         )
-    return np.where(corner, gamma, phi)
+    return np.where(corner, gamma, phi).reshape(shape)
 
 
 def optimal_estimate(outcome, probability, prior: Prior) -> tuple[EmbeddedBloch, float]:

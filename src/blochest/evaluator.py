@@ -7,9 +7,10 @@ Four entry points:
   estimator this equals (sum_x P_x + sum_x |V(x)|)/2.
 * :func:`monte_carlo_fidelity` -- simulate states and outcomes, estimate,
   average; stderr reported; bit-reproducible for a fixed seed.
-* :func:`tomography_with_discard` -- linear-inversion estimation keeping
-  only outcomes whose tomographic point is physical; the fidelity is the
-  conditional average over kept outcomes and the discarded probability
+* :func:`tomography_with_discard` -- the named entry point of the
+  "tomography" estimator of :func:`exact_fidelity`: linear inversion that
+  keeps only outcomes whose tomographic point is physical; the fidelity is
+  the conditional average over kept outcomes and the discarded probability
   mass is reported alongside.
 * :func:`adaptive_local_fidelity` -- sequential single-copy measurements
   whose axes are chosen by a policy; estimation by the optimal rule on
@@ -412,25 +413,48 @@ def _ml_guess_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k_x -> n - k_x maps phi to pi - phi, k_y -> n - k_y maps it to -phi and
     the swap to pi/2 - phi.  So the boundary is solved only on the wedge
     (:func:`_ml_wedge`, about an eighth of the unphysical outcomes), and
-    its (cos phi, sin phi) tables are unfolded by :func:`_d4_table_image`.
+    each wedge row's (cos phi, sin phi) is written to its images under the
+    maps of :data:`_D4`, as :func:`_d4_table_image` maps table entries.
     """
     tg, gx, gy, phys = _tomography_guess_tables(n)
     if np.all(phys):
         return tg, gx, gy
-    wedge = _ml_wedge(n)
-    kx, ky = np.nonzero(wedge)
+    kx, ky = np.nonzero(_ml_wedge(n))
     phi = ml_phi_batch(kx / n, ky / n)
-    wx = np.zeros((n + 1, n + 1))
-    wy = np.zeros((n + 1, n + 1))
-    wx[wedge] = np.cos(phi)
-    wy[wedge] = np.sin(phi)
+    c, s = np.cos(phi), np.sin(phi)
     tg[~phys] = 0.0
     # the identity comes last, so the wedge keeps its own values
-    for g in reversed(_D4):
-        image, ix, iy = _d4_table_image(g, (wedge, wx, wy))
-        np.copyto(gx, ix, where=image)
-        np.copyto(gy, iy, where=image)
+    for sx, sy, swap in reversed(_D4):
+        ix = kx if sx == 1 else n - kx
+        iy = ky if sy == 1 else n - ky
+        vx, vy = sx * c, sy * s
+        if swap:
+            ix, iy, vx, vy = iy, ix, vy, vx
+        gx[ix, iy] = vx
+        gy[ix, iy] = vy
     return tg, gx, gy
+
+
+def _fixed_guess_tables(scheme: SchemeSpec, estimator: str):
+    """(guess tables, kept mask) of a local estimator whose guesses ignore the prior.
+
+    ML guesses on every outcome (mask None); tomography keeps only the
+    physical outcomes and raises :class:`AllOutcomesDiscardedError` when
+    there are none; the optimal rule's guesses come from the outcome tables,
+    so it gets (None, None).
+    """
+    n = scheme.n_per_axis
+    if estimator == "ml":
+        return _ml_guess_tables(n), None
+    if estimator == "tomography":
+        tg, gx, gy, phys = _tomography_guess_tables(n)
+        if not phys.any():
+            raise AllOutcomesDiscardedError(
+                f"every outcome at N = {scheme.total_copies} is unphysical (R > 1); "
+                "the kept-only average is undefined"
+            )
+        return (tg, gx, gy), phys
+    return None, None
 
 
 def _optimal_guess_tables(tables: LocalTables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -446,6 +470,20 @@ def _local_exact_value(tables: LocalTables, guesses) -> float:
     tg, gx, gy = guesses
     dot = tg * tables.v_t + gx * tables.v_x + gy * tables.v_y
     return 0.5 * float(tables.prob.sum() + dot.sum())
+
+
+def _kept_exact_value(tables: LocalTables, guesses, kept: np.ndarray) -> tuple[float, float]:
+    """(F over the kept outcomes, conditioned on keeping, discarded mass).
+
+    F = [sum_{x kept} (P_x + R⃗(x)·V(x))/2] / sum_{x kept} P_x.
+    """
+    kept_mass = float(tables.prob[kept].sum())
+    if kept_mass <= 0.0:
+        raise AllOutcomesDiscardedError("kept outcomes carry no probability mass")
+    tg, gx, gy = guesses
+    dot = tg * tables.v_t + gx * tables.v_x + gy * tables.v_y
+    num = 0.5 * float((tables.prob + dot)[kept].sum())
+    return num / kept_mass, 1.0 - kept_mass
 
 
 # ---------------------------------------------------------------------------
@@ -651,37 +689,30 @@ def exact_fidelity(
     own, verified against half its orders; only when that check fails are
     the orders doubled.  A collective value is that of the given grid's
     orders doubled, verified against the given grid.  ``estimator`` is one
-    of "optimal", "ml", "tomography" (the last delegates to
-    :func:`tomography_with_discard` and reports discarded mass).
+    of "optimal", "ml", "tomography"; tomography averages over the physical
+    outcomes only and reports the discarded mass
+    (:func:`tomography_with_discard`).
     """
     _check_estimator(estimator, scheme.kind)
     check_enumerable(scheme.total_copies, enumeration_limit)
     _require_prior(scheme.kind, prior)
-    if estimator == "tomography":
-        return tomography_with_discard(
-            scheme,
-            prior,
-            radial_order=radial_order,
-            angular_order=angular_order,
-            enumeration_limit=enumeration_limit,
-        )
 
     if scheme.kind is SchemeKind.LOCAL_XY:
-        guesses = None if estimator == "optimal" else _ml_guess_tables(scheme.n_per_axis)
+        guesses, kept = _fixed_guess_tables(scheme, estimator)
 
         def evaluate(p: Prior):
-            value = _local_exact_value(local_tables(scheme, p), guesses)
-            return (value,)
+            tables = local_tables(scheme, p)
+            if kept is None:
+                return _local_exact_value(tables, guesses), None
+            return _kept_exact_value(tables, guesses, kept)
 
     else:
 
         def evaluate(p: Prior):
-            value = _collective_exact_value(
-                collective_tables(scheme.total_copies, p, cos_order=p.angular_order)
-            )
-            return (value,)
+            tables = collective_tables(scheme.total_copies, p, cos_order=p.angular_order)
+            return _collective_exact_value(tables), None
 
-    (value,) = _stabilized_report(
+    value, discarded = _stabilized_report(
         prior, radial_order, angular_order, evaluate,
         verify_down=scheme.kind is SchemeKind.LOCAL_XY,
     )
@@ -692,6 +723,7 @@ def exact_fidelity(
         fidelity=clamp_fidelity(value),
         stderr=0.0,
         method=Method.EXACT_ENUMERATION,
+        discarded_fraction=None if discarded is None else min(max(discarded, 0.0), 1.0),
     )
 
 
@@ -710,40 +742,18 @@ def tomography_with_discard(
     :class:`AllOutcomesDiscardedError` when no outcome is physical, which
     happens at N = 2 (every count pair has both frequencies extremal, so
     R = sqrt(2)).  Auto mode verifies the given grid downward against half
-    its orders, as :func:`exact_fidelity` does for the local scheme.
+    its orders, as :func:`exact_fidelity` does for the local scheme; this
+    is ``exact_fidelity(scheme, "tomography", prior, ...)``.
     """
     if scheme.kind is not SchemeKind.LOCAL_XY:
         raise ValueError("tomography-with-discarding is defined for the local x/y scheme")
-    check_enumerable(scheme.total_copies, enumeration_limit)
-    _require_prior(scheme.kind, prior)
-    n = scheme.n_per_axis
-    tg, gx, gy, phys = _tomography_guess_tables(n)
-    if not phys.any():
-        raise AllOutcomesDiscardedError(
-            f"every outcome at N = {scheme.total_copies} is unphysical (R > 1); "
-            "the kept-only average is undefined"
-        )
-
-    def evaluate(p: Prior):
-        tables = local_tables(scheme, p)
-        kept_mass = float(tables.prob[phys].sum())
-        if kept_mass <= 0.0:
-            raise AllOutcomesDiscardedError("kept outcomes carry no probability mass")
-        dot = tg * tables.v_t + gx * tables.v_x + gy * tables.v_y
-        num = 0.5 * float((tables.prob + dot)[phys].sum())
-        return num / kept_mass, 1.0 - kept_mass
-
-    value, discarded = _stabilized_report(
-        prior, radial_order, angular_order, evaluate, verify_down=True
-    )
-    return FidelityReport(
-        scheme=scheme,
-        estimator="tomography",
-        copies=scheme.total_copies,
-        fidelity=clamp_fidelity(value),
-        stderr=0.0,
-        method=Method.EXACT_ENUMERATION,
-        discarded_fraction=min(max(discarded, 0.0), 1.0),
+    return exact_fidelity(
+        scheme,
+        "tomography",
+        prior,
+        radial_order=radial_order,
+        angular_order=angular_order,
+        enumeration_limit=enumeration_limit,
     )
 
 
@@ -813,30 +823,27 @@ def _mc_local(
     t_states, vecs = sample_states(prior.kind, samples, rng)
     kx, ky = _mc_draw_counts(rng, vecs, n)
 
-    if estimator == "optimal":
-        tg, gx, gy = _optimal_guess_tables(local_tables(scheme, prior))
-    elif estimator == "ml":
-        tg, gx, gy = _ml_guess_tables(n)
-    else:  # tomography
-        tg, gx, gy, phys = _tomography_guess_tables(n)
-
-    if estimator == "tomography":
-        kept = phys[kx, ky]
-        kept_count = int(kept.sum())
-        if kept_count == 0:
-            raise AllOutcomesDiscardedError(
-                f"all {samples} simulated outcomes at N = {scheme.total_copies} were unphysical"
-            )
-        f = 0.5 * (
-            1.0
-            + t_states[kept] * tg[kx[kept], ky[kept]]
-            + vecs[kept, 0] * gx[kx[kept], ky[kept]]
-            + vecs[kept, 1] * gy[kx[kept], ky[kept]]
-        )
-        return _mc_report(scheme, estimator, f, discarded_fraction=1.0 - kept_count / samples)
-
+    guesses, kept = _fixed_guess_tables(scheme, estimator)
+    if guesses is None:
+        guesses = _optimal_guess_tables(local_tables(scheme, prior))
+    tg, gx, gy = guesses
     f = 0.5 * (1.0 + t_states * tg[kx, ky] + vecs[:, 0] * gx[kx, ky] + vecs[:, 1] * gy[kx, ky])
-    return _mc_report(scheme, estimator, f)
+    if kept is None:
+        return _mc_report(scheme, estimator, f)
+    kept = kept[kx, ky]
+    kept_count = int(kept.sum())
+    if kept_count == 0:
+        raise AllOutcomesDiscardedError(
+            f"all {samples} simulated outcomes at N = {scheme.total_copies} were unphysical"
+        )
+    return _mc_report(scheme, estimator, f[kept], discarded_fraction=1.0 - kept_count / samples)
+
+
+# expm1 is -1.0 below _EXPM1_IS_MINUS_ONE (e^-60 is 2e-10 of half an ulp
+# of 1) and exp is 0.0 below _EXP_IS_ZERO (e^-746 is under half the
+# smallest subnormal).
+_EXPM1_IS_MINUS_ONE = -60.0
+_EXP_IS_ZERO = -746.0
 
 
 def _collective_fidelities(rng, tables: CollectiveTables, t_states, vecs) -> np.ndarray:
@@ -845,6 +852,14 @@ def _collective_fidelities(rng, tables: CollectiveTables, t_states, vecs) -> np.
     Each sample draws two uniforms: its spin label k by inverse CDF over
     p(k|r), then the polar cosine of its state against the measured axis.
     The label CDFs of a block are built in two (rows x labels) buffers.
+    Three shortcuts leave every value as in the direct evaluation
+    (``tests/oracles.collective_fidelities_chunked``): the labels whose
+    ``expm1`` argument is below :data:`_EXPM1_IS_MINUS_ONE` at every sample
+    of the block take its log-value 0.0 without it; ``exp`` is not called
+    on the entries below :data:`_EXP_IS_ZERO`, where it underflows to 0.0
+    (slowly); and the label is found by bisection on the running sums,
+    dividing only the probed ones by the total, since the normalised sums
+    do not decrease and the last is 1.0, above every uniform.
     """
     N = tables.total_copies
     samples = t_states.size
@@ -863,26 +878,32 @@ def _collective_fidelities(rng, tables: CollectiveTables, t_states, vecs) -> np.
     u = np.empty((rows, 2))
     work = np.empty((rows, K))
     cum = np.empty((rows, K))
-    above = np.empty((rows, K), dtype=bool)
+    zero = np.empty((rows, K), dtype=bool)
     f = np.empty(samples)
     for s in range(0, samples, rows):
         e = min(s + rows, samples)
-        ub, lw, cw, aw = u[: e - s], work[: e - s], cum[: e - s], above[: e - s]
+        ub, lw, cw, zw = u[: e - s], work[: e - s], cum[: e - s], zero[: e - s]
         rng.random(out=ub)
         rr = r[s:e]
         tt = t_states[s:e]
-        log_a = np.log1p(rr) - math.log(2.0)
-        log_b = np.log1p(-rr) - math.log(2.0)
+        with np.errstate(divide="ignore"):  # r = 1 gives log_b = -inf
+            log_a = np.log1p(rr) - math.log(2.0)
+            log_b = np.log1p(-rr) - math.log(2.0)
         log_ratio = log_b - log_a
         # marginal over directions: p(k|r) = c_k ((1-r^2)/4)^(N/2-k) I_k(r),
         # I_k = (a^m - b^m)/(r m) with m = 2k+1, via expm1 for stability;
-        # lw holds the tail log(1 - (b/a)^m) - log(r m) of log I_k
+        # lw holds the tail log(1 - (b/a)^m) - log(r m) of log I_k; its first
+        # term is 0.0 from label `head` on, where m log(b/a) is below the cut
+        # at every sample (a NaN log(b/a), from r above 1, keeps every label)
         small = rr < 1e-12
+        head = K - np.count_nonzero(m_exp * log_ratio.max() < _EXPM1_IS_MINUS_ONE)
+        hw = lw[:, :head]
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.multiply(log_ratio[:, None], m_exp, out=lw)
-            np.expm1(lw, out=lw)
-            np.negative(lw, out=lw)
-            np.log(lw, out=lw)
+            np.multiply(log_ratio[:, None], m_exp[:head], out=hw)
+            np.expm1(hw, out=hw)
+            np.negative(hw, out=hw)
+            np.log(hw, out=hw)
+            lw[:, head:] = 0.0
             np.multiply(rr[:, None], m_exp, out=cw)
             np.log(cw, out=cw)
             np.subtract(lw, cw, out=lw)
@@ -896,11 +917,12 @@ def _collective_fidelities(rng, tables: CollectiveTables, t_states, vecs) -> np.
         np.add(logc, cw, out=cw)
         np.add(cw, lw, out=lw)
         np.subtract(lw, lw.max(axis=1, keepdims=True), out=lw)
+        np.less(lw, _EXP_IS_ZERO, out=zw)
+        np.copyto(lw, 0.0, where=zw)
         np.exp(lw, out=lw)
+        np.copyto(lw, 0.0, where=zw)
         np.cumsum(lw, axis=1, out=cw)
-        cw /= cw[:, -1:]
-        np.greater(ub[:, 0:1], cw, out=aw)
-        idx = np.minimum(np.count_nonzero(aw, axis=1), K - 1)
+        idx = _first_at_or_above(cw, ub[:, 0])
 
         mm = m_exp[idx]
         a = 0.5 * (1.0 + rr)
@@ -912,6 +934,25 @@ def _collective_fidelities(rng, tables: CollectiveTables, t_states, vecs) -> np.
         cos_th = np.clip(cos_th, -1.0, 1.0)
         f[s:e] = 0.5 * (1.0 + tt * g_t[idx] + g_par[idx] * (rr * cos_th))
     return f
+
+
+def _first_at_or_above(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the first column j with cum[j] / cum[-1] >= u (row-wise bisection).
+
+    The rows of ``cum`` are running sums of non-negative terms, so their
+    normalised values do not decrease, and every u is below the last, 1.0.
+    """
+    n, K = cum.shape
+    at = np.arange(n)
+    total = cum[:, -1]
+    lo = np.zeros(n, dtype=np.intp)
+    hi = np.full(n, K - 1)
+    for _ in range((K - 1).bit_length()):
+        mid = (lo + hi) >> 1
+        below = cum[at, mid] / total < u
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    return lo
 
 
 def _mc_collective(

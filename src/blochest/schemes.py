@@ -169,15 +169,6 @@ def _require_equatorial(state: np.ndarray) -> np.ndarray:
     return v
 
 
-def _safe_klogq(k, logq) -> np.ndarray:
-    """k * log(q) with the 0 * log(0) = 0 convention (limit of q^k at k=0)."""
-    k = np.asarray(k, dtype=float)
-    logq = np.asarray(logq, dtype=float)
-    out = np.zeros(np.broadcast(k, logq).shape)
-    np.multiply(k, logq, where=(k != 0), out=out)
-    return out
-
-
 @functools.lru_cache(maxsize=128)
 def _log_binom_coefficients(n: int) -> np.ndarray:
     """log C(n, k) for k = 0..n, read-only (cached per n)."""
@@ -196,15 +187,13 @@ def binom_log_pmf_matrix(n: int, q: np.ndarray) -> np.ndarray:
     k = np.arange(n + 1, dtype=float)[:, None]
     lgb = _log_binom_coefficients(n)[:, None]
     q = np.asarray(q, dtype=float)
-    with np.errstate(divide="ignore"):
-        logq = np.log(q)
-        log1mq = np.log1p(-q)
-    if not np.all((q > 0.0) & (q < 1.0)):
-        return lgb + _safe_klogq(k, logq[None, :]) + _safe_klogq(n - k, log1mq[None, :])
-    # every log is finite: 0 * log q is -0.0 rather than 0.0, which adds alike
-    out = k * logq
-    out += lgb
-    out += (n - k) * log1mq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = k * np.log(q)
+        out += lgb
+        out += (n - k) * np.log1p(-q)
+    # 0^0 = 1: the count forced by q = 0 or 1 has pmf 1 (0 * log 0 gave NaN)
+    out[0, q == 0.0] = 0.0
+    out[n, q == 1.0] = 0.0
     return out
 
 

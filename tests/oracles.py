@@ -93,7 +93,6 @@ from blochest.quadrature import gauss_legendre
 from blochest.schemes import (
     SchemeKind,
     SchemeSpec,
-    _safe_klogq,
     binom_log_pmf_matrix,
     collective_k_values,
     collective_log_weight,
@@ -165,6 +164,15 @@ def local_tables_dense(spec: SchemeSpec, prior: Prior) -> LocalTables:
             acc += image
     prob, v_t, v_x, v_y = total
     return LocalTables(n_per_axis=n, prob=prob, v_t=v_t, v_x=v_x, v_y=v_y)
+
+
+def _safe_klogq(k, logq) -> np.ndarray:
+    """k * log(q) with the 0 * log(0) = 0 convention (limit of q^k at k=0)."""
+    k = np.asarray(k, dtype=float)
+    logq = np.asarray(logq, dtype=float)
+    out = np.zeros(np.broadcast(k, logq).shape)
+    np.multiply(k, logq, where=(k != 0), out=out)
+    return out
 
 
 def binom_log_pmf_matrix_uncached(n: int, q: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from blochest.evaluator import (
 from blochest.schemes import SchemeKind, SchemeSpec
 
 SMALL = ("--radial-order", "32", "--angular-order", "32")
+MC_ROUTE = ("--samples", "400", "--seed", "3")
 PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pyproject.toml")
 
 
@@ -328,8 +329,8 @@ class TestTomographyCommand:
         self, capsys, tmp_path, monkeypatch, extra
     ):
         calls = []
-        for name in ("tomography_with_discard", "monte_carlo_fidelity"):
-            monkeypatch.setattr(f"blochest.cli.{name}", lambda *a, **k: calls.append(a))
+        for target in ("blochest.evaluator.exact_fidelity", "blochest.cli.monte_carlo_fidelity"):
+            monkeypatch.setattr(target, lambda *a, **k: calls.append(a))
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": [8, 4], "radial_order": 16, "angular_order": 16}))
         code, out, err = run_cli(capsys, "tomography", "--config", str(cfg), *extra)
@@ -346,6 +347,30 @@ class TestTomographyCommand:
     def test_collective_scheme_rejected(self, capsys):
         code, out, err = run_cli(capsys, "tomography", "--scheme", "collective", "--n", "4")
         assert code == 2
+
+
+class TestSharedRowRunner:
+    """fidelity, sweep and tomography print the same rows for the same evaluation."""
+
+    @pytest.mark.parametrize(
+        "estimator, route, commands",
+        [
+            ("tomography", (), ("fidelity", "sweep", "tomography")),
+            ("tomography", MC_ROUTE, ("fidelity", "tomography")),
+            ("ml", (), ("fidelity", "sweep")),
+        ],
+        ids=["tomography-exact", "tomography-monte-carlo", "ml-exact"],
+    )
+    def test_commands_print_identical_csv(self, capsys, estimator, route, commands):
+        outputs = []
+        for command in commands:
+            chosen = () if command == "tomography" else ("--estimator", estimator)
+            code, out, err = run_cli(capsys, command, *chosen, "--n", "6", *route, *SMALL)
+            assert code == 0, err
+            outputs.append(out)
+        (row,) = parse_csv(outputs[0])
+        assert row["estimator"] == estimator
+        assert all(out == outputs[0] for out in outputs)
 
 
 # --------------------------------------------------------------------------
@@ -421,6 +446,9 @@ class TestPairingValidation:
             ("fidelity", "--n", "4", "--scheme", "bogus"),
             ("fidelity", "--n", "4", "--prior", "bogus"),
             ("fidelity", "--n", "5"),  # the local x/y scheme splits copies evenly
+            ("fidelity", "--n", "4", "--scheme", "collective", "--estimator", "tomography", *MC_ROUTE),
+            ("sweep", "--n", "4", "--scheme", "collective", "--estimator", "tomography"),
+            ("tomography", "--n", "4", "--scheme", "collective", *MC_ROUTE),
         ],
     )
     def test_invalid_pairings_exit_2(self, capsys, argv):

@@ -339,6 +339,18 @@ class TestClosedFormSolver:
         assert np.abs(z[:, None] - ref[None, :]).min(axis=1).max() <= 1e-7
         assert np.abs(z[:, None] - ref[None, :]).min(axis=0).max() <= 1e-7
 
+    def test_scalar_input(self):
+        phi = ml_phi_batch(0.9, 1.0)
+        assert phi.shape == ()
+        assert phi == ml_estimate(LocalOutcome(10, (9, 10))).phi == 0.9886980582976127
+
+    def test_result_has_the_input_shape(self):
+        ax = np.array([[0.9, 1.0, 0.95], [1.0, 0.0, 0.1]])
+        ay = np.array([[1.0, 0.9, 1.0], [1.0, 0.0, 0.05]])
+        phi = ml_phi_batch(ax, ay)
+        assert phi.shape == (2, 3)
+        assert np.array_equal(phi.ravel(), ml_phi_batch(ax.ravel(), ay.ravel()))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rows_raise(self, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -145,6 +145,51 @@ class TestCollectiveSampler:
             tracemalloc.stop()
         assert peak < 16 * 2**20  # measured 4.6 MiB, the table build's own peak
 
+    def test_pure_state_draws_without_warning(self, full_prior_small):
+        """r = 1 makes log((1 - r)/2) = -inf, which is expected, not a warning."""
+        vecs = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.3, 0.0, 0.0]])
+        t_states = np.sqrt(np.maximum(0.0, 1.0 - np.einsum("ij,ij->i", vecs, vecs)))
+        tables = collective_tables(9, full_prior_small, cos_order=full_prior_small.angular_order)
+        f = evaluator._collective_fidelities(np.random.default_rng(1), tables, t_states, vecs)
+        assert np.all((f >= 0.0) & (f <= 1.0))
+
+    def test_radius_above_one_leaves_its_block_exact(self, full_prior_small):
+        """A radius past 1 makes its own row NaN; the other rows match the oracle."""
+        r = np.array([1e-3, 0.3, 1.0 + 2.0**-52, 0.9, 1e-13])
+        vecs = np.zeros((r.size, 3))
+        vecs[:, 2] = r
+        t_states = np.sqrt(np.maximum(0.0, 1.0 - r * r))
+        tables = collective_tables(9, full_prior_small, cos_order=full_prior_small.angular_order)
+        with np.errstate(invalid="ignore"):
+            f = evaluator._collective_fidelities(np.random.default_rng(8), tables, t_states, vecs)
+            g = collective_fidelities_chunked(np.random.default_rng(8), tables, t_states, vecs)
+        assert np.array_equal(f, g, equal_nan=True)
+        assert np.isnan(f[2]) and not np.isnan(np.delete(f, 2)).any()
+
+    def test_shortcut_cuts_give_the_exact_values(self):
+        """expm1 is -1.0 and exp 0.0 beyond the sampler's cuts, down to -inf."""
+        below = -np.logspace(0.0, 300.0, 4001)
+        tails = np.concatenate((evaluator._EXPM1_IS_MINUS_ONE + 60.0 * below, [-np.inf]))
+        assert np.all(np.expm1(tails) == -1.0)
+        assert np.all(np.log(-np.expm1(tails)) == 0.0)
+        zeros = np.concatenate((evaluator._EXP_IS_ZERO + below, [evaluator._EXP_IS_ZERO, -np.inf]))
+        assert np.all(np.exp(zeros) == 0.0)
+
+    @settings(max_examples=60)
+    @given(K=st.integers(1, 600), seed=SEEDS)
+    def test_bisection_matches_the_full_comparison(self, K, seed):
+        rng = np.random.default_rng(seed)
+        terms = rng.random((9, K)) ** 8
+        terms[:, rng.random(K) < 0.3] = 0.0  # flat runs in the running sums
+        terms[:, -1] = 1.0
+        cum = np.cumsum(terms, axis=1)
+        u = rng.random(9)
+        u[0] = 0.0
+        u[1] = np.nextafter(1.0, 0.0)
+        u[2] = cum[2, K // 2] / cum[2, -1]  # a uniform equal to a normalised sum
+        full = np.minimum(np.count_nonzero(u[:, None] > cum / cum[:, -1:], axis=1), K - 1)
+        assert np.array_equal(evaluator._first_at_or_above(cum, u), full)
+
 
 class TestGreedy:
     def test_ties_go_to_the_lowest_axis(self):
