@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles import ml_phi_likelihood  # noqa: E402
 
 from blochest.estimators import ml_phi_batch  # noqa: E402
-from blochest.evaluator import _ml_wedge  # noqa: E402
+from blochest.evaluator import _ml_wedge, _physical_mask  # noqa: E402
 
 
 def main() -> None:
@@ -38,7 +38,7 @@ def main() -> None:
     start = time.perf_counter()
     rows = mismatches = 0
     for n in [*range(1, args.n_max + 1), *args.extra]:
-        kx, ky = np.nonzero(_ml_wedge(n))
+        kx, ky = np.nonzero(_ml_wedge(_physical_mask(n)))
         ax, ay = kx / n, ky / n
         closest = ml_phi_batch(ax, ay)
         likeliest = ml_phi_likelihood(ax, ay)

@@ -35,7 +35,14 @@ label k is summed only over its support window on that grid, the radial
 rows and the top cosine columns outside of which every entry lies more
 than 60 nats below the label's largest one.  Large k concentrate near
 r = 1 and cosine 1: on the 128 x 256 and 256 x 512 grids the windows hold
-46 % of the entries at N = 256 and 18 % at N = 1024.
+46 % of the entries at N = 256 and 18 % at N = 1024.  Each row of a window
+is its last-column density times cosine powers ((1 + r c)/(1 + r c_last))^2k,
+which pass from one label to the next by one multiply per entry; a label's
+three sums are one product of the window's powers with the cosine weights
+and their cosine-weighted copy, then radial row sums.  The entries'
+last bits therefore differ from a direct ``exp`` of each one: a carried
+power's relative error grows by about 2 eps per label (eps the machine
+epsilon).
 """
 
 from __future__ import annotations
@@ -400,10 +407,14 @@ def _tomography_guess_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return tg, gx, gy, phys
 
 
-def _ml_wedge(n: int) -> np.ndarray:
-    """Unphysical outcomes with k_x >= k_y >= n/2: one per orbit of D4 on the counts."""
+def _ml_wedge(phys: np.ndarray) -> np.ndarray:
+    """Unphysical outcomes with k_x >= k_y >= n/2: one per orbit of D4 on the counts.
+
+    ``phys`` is the (n+1) x (n+1) :func:`_physical_mask`.
+    """
+    n = phys.shape[0] - 1
     k = np.arange(n + 1)
-    return ~_physical_mask(n) & (k[:, None] >= k[None, :]) & (2 * k[None, :] >= n)
+    return ~phys & (k[:, None] >= k[None, :]) & (2 * k[None, :] >= n)
 
 
 def _ml_guess_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -419,7 +430,7 @@ def _ml_guess_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tg, gx, gy, phys = _tomography_guess_tables(n)
     if np.all(phys):
         return tg, gx, gy
-    kx, ky = np.nonzero(_ml_wedge(n))
+    kx, ky = np.nonzero(_ml_wedge(phys))
     phi = ml_phi_batch(kx / n, ky / n)
     c, s = np.cos(phi), np.sin(phi)
     tg[~phys] = 0.0
@@ -458,8 +469,18 @@ def _fixed_guess_tables(scheme: SchemeSpec, estimator: str):
 
 
 def _optimal_guess_tables(tables: LocalTables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V(x)/|V(x)| for every outcome; the unit t axis where V(x) is 0.
+
+    The support tiles leave outcomes of negligible mass with exactly zero
+    tables at large n; they have probability 0, so any unit guess serves.
+    """
     norm = np.sqrt(tables.v_t**2 + tables.v_x**2 + tables.v_y**2)
-    return tables.v_t / norm, tables.v_x / norm, tables.v_y / norm
+    zero = norm == 0.0
+    with np.errstate(invalid="ignore"):
+        guesses = tables.v_t / norm, tables.v_x / norm, tables.v_y / norm
+    for g, fill in zip(guesses, (1.0, 0.0, 0.0)):
+        g[zero] = fill
+    return guesses
 
 
 def _local_exact_value(tables: LocalTables, guesses) -> float:
@@ -511,28 +532,37 @@ class CollectiveTables:
 _WINDOW_CUT_NATS = 60.0
 
 
+def _label_log_weights(ks: np.ndarray, total_copies: int) -> np.ndarray:
+    """log c_k of every spin label in ``ks``, one ``lgamma`` form per label."""
+    return np.array([collective_log_weight(k, total_copies) for k in ks])
+
+
 def _support_windows(total_copies: int, prior: Prior, cos_order: int):
     """The spin labels of :func:`collective_tables` and the support window of each.
 
     Returns (ks, lc, hk_lq, i0, i1, j0): the labels k, log c_k,
-    (N/2 - k) log((1 - r_i^2)/4) for every label and radial node, and the
-    windows, radial rows i0 <= i < i1 and cosine columns j >= j0.  Entry
-    (i, j) of label k has the bound B_ij = log d_ij + log wr_i + log max(wc).
-    Outside its window every B_ij lies below the floor
-    max_i (log d_i,last + log wr_i) + log wc_last - cut, and so does column
-    j0 when j0 > 0: one column of margin for round-off in the inversion.
+    (N/2 - k) log((1 - r_i^2)/4) for every label and radial node (0 for
+    k = N/2), and the windows, radial rows i0 <= i < i1 and cosine columns
+    j >= j0.  Entry (i, j) of label k has the bound
+    B_ij = log d_ij + log wr_i + log max(wc).  Outside its window every
+    B_ij lies below the floor max_i (log d_i,last + log wr_i) + log wc_last
+    - cut, and so does column j0 when j0 > 0: one column of margin for
+    round-off in the inversion.  ``searchsorted`` does not decrease in its
+    argument and sorts NaN last, so j0 comes from one search per label, of
+    the least cosine bound over the kept rows (``np.fmin`` skips NaN).
     """
     r = prior.radial_r
     c, gw = gauss_legendre(cos_order)
     ks = collective_k_values(total_copies)
-    lc = np.array([collective_log_weight(k, total_copies) for k in ks])
+    lc = _label_log_weights(ks, total_copies)
     hk = total_copies / 2.0 - ks
     log_wc_max = math.log(gw.max() / 2.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # log((1 - r^2)/4) = 2 log t - log 4, with t = cos u exact near r = 1
         hk_lq = np.outer(hk, 2.0 * np.log(prior.radial_t) - math.log(4.0))
+        hk_lq[hk <= 0] = 0.0  # the top label has no (1 - r^2)/4 factor
         log_wr = np.log(prior.radial_w)
-        base = lc[:, None] + np.where(hk[:, None] > 0, hk_lq, 0.0) + log_wr
+        base = lc[:, None] + hk_lq + log_wr
         last = base + np.outer(2.0 * ks, np.log(0.5 * (1.0 + r * c[-1])))
         floor = last.max(axis=1, keepdims=True) + (math.log(gw[-1] / 2.0) - _WINDOW_CUT_NATS)
         kept = last + log_wc_max >= floor
@@ -540,8 +570,8 @@ def _support_windows(total_copies: int, prior: Prior, cos_order: int):
         # r = 0 is flat in c and keeps every column, and so does k = 0
         need = (floor - base - log_wc_max) / (2.0 * ks[:, None])
         c_min = np.where((r > 0) & (ks[:, None] > 0), (2.0 * np.exp(need) - 1.0) / r, -np.inf)
-    pos = np.where(kept, np.searchsorted(c, c_min), c.size)
-    j0 = np.maximum(pos.min(axis=1) - 1, 0)
+    lowest = np.fmin.reduce(np.where(kept, c_min, np.inf), axis=1)
+    j0 = np.maximum(np.searchsorted(c, lowest) - 1, 0)
     i0 = kept.argmax(axis=1)
     i1 = r.size - kept[:, ::-1].argmax(axis=1)
     return ks, lc, hk_lq, i0, i1, j0
@@ -550,12 +580,12 @@ def _support_windows(total_copies: int, prior: Prior, cos_order: int):
 def collective_tables(total_copies: int, prior: Prior, cos_order: int) -> CollectiveTables:
     """Reduced 2-D quadrature (radius x polar cosine) for the collective scheme.
 
-    For spin label k the integrand is w2 * d on the (radial node r_i,
-    cosine node c_j) grid, with w2 = wr_i wc_j and
+    For spin label k the integrand is wr_i wc_j d_ij on the (radial node
+    r_i, cosine node c_j) grid, with x_ij = (1 + r_i c_j)/2 and
 
-        log d = log c_k + 2k log((1 + r_i c_j)/2) + (N/2 - k) log((1 - r_i^2)/4).
+        d_ij = c_k ((1 - r_i^2)/4)^(N/2 - k) x_ij^(2k).
 
-    Each label is summed only over its support window
+    **Support windows.**  Each label is summed only over its window
     (:func:`_support_windows`): radial rows i0..i1 and cosine columns
     j0..end.  The cosine nodes ascend, so for k > 0 log d rises along a
     row, and the row's largest weighted entry is at most
@@ -563,53 +593,112 @@ def collective_tables(total_copies: int, prior: Prior, cos_order: int) -> Collec
     the last column are entries, so the label's largest weighted entry is
     at least M = max_i (log d_i,last + log wr_i + log wc_last).  Rows with
     L_i < M - cut are dropped.  In a kept row, an entry is negligible when
-    log((1 + r_i c)/2) < need_i = (M - cut - log c_k - (N/2 - k) log((1 -
-    r_i^2)/4) - log wr_i - log max(wc))/(2k), that is when
-    c < (2 e^need_i - 1)/r_i; j0 is the smallest ``searchsorted`` position
-    of that bound over the kept rows, less one index of margin.  A row
-    with r = 0 is flat in c and keeps every column, and so does k = 0.
+    log x_ij < need_i = (M - cut - log c_k - (N/2 - k) log((1 - r_i^2)/4)
+    - log wr_i - log max(wc))/(2k), that is when c < (2 e^need_i - 1)/r_i;
+    j0 is the ``searchsorted`` position of the least such bound over the
+    kept rows, less one index of margin.  A row with r = 0 is flat in c and
+    keeps every column, and so does k = 0.  Every dropped entry is below
+    e^-cut times the label's largest entry, hence below e^-cut prob[k].
+    With cut = 60 nats on the 256 x 512 grid (131072 entries) the mass left
+    out is below 131072 e^-60 prob[k] < 1.2e-21 prob[k], and the same bound
+    holds for v_t and v_par, since |t| and |r c| are at most 1.
 
-    Every dropped entry is below e^-cut times the label's largest entry,
-    hence below e^-cut prob[k].  With cut = 60 nats on the 256 x 512 grid
-    (131072 entries) the mass left out is below
-    131072 e^-60 prob[k] < 1.2e-21 prob[k], and the same bound holds for
-    v_t and v_par, since |t| and |r c| are at most 1.  Inside the window
-    log d is formed by the same floating-point operations as over the full
-    grid (in place, and x + y rounds as y + x does), so every kept entry is
-    bit-identical; only the order of the final sums differs.
+    **Cosine power moments.**  A row factors into its last column times a
+    cosine power, d_ij = d_i,last P_ij with P_ij = (x_ij / x_i,last)^(2k)
+    <= 1, so
+
+        prob[k] = sum_i w_i M0_i,   v_t[k] = sum_i w_i t_i M0_i,
+        v_par[k] = sum_i w_i r_i M1_i,
+
+    with the row weights w_i = wr_i d_i,last = wr_i exp(log c_k + (N/2 - k)
+    log((1 - r_i^2)/4) + 2k log x_i,last) and the moments
+    (M0_i, M1_i) = sum_j P_ij (wc_j, wc_j c_j), one matrix product of the
+    window's powers with the (columns x 2) matrix [wc, wc c].  The labels
+    rise in unit steps, so label k + 1's powers are label k's times the
+    step S_ij = e^(2 L_ij), with L_ij = log x_ij - log x_i,last: one
+    multiply per window entry.  The windows' rows i0 and i1 and column j0
+    do not decrease with k on the grids of the benchmark, so from one label
+    to the next rows only leave or enter, and columns only leave; a row
+    that enters is seeded by P_ij = e^(2k L_ij), one ``exp`` per entry.
+    The rows a window shares with the previous one are carried only when
+    its j0 is not below the previous j0; all other rows are seeded, so the
+    values do not rest on that pattern.  Powers only shrink as k grows, so
+    one that underflows stays below 2^-1022 times its row's last entry.
+
+    **Round-off.**  Kept entries are not bit-identical to those of the
+    window engine that exponentiates each entry (``tests/oracles.py``,
+    ``collective_tables_windowed``).  To first order in u = 2^-53, with
+    each ``exp`` within one ulp (2u) and both engines reading the same
+    log x_ij and log((1 - r_i^2)/4), take per label k (index i) its window
+    of n_r rows and n_c columns, A = the largest
+    |log c_k| + |(N/2 - k) log((1 - r^2)/4)| + |2k log x_last| over its
+    rows and Lambda = the largest |L_ij| in it:
+
+    * here a row weight errs by at most (2A + 3)u: two sums, one product,
+      the ``exp`` and wr.  L_ij is rounded once and enters the power as
+      2k L_ij, 2k Lambda u; a seed at label k0 adds (2 k0 Lambda + 2)u and
+      each of the m <= i carried steps 3u (the ``exp`` of S and the
+      multiply), so a power errs by at most (4k Lambda + 3i + 2)u.  A row
+      carried from the first label grows by about 2k eps (eps = 2u); on
+      the 128 x 256 grid at N = 4096 prob[k] and the window engine's
+      differ by at most 8.7e-14 of prob[k].
+      The moments and row sums add n_c + n_r + 2 roundings of magnitudes
+      at most prob[k] (|t|, |r c| <= 1);
+    * the window engine's exponent 2k log x_ij + log c_k + (N/2 - k) log
+      ((1 - r^2)/4) errs by at most 3(A + 2k Lambda)u, its ``exp`` by 2u,
+      its weight products by 3u, and its sum of n_r n_c terms by n_r n_c u.
+
+    So every field of label k differs from the window engine's by at most
+    (5A + 10k Lambda + 3i + n_c + n_r + n_r n_c + 13) u prob[k].
     """
     _require_prior(SchemeKind.COLLECTIVE, prior)
     r = prior.radial_r
     t = prior.radial_t
-    wr = prior.radial_w
     c, gw = gauss_legendre(cos_order)
     wc = gw / 2.0  # uniform sphere measure: integral dm g(cosΘ) = ∫ g(c) dc/2
-
-    log_cos = np.log(0.5 * (1.0 + np.outer(r, c)))
-    w2 = np.outer(wr, wc)
-    w2_t = w2 * t[:, None]
-    w2_rc = w2 * (r[:, None] * c[None, :])
+    moment_w = np.stack((wc, wc * c), axis=1)
+    row_t_r = np.stack((np.ones_like(r), t, r))
 
     ks, lc, hk_lq, i0, i1, j0 = _support_windows(total_copies, prior, cos_order)
+    # One block holds the three grid arrays, filled in place, so the call
+    # makes one grid-sized allocation: separate ones can stay behind as free
+    # heap space, and so in the process's resident size.
+    log_x, step, power = np.empty((3, r.size, c.size))
+    np.multiply.outer(r, c, out=log_x)
+    log_x += 1.0
+    log_x *= 0.5
+    np.log(log_x, out=log_x)
+    # each label's row weights wr_i d_i,last, in place of hk_lq
+    row_w = hk_lq
+    row_w += lc[:, None]
+    row_w += np.multiply.outer(2.0 * ks, log_x[:, -1])
+    np.exp(row_w, out=row_w)
+    row_w *= prior.radial_w
+    log_x -= log_x[:, -1:]
+    np.multiply(2.0, log_x, out=step)
+    np.exp(step, out=step)
     prob = np.empty(ks.size)
     v_t = np.empty(ks.size)
     v_par = np.empty(ks.size)
-    # One buffer holds every label's window: fresh window-sized arrays per
-    # label left the process heap fragmented and its resident size larger.
-    buf = np.empty(log_cos.size)
-    for i, k in enumerate(ks):
-        rows = slice(i0[i], i1[i])
-        win = (rows, slice(j0[i], None))
-        window = log_cos[win]
-        d = buf[: window.size].reshape(window.shape)
-        np.multiply(2.0 * k, window, out=d)
-        d += lc[i]
-        if total_copies / 2.0 - k > 0:
-            d += hk_lq[i, rows, None]
-        np.exp(d, out=d)
-        prob[i] = float(np.einsum("ij,ij->", w2[win], d))
-        v_t[i] = float(np.einsum("ij,ij->", w2_t[win], d))
-        v_par[i] = float(np.einsum("ij,ij->", w2_rc[win], d))
+    # rows held..held_end of `power` hold the previous label's powers from
+    # column held_j on
+    held, held_end, held_j = 0, 0, cos_order
+    windows = zip(ks.tolist(), i0.tolist(), i1.tolist(), j0.tolist())
+    for i, (k, lo, hi, j) in enumerate(windows):
+        a, b = max(lo, held), min(hi, held_end)
+        if j < held_j or a >= b:
+            a = b = lo
+        carried = power[a:b, j:]
+        np.multiply(carried, step[a:b, j:], out=carried)
+        for s0, s1 in ((lo, a), (b, hi)):
+            if s1 > s0:
+                seed = power[s0:s1, j:]
+                np.multiply(2.0 * k, log_x[s0:s1, j:], out=seed)
+                np.exp(seed, out=seed)
+        held, held_end, held_j = lo, hi, j
+        moments = power[lo:hi, j:] @ moment_w[j:]
+        sums = (row_w[i, lo:hi] * row_t_r[:, lo:hi]) @ moments
+        prob[i], v_t[i], v_par[i] = sums[0, 0], sums[1, 0], sums[2, 1]
     return CollectiveTables(
         total_copies=total_copies, k_values=ks, prob=prob, v_t=v_t, v_par=v_par
     )
@@ -870,7 +959,7 @@ def _collective_fidelities(rng, tables: CollectiveTables, t_states, vecs) -> np.
 
     ks = tables.k_values
     K = ks.size
-    logc = np.array([collective_log_weight(k, N) for k in ks])
+    logc = _label_log_weights(ks, N)
     hk = N / 2.0 - ks
     m_exp = 2.0 * ks + 1.0
 

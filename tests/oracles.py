@@ -33,6 +33,11 @@ and k log q formed by a masked multiply into zeros whatever q is.
 ``collective_tables_dense`` is the collective engine as it was before the
 support windows: for every spin label it exponentiates and sums the whole
 (radius x polar cosine) grid, negligible entries included.
+``collective_tables_windowed`` is the collective engine as it was before the
+cosine power moments: each label's support window is exponentiated entry by
+entry and summed by three ``einsum`` calls against full-grid weight arrays.
+Its windows come from ``support_windows_per_entry``, which searches the
+cosine bound of every (label, kept radial row) pair.
 
 The Monte Carlo loops as they were before the cache-sized blocks:
 
@@ -81,6 +86,7 @@ from blochest.evaluator import (
     _GREEDY_AXES,
     _GREEDY_RADIAL_ORDER,
     _TABLE_CHUNK,
+    _WINDOW_CUT_NATS,
     CollectiveTables,
     LocalTables,
     _d4_table_image,
@@ -220,6 +226,72 @@ def collective_tables_dense(total_copies: int, prior, cos_order: int) -> Collect
         prob[i] = float(np.einsum("ij,ij->", w2, d))
         v_t[i] = float(np.einsum("ij,ij->", w2_t, d))
         v_par[i] = float(np.einsum("ij,ij->", w2_rc, d))
+    return CollectiveTables(
+        total_copies=total_copies, k_values=ks, prob=prob, v_t=v_t, v_par=v_par
+    )
+
+
+def support_windows_per_entry(total_copies: int, prior: Prior, cos_order: int):
+    """(ks, i0, i1, j0) of every spin label, one cosine search per kept entry.
+
+    The windows of the package's ``_support_windows``: radial rows
+    i0 <= i < i1 and cosine columns j >= j0, with j0 the smallest
+    ``searchsorted`` position over the label's kept rows, less one.
+    """
+    r = prior.radial_r
+    c, gw = gauss_legendre(cos_order)
+    ks = collective_k_values(total_copies)
+    lc = np.array([collective_log_weight(k, total_copies) for k in ks])
+    hk = total_copies / 2.0 - ks
+    log_wc_max = math.log(gw.max() / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hk_lq = np.outer(hk, 2.0 * np.log(prior.radial_t) - math.log(4.0))
+        log_wr = np.log(prior.radial_w)
+        base = lc[:, None] + np.where(hk[:, None] > 0, hk_lq, 0.0) + log_wr
+        last = base + np.outer(2.0 * ks, np.log(0.5 * (1.0 + r * c[-1])))
+        floor = last.max(axis=1, keepdims=True) + (math.log(gw[-1] / 2.0) - _WINDOW_CUT_NATS)
+        kept = last + log_wc_max >= floor
+        need = (floor - base - log_wc_max) / (2.0 * ks[:, None])
+        c_min = np.where((r > 0) & (ks[:, None] > 0), (2.0 * np.exp(need) - 1.0) / r, -np.inf)
+    pos = np.where(kept, np.searchsorted(c, c_min), c.size)
+    j0 = np.maximum(pos.min(axis=1) - 1, 0)
+    i0 = kept.argmax(axis=1)
+    i1 = r.size - kept[:, ::-1].argmax(axis=1)
+    return ks, i0, i1, j0
+
+
+def collective_tables_windowed(total_copies: int, prior, cos_order: int) -> CollectiveTables:
+    """Each label exponentiated entry by entry over its support window."""
+    _require_prior(SchemeKind.COLLECTIVE, prior)
+    r = prior.radial_r
+    t = prior.radial_t
+    wr = prior.radial_w
+    c, gw = gauss_legendre(cos_order)
+    wc = gw / 2.0
+
+    log_cos = np.log(0.5 * (1.0 + np.outer(r, c)))
+    w2 = np.outer(wr, wc)
+    w2_t = w2 * t[:, None]
+    w2_rc = w2 * (r[:, None] * c[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_quarter = 2.0 * np.log(t) - math.log(4.0)
+
+    ks, i0, i1, j0 = support_windows_per_entry(total_copies, prior, cos_order)
+    prob = np.empty(ks.size)
+    v_t = np.empty(ks.size)
+    v_par = np.empty(ks.size)
+    for i, k in enumerate(ks):
+        rows = slice(i0[i], i1[i])
+        win = (rows, slice(j0[i], None))
+        hk = total_copies / 2.0 - k
+        d = (2.0 * k) * log_cos[win]
+        d += collective_log_weight(k, total_copies)
+        if hk > 0:
+            d += (hk * log_quarter[rows])[:, None]
+        np.exp(d, out=d)
+        prob[i] = float(np.einsum("ij,ij->", w2[win], d))
+        v_t[i] = float(np.einsum("ij,ij->", w2_t[win], d))
+        v_par[i] = float(np.einsum("ij,ij->", w2_rc[win], d))
     return CollectiveTables(
         total_copies=total_copies, k_values=ks, prob=prob, v_t=v_t, v_par=v_par
     )

@@ -1,4 +1,4 @@
-"""The windowed collective table engine against the dense per-label sum."""
+"""The collective table engine against the dense and the windowed per-label sums."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from blochest import evaluator
 from blochest.core import Prior, PriorKind, build_prior
 from blochest.evaluator import (
     _WINDOW_CUT_NATS,
@@ -17,7 +18,8 @@ from blochest.evaluator import (
     collective_tables,
 )
 from blochest.quadrature import gauss_legendre
-from oracles import collective_tables_dense
+import oracles
+from oracles import collective_tables_dense, collective_tables_windowed, support_windows_per_entry
 
 FIELDS = ("prob", "v_t", "v_par")
 TABLE_TOL = 1e-13  # relative to the total mass
@@ -67,6 +69,9 @@ def _check_windows(total_copies, prior, cos_order):
     log_wc_max = math.log(gw.max() / 2.0)
     log_wc_last = math.log(gw[-1] / 2.0)
     ks, lcs, _, i0, i1, j0s = _support_windows(total_copies, prior, cos_order)
+    # one search per label finds the windows of one search per kept entry
+    for got, want in zip((ks, i0, i1, j0s), support_windows_per_entry(total_copies, prior, cos_order)):
+        np.testing.assert_array_equal(got, want)
     for k, lc, start, stop, j0 in zip(ks, lcs, i0, i1, j0s):
         hk = total_copies / 2.0 - k
         logd = lc + (2.0 * k) * log_cos
@@ -133,3 +138,79 @@ def test_hand_built_prior_with_zero_weight(n):
     prior = _hand_built(base.radial_r, base.radial_t, w)
     _check_against_dense(n, prior, 24)
     _check_windows(n, prior, 24)
+
+
+def test_zero_radius_row_at_the_floor_keeps_every_column():
+    """An r = 0 row is flat in c.  With this weight it sits right at label
+    k = 100's floor (N = 400), where its cosine bound's numerator
+    2 e^need - 1 rounds to 2^-52 and cannot be divided by r = 0: the row
+    is kept, and so is every column, although the other rows alone start
+    at column 6."""
+    base = _radial_prior(12)
+    prior = Prior(
+        kind=PriorKind.FULL_BURES,
+        radial_r=np.concatenate(([0.0], base.radial_r)),
+        radial_t=np.concatenate(([1.0], base.radial_t)),
+        radial_w=np.concatenate(([float.fromhex("0x1.9348ab7a15eb8p-20")], base.radial_w)),
+        directions=base.directions,
+        angular_w=base.angular_w,
+    )
+    at = 100
+    ks, _, _, i0, _, j0 = _support_windows(400, prior, 24)
+    assert ks[at] == 100.0 and i0[at] == 0 and j0[at] == 0
+    assert _support_windows(400, base, 24)[5][at] == 6
+    _check_windows(400, prior, 24)
+    _check_against_dense(400, prior, 24)
+
+
+def _check_labels_against_windowed(total_copies, prior, cos_order):
+    """Every label's sums against the engine that exponentiates each window
+    entry, within the first-order round-off bound derived in
+    ``collective_tables``: (5 A + 10 k Lambda + 3 i + n_c + n_r + n_r n_c + 13) u
+    times prob[k]."""
+    fast = collective_tables(total_copies, prior, cos_order)
+    slow = collective_tables_windowed(total_copies, prior, cos_order)
+    ks, lc, hk_lq, i0, i1, j0 = evaluator._support_windows(total_copies, prior, cos_order)
+    c, _ = gauss_legendre(cos_order)
+    log_x = np.log(0.5 * (1.0 + np.outer(prior.radial_r, c)))
+    u = 2.0**-53
+    for i, k in enumerate(ks):
+        rows = slice(i0[i], i1[i])
+        n_r, n_c = i1[i] - i0[i], cos_order - j0[i]
+        a = np.max(abs(lc[i]) + np.abs(hk_lq[i, rows]) + np.abs(2.0 * k * log_x[rows, -1]))
+        lam = np.max(np.abs(log_x[rows, j0[i]:] - log_x[rows, -1:]))
+        bound = (5 * a + 10 * k * lam + 3 * i + n_c + n_r + n_r * n_c + 13) * u * slow.prob[i]
+        for field in FIELDS:
+            assert abs(getattr(fast, field)[i] - getattr(slow, field)[i]) <= bound, (field, k)
+
+
+@pytest.mark.parametrize("orders", [(128, 256), (256, 512)])
+def test_labels_match_window_engine(orders):
+    """N = 2048, the default enumeration limit, on the benchmark's grids."""
+    radial, cos_order = orders
+    prior = _radial_prior(radial)
+    _check_labels_against_windowed(2048, prior, cos_order)
+    # the windows only move up the grid there, so rows are carried, not reseeded
+    _, _, _, i0, i1, j0 = _support_windows(2048, prior, cos_order)
+    for edge in (i0, i1, j0):
+        assert np.all(np.diff(edge) >= 0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [9, 16])
+def test_random_windows_match_window_engine(monkeypatch, n, seed):
+    """Both engines summed over the same random windows, which move down,
+    up, left and right from label to label: rows the engine cannot carry
+    are reseeded.  At this N every grid entry carries weight."""
+    prior = _radial_prior(6)
+    cos_order = 8
+    ks, lc, hk_lq, _, _, _ = _support_windows(n, prior, cos_order)
+    rng = np.random.default_rng(seed)
+    i0 = rng.integers(0, 5, ks.size)
+    i1 = i0 + 1 + rng.integers(0, 6 - i0)
+    j0 = rng.integers(0, cos_order, ks.size)
+    monkeypatch.setattr(
+        evaluator, "_support_windows", lambda *_: (ks, lc, hk_lq.copy(), i0, i1, j0)
+    )
+    monkeypatch.setattr(oracles, "support_windows_per_entry", lambda *_: (ks, i0, i1, j0))
+    _check_labels_against_windowed(n, prior, cos_order)

@@ -307,6 +307,18 @@ class TestMonteCarlo:
         mc = monte_carlo_fidelity(spec, "optimal", full_prior, 50_000, seed=8)
         assert abs(mc.fidelity - exact.fidelity) <= 3.0 * mc.stderr
 
+    def test_optimal_guesses_where_the_tables_vanish(self, eq_prior):
+        """At N = 1024 the support tiles leave outcomes with all-zero tables,
+        where V/|V| was 0/0; they get a unit guess and no warning."""
+        spec = SchemeSpec(SchemeKind.LOCAL_XY, 1024)
+        tables = evaluator.local_tables(spec, eq_prior)
+        norm = np.sqrt(tables.v_t**2 + tables.v_x**2 + tables.v_y**2)
+        assert np.any(norm == 0.0) and np.all(tables.prob[norm == 0.0] == 0.0)
+        tg, gx, gy = evaluator._optimal_guess_tables(tables)
+        assert np.abs(tg**2 + gx**2 + gy**2 - 1.0).max() <= 1e-15
+        rep = monte_carlo_fidelity(spec, "optimal", eq_prior, 10, 1)
+        assert math.isfinite(rep.fidelity)
+
     def test_sample_count_validated(self, eq_prior):
         with pytest.raises(ValueError):
             monte_carlo_fidelity(SchemeSpec(SchemeKind.LOCAL_XY, 4), "optimal", eq_prior, 0, seed=1)

@@ -41,7 +41,7 @@ def test_unfolded_tables_match_full_solve_large(n):
 @example(n=1)
 @example(n=2)
 def test_wedge_images_cover_the_unphysical_outcomes(n):
-    wedge = _ml_wedge(n)
+    wedge = _ml_wedge(_physical_mask(n))
     zeros = np.zeros(wedge.shape)
     images = [_d4_table_image(g, (wedge, zeros, zeros))[0] for g in _D4]
     assert np.array_equal(np.logical_or.reduce(images), ~_physical_mask(n))
