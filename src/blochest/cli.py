@@ -33,6 +33,7 @@ numerical failure (diagnostic includes the achieved tolerance).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -343,7 +344,13 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    ``parse_args`` leaves the parser unchanged and returns a fresh
+    namespace, so calls of :func:`main` share no state through it.
+    """
     parser = argparse.ArgumentParser(
         prog="blochest",
         description="Average-fidelity experiments for qubit mixed-state estimation.",

@@ -22,14 +22,15 @@ Two a-priori ensembles are supported, both induced by the fidelity metric:
 Both densities diverge at r = 1.  The substitution r = sin(u) removes the
 endpoint singularity exactly (the radial weights become sin^2(u) du and
 sin(u) du on u in [0, pi/2]), so plain Gauss-Legendre quadrature in u
-converges spectrally.  :func:`build_prior` returns the resulting nodes and
-weights; all downstream averages are weighted sums over this grid.
+converges spectrally.  :func:`radial_rule` returns the resulting radial
+nodes and weights, and :func:`build_prior` the product of that rule with a
+direction grid; all downstream averages are weighted sums over this grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -42,12 +43,14 @@ __all__ = [
     "PriorKind",
     "BlochVector",
     "EmbeddedBloch",
+    "RadialRule",
     "Prior",
     "as_bloch_vector",
     "embed",
     "fidelity",
     "clamp_fidelity",
     "sphere_grid",
+    "radial_rule",
     "build_prior",
     "random_guess_fidelity",
     "sample_states",
@@ -153,7 +156,37 @@ def fidelity(state: EmbeddedBloch, guess: EmbeddedBloch) -> float:
 
 
 @dataclass(frozen=True)
-class Prior:
+class RadialRule:
+    """The radial half of an ensemble's quadrature grid.
+
+    Fields
+    ------
+    radial_r : (nr,) radii in (0, 1)
+    radial_t : (nr,) matching time components sqrt(1 - r^2), computed as
+               cos(u) for accuracy near r = 1
+    radial_w : (nr,) radial weights, sum 1
+    """
+
+    kind: PriorKind
+    radial_r: np.ndarray
+    radial_t: np.ndarray
+    radial_w: np.ndarray
+
+    def __post_init__(self):
+        # every field after ``kind`` is an array, here and in Prior
+        for field in fields(self)[1:]:
+            a = np.asarray(getattr(self, field.name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, field.name, a)
+
+    @property
+    def radial_order(self) -> int:
+        """Number of radial quadrature nodes."""
+        return int(self.radial_r.size)
+
+
+@dataclass(frozen=True)
+class Prior(RadialRule):
     """Quadrature grid for one of the two a-priori ensembles.
 
     The grid is a product of a radial rule and an angular rule.  Radial
@@ -162,31 +195,13 @@ class Prior:
 
     Fields
     ------
-    radial_r : (nr,) radii in (0, 1)
-    radial_t : (nr,) matching time components sqrt(1 - r^2), computed as
-               cos(u) for accuracy near r = 1
-    radial_w : (nr,) radial weights, sum 1
+    radial_r, radial_t, radial_w : the :class:`RadialRule`
     directions : (na, 3) unit vectors
     angular_w : (na,) angular weights, sum 1
     """
 
-    kind: PriorKind
-    radial_r: np.ndarray
-    radial_t: np.ndarray
-    radial_w: np.ndarray
     directions: np.ndarray
     angular_w: np.ndarray
-
-    def __post_init__(self):
-        for name in ("radial_r", "radial_t", "radial_w", "directions", "angular_w"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-
-    @property
-    def radial_order(self) -> int:
-        """Number of radial quadrature nodes."""
-        return int(self.radial_r.size)
 
     @property
     def angular_order(self) -> int:
@@ -241,21 +256,15 @@ def sphere_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
     return dirs, np.repeat(wmu / wmu.sum(), order) / order
 
 
-def build_prior(kind: PriorKind, radial_order: int = 128, angular_order: int = 256) -> Prior:
-    """Build the quadrature grid for an ensemble.
-
-    ``radial_order`` is the number of Gauss-Legendre nodes in the
-    substituted variable u (r = sin u); ``angular_order`` controls the
-    angular rule: for the equatorial ensemble a uniform grid of that many
-    polar angles (trapezoidal, exact for smooth periodic integrands), for
-    the full ball a product of that many Gauss nodes in cos(theta) with the
-    same number of uniform azimuthal nodes.
+def radial_rule(kind: PriorKind, radial_order: int = 128) -> RadialRule:
+    """The radial rule of an ensemble: ``radial_order`` Gauss-Legendre nodes
+    in the substituted variable u (r = sin u), with the ensemble's radial
+    weights normalized to unit mass.
     """
     if kind not in (PriorKind.FULL_BURES, PriorKind.EQUATORIAL_BURES):
         raise ValueError(f"unknown prior kind {kind!r}")
-    if radial_order < 2 or angular_order < 2:
+    if radial_order < 2:
         raise ValueError("quadrature orders must be >= 2")
-
     x, w = gauss_legendre(radial_order)
     u = 0.25 * np.pi * (x + 1.0)  # u in (0, pi/2)
     r = np.sin(u)
@@ -265,6 +274,23 @@ def build_prior(kind: PriorKind, radial_order: int = 128, angular_order: int = 2
     else:
         wr = w * np.sin(u)
     wr = wr / wr.sum()  # unit total mass at every order
+    return RadialRule(kind=kind, radial_r=r, radial_t=t, radial_w=wr)
+
+
+def build_prior(kind: PriorKind, radial_order: int = 128, angular_order: int = 256) -> Prior:
+    """Build the quadrature grid for an ensemble.
+
+    ``radial_order`` is the number of Gauss-Legendre nodes in the
+    substituted variable u (r = sin u), the :func:`radial_rule`;
+    ``angular_order`` controls the angular rule: for the equatorial
+    ensemble a uniform grid of that many polar angles (trapezoidal, exact
+    for smooth periodic integrands), for the full ball a product of that
+    many Gauss nodes in cos(theta) with the same number of uniform
+    azimuthal nodes.
+    """
+    rule = radial_rule(kind, radial_order)
+    if angular_order < 2:
+        raise ValueError("quadrature orders must be >= 2")
 
     if kind is PriorKind.FULL_BURES:
         dirs, wa = sphere_grid(angular_order)
@@ -273,7 +299,14 @@ def build_prior(kind: PriorKind, radial_order: int = 128, angular_order: int = 2
         dirs = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(angular_order)])
         wa = np.full(angular_order, 1.0 / angular_order)
 
-    return Prior(kind=kind, radial_r=r, radial_t=t, radial_w=wr, directions=dirs, angular_w=wa)
+    return Prior(
+        kind=kind,
+        radial_r=rule.radial_r,
+        radial_t=rule.radial_t,
+        radial_w=rule.radial_w,
+        directions=dirs,
+        angular_w=wa,
+    )
 
 
 def random_guess_fidelity(prior: Prior) -> float:

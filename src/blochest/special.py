@@ -24,6 +24,7 @@ references.
 
 from __future__ import annotations
 
+import functools
 import math
 
 __all__ = [
@@ -181,6 +182,10 @@ def scaled_erfc_product(x: float) -> float:
 
 _I_SERIES_CUT = 50.0
 
+# The asymptotic constants call the series at a few orders (nu = +-1/4,
+# +-3/4) and thousands of arguments x: log Gamma(nu + 1) once per order.
+_log_gamma_cached = functools.lru_cache(maxsize=32)(log_gamma)
+
 
 def _bessel_i_series(nu: float, x: float) -> float:
     # ascending series: sum_k (x/2)^(2k+nu) / (k! Gamma(k + nu + 1));
@@ -188,7 +193,7 @@ def _bessel_i_series(nu: float, x: float) -> float:
     if nu <= -1.0:
         raise ValueError("series requires nu > -1")
     x2 = 0.25 * x * x
-    term = math.exp(nu * math.log(0.5 * x) - log_gamma(nu + 1.0))
+    term = math.exp(nu * math.log(0.5 * x) - _log_gamma_cached(nu + 1.0))
     total = term
     k = 0
     while True:

@@ -17,7 +17,7 @@ import pytest
 
 import blochest
 from blochest.asymptotics import appendix_integrals, constants
-from blochest.cli import CSV_HEADER, main, parse_n_spec
+from blochest.cli import CSV_HEADER, _build_parser, main, parse_n_spec
 from blochest.core import PriorKind, build_prior
 from blochest.evaluator import (
     adaptive_local_fidelity,
@@ -606,6 +606,38 @@ class TestConfigFile:
         )
         assert code == 2
         assert "cannot read config file" in err
+
+
+# --------------------------------------------------------------------------
+# one parser per process
+# --------------------------------------------------------------------------
+
+
+class TestParserReuse:
+    """``main`` parses with one cached parser; consecutive calls share nothing."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_sweep_estimator_does_not_carry_over(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--n", "4", "--estimator", "ml", *SMALL)
+        assert code == 0 and parse_csv(out)[0]["estimator"] == "ml"
+        code, out, _ = run_cli(capsys, "sweep", "--n", "4", *SMALL)
+        assert code == 0 and parse_csv(out)[0]["estimator"] == "optimal"
+
+    def test_constants_format_does_not_carry_over(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--n", "4", "--format", "csv", *SMALL)
+        assert code == 0 and out.startswith(CSV_HEADER)
+        code, out, _ = run_cli(capsys, "constants")
+        assert code == 0 and set(json.loads(out)) >= {"b1", "b2", "b3", "xi_o"}
+
+    def test_usage_error_twice(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["sweep", "--n", "4", "--no-such-flag"])
+            assert excinfo.value.code == 2
+        code, out, _ = run_cli(capsys, "fidelity", "--n", "4", *SMALL)
+        assert code == 0 and len(parse_csv(out)) == 1
 
 
 # --------------------------------------------------------------------------

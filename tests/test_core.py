@@ -15,6 +15,7 @@ from blochest.core import (
     clamp_fidelity,
     embed,
     fidelity,
+    radial_rule,
     random_guess_fidelity,
     sample_states,
 )
@@ -141,6 +142,23 @@ class TestPriors:
             build_prior(PriorKind.FULL_BURES, 1, 8)
         with pytest.raises(ValueError):
             build_prior(PriorKind.FULL_BURES, 8, 1)
+
+    @pytest.mark.parametrize("kind", list(PriorKind))
+    @pytest.mark.parametrize("orders", [(2, 2), (37, 6), (256, 8)])
+    def test_radial_rule_is_the_priors_radial_half(self, kind, orders):
+        rule = radial_rule(kind, orders[0])
+        prior = build_prior(kind, *orders)
+        assert rule.kind is kind and rule.radial_order == orders[0]
+        for name in ("radial_r", "radial_t", "radial_w"):
+            a, b = getattr(rule, name), getattr(prior, name)
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+
+    def test_radial_rule_validates(self):
+        with pytest.raises(ValueError, match="orders must be >= 2"):
+            radial_rule(PriorKind.FULL_BURES, 1)
+        with pytest.raises(ValueError, match="unknown prior kind"):
+            radial_rule("full", 8)
 
     @pytest.mark.parametrize("kind", list(PriorKind))
     def test_rebuild_reuses_cached_rules(self, kind, monkeypatch):

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from scipy.stats import binom as scipy_binom
 
-from blochest import evaluator
-from blochest.core import PriorKind, build_prior
+from blochest import core, evaluator
+from blochest.core import PriorKind, build_prior, radial_rule
 from blochest.evaluator import (
     AllOutcomesDiscardedError,
     EnumerationLimitError,
@@ -370,6 +370,18 @@ def _record_builds(monkeypatch):
     return built
 
 
+def _record_radial_rules(monkeypatch):
+    """Record the order of every radial rule the evaluator builds."""
+    built = []
+
+    def recording_radial_rule(kind, radial_order):
+        built.append(radial_order)
+        return radial_rule(kind, radial_order)
+
+    monkeypatch.setattr(evaluator, "radial_rule", recording_radial_rule)
+    return built
+
+
 class TestAutoRefinement:
     @pytest.mark.parametrize("estimator", evaluator.EXACT_ESTIMATORS)
     @pytest.mark.parametrize("copies", [2, 128, 384])
@@ -419,10 +431,34 @@ class TestAutoRefinement:
     def test_collective_auto_is_the_doubled_grid_value(self, full_prior, monkeypatch):
         spec = SchemeSpec(SchemeKind.COLLECTIVE, 1024)
         built = _record_builds(monkeypatch)
+        rules = _record_radial_rules(monkeypatch)
         auto = exact_fidelity(spec, "optimal", full_prior)
-        assert built == [(256, 512)]
+        assert built == []
+        assert rules == [256]
         doubled = exact_fidelity(spec, "optimal", full_prior, radial_order=256, angular_order=512)
         assert auto.fidelity == doubled.fidelity
+
+    @pytest.mark.parametrize(
+        "orders, rules_built",
+        [
+            ({}, [256]),  # the doubled rung
+            ({"radial_order": 64, "angular_order": 96}, [64, 64]),  # exact, then Monte Carlo
+            ({"radial_order": 128, "angular_order": 64}, []),  # the prior's own radial rule
+        ],
+    )
+    def test_collective_path_builds_no_direction_grid(
+        self, full_prior, orders, rules_built, monkeypatch
+    ):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the collective path built a direction grid")
+
+        monkeypatch.setattr(evaluator, "build_prior", no_grid)
+        monkeypatch.setattr(core, "sphere_grid", no_grid)
+        rules = _record_radial_rules(monkeypatch)
+        spec = SchemeSpec(SchemeKind.COLLECTIVE, 257)
+        exact_fidelity(spec, "optimal", full_prior, **orders)
+        monte_carlo_fidelity(spec, "optimal", full_prior, 10, seed=1, **orders)
+        assert rules == rules_built
 
 
 class TestAdaptivePolicies:

@@ -69,6 +69,18 @@ def test_uniform_grid_symmetry(angular, group_order, wedge_size):
     assert rep_w.sum() * len(group) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("K", [1, 2, 5, 64])
+def test_in_place_fold_is_the_d4_image_sum(K):
+    """The full-D4 fold against the image sum that other subgroups take."""
+    wedge = np.random.default_rng(K).standard_normal((4, K, K))
+    images = np.array([evaluator._d4_table_image(g, wedge) for g in evaluator._D4])
+    folded = wedge.copy()
+    evaluator._fold_d4(folded)
+    # both are sums of the same eight terms, in another order
+    bound = 8 * np.finfo(float).eps * np.abs(images).sum(axis=0)
+    assert np.all(np.abs(folded - images.sum(axis=0)) <= bound)
+
+
 def test_default_wedge_halves_the_mirror_lines():
     _, reps, rep_w = _symmetry_wedge(build_prior(PriorKind.EQUATORIAL_BURES, 4, 256))
     assert reps.tolist() == list(range(33))  # theta in [0, pi/4]
