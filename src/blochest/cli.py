@@ -69,6 +69,14 @@ class CliUsageError(Exception):
     """Configuration problem: reported on stderr, exit status 2."""
 
 
+# (RunConfig fields, accepted types, description); bool is never accepted
+_FIELD_TYPES = (
+    (("radial_order", "angular_order", "samples", "seed", "enumeration_limit"), int, "an integer"),
+    (("abs_tol",), (int, float), "a number"),
+    (("scheme", "estimator", "prior", "policy", "out", "format"), str, "a string"),
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run configuration (flags merged over config file)."""
@@ -91,6 +99,12 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise CliUsageError(f"unknown command {self.command!r}")
+        # a config file can hold any JSON value; flags arrive typed
+        for names, kinds, what in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
+                    raise CliUsageError(f"{name} must be {what}, not {value!r}")
         if self.format not in ("csv", "json"):
             raise CliUsageError(f"unknown format {self.format!r}")
 
@@ -423,7 +437,7 @@ def _merge_config_file(args: argparse.Namespace) -> dict:
                 continue
             if attr not in _CONFIG_KEYS:
                 raise CliUsageError(f"unknown config key {key!r}")
-            if merged.get(attr) in (None, False):
+            if merged.get(attr) is None:
                 merged[attr] = value
     return merged
 

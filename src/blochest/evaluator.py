@@ -17,15 +17,15 @@ Four entry points:
   the full outcome-sequence likelihood.
 
 The local x/y engine reduces every computation to (n+1) x (n+1) count
-tables.  It integrates one direction per orbit of the prior's x/y flip and
-swap symmetries and unfolds the wedge tables by flipping and transposing
-them; when the prior has all eight symmetries the unfolding runs in
-place, one reflection at a time.  The (radial node, direction) pairs are
-binned by their success probabilities into tiles, and each tile's matrix
-products run only over the count rows where one of its binomials is
-within a factor 1e22 of its largest value; from n = 100 counts per axis
-on, those rows are a part of each table.  The work is serial and in a
-fixed order, so results are bit-reproducible.
+tables.  It finds which of the reflections x -> -x, y -> -y and x <-> y
+map the prior onto itself, integrates one direction per orbit of the
+group they generate, and unfolds the wedge tables in place, one of those
+reflections at a time, by flipping or transposing them.  The (radial
+node, direction) pairs are binned by their success probabilities into
+tiles (one tile per batch below n = 100 counts per axis), and each tile's
+matrix products run only over the count rows where one of its binomials
+is within a factor 1e22 of its largest value.  The work is serial and in
+a fixed order, so results are bit-reproducible.
 Auto mode checks a local value on the given grid against half its orders
 and doubles the orders only when the two disagree; a collective value is
 taken on twice the given orders and checked against the given grid.  A
@@ -216,6 +216,8 @@ _SUPPORT_CUT = 1e-22
 # (sx, sy, swap), i.e. scale the coordinates by the signs, then exchange
 # them when ``swap``.
 _D4 = tuple((sx, sy, swap) for swap in (False, True) for sy in (1, -1) for sx in (1, -1))
+# x -> -x, y -> -y and x <-> y, which generate D4, in :func:`_fold`'s order.
+_REFLECTIONS = ((-1, 1, False), (1, -1, False), (1, 1, True))
 # How far a mapped direction or its weight (relative) may sit from the grid
 # node it lands on; grid round-off is a few ulp.
 _SYMMETRY_TOL = 1e-14
@@ -241,40 +243,30 @@ def _direction_permutation(xy: np.ndarray, w: np.ndarray, g) -> np.ndarray | Non
 
 
 def _symmetry_wedge(prior: Prior):
-    """The prior's D4 symmetry group G and one direction per G-orbit.
+    """The reflections in :data:`_REFLECTIONS` that fix the prior, and one direction per orbit.
 
-    G holds the elements of :data:`_D4` that map the weighted directions
-    onto themselves.  Returns (G, reps, rep_w): the orbit representatives
-    (each orbit's smallest index) and the orbit's total angular weight over
-    |G|, so that summing g(table) over G of the representatives' weighted
-    tables gives the full angular sum.
+    A reflection fixes the prior when it maps the weighted directions onto
+    themselves.  That holds for none, one, both flips or all three: a flip
+    and the swap give the other flip, so with one flip the swap is not
+    tried (only round-off could pass it), and their group G is the products
+    of their subsets.  Returns (gens, reps, rep_w): the reflections, the
+    G-orbit representatives (each orbit's smallest index) and the orbit's
+    angular weight over |G|, so that folding (:func:`_fold`) the
+    representatives' weighted tables gives the full angular sum.
     """
     xy = prior.directions[:, :2]
     w = prior.angular_w
-    group, perms = [], []
-    for g in _D4:
+    gens = []
+    label = np.arange(w.size)  # after each g: the least index of j's orbit so far
+    for g in _REFLECTIONS:
+        if g[2] and len(gens) == 1:
+            break
         perm = _direction_permutation(xy, w, g)
         if perm is not None:
-            group.append(g)
-            perms.append(perm)
-    label = np.min(perms, axis=0)  # the orbit of j is {perm[j] for perm in perms}
+            gens.append(g)
+            label = np.minimum(label, label[perm])
     reps, member_of = np.unique(label, return_inverse=True)
-    return group, reps, np.bincount(member_of, weights=w) / len(group)
-
-
-def _d4_table_image(g, tables):
-    """Count tables of the directions mapped by g, from those of the originals.
-
-    ``tables`` ends with the x and y components (v_x, v_y); the tables
-    before them are scalars, such as prob and v_t.
-    """
-    sx, sy, swap = g
-    *scalars, v_x, v_y = (a[::sx, ::sy] for a in tables)
-    v_x = sx * v_x
-    v_y = sy * v_y
-    if swap:
-        return (*(a.T for a in scalars), v_y.T, v_x.T)
-    return (*scalars, v_x, v_y)
+    return gens, reps, np.bincount(member_of, weights=w) / 2 ** len(gens)
 
 
 def _tiles_pay(n: int) -> bool:
@@ -282,8 +274,8 @@ def _tiles_pay(n: int) -> bool:
 
     A column with q = 1/2 has about sqrt(2 n ln(1/cut)) rows of support;
     while that spans the n + 1 rows, so does every tile holding such a
-    column, and tiles would only add bookkeeping (n < 100 with the 1e-22
-    cut, where the measured break-even lies).
+    column, and more than one cell per batch would only add bookkeeping
+    (n < 100 with the 1e-22 cut, where the measured break-even lies).
     """
     return 2.0 * n * math.log(1.0 / _SUPPORT_CUT) < (n + 1) ** 2
 
@@ -306,19 +298,20 @@ def local_tables(spec: SchemeSpec, prior: Prior) -> LocalTables:
     """Accumulate the outcome tables for a local x/y scheme over a prior.
 
     The count model is invariant under x -> -x, y -> -y and x <-> y, which
-    reverse table axes, negate v_x or v_y and transpose.  The subgroup G of
-    those maps under which the prior's weighted directions are invariant is
-    read off the prior's arrays, so only one direction per G-orbit is
-    integrated (the wedge theta in [0, pi/4] for a uniform grid of 8k
-    angles) and the images of the wedge tables under G are summed: in
-    place when G is all of D4 (:func:`_fold_d4`), so the call holds one
-    set of tables and a K x K temporary, and into a second set otherwise.
+    reverse table axes, negate v_x or v_y and transpose.  Which of those
+    reflections map the prior's weighted directions onto themselves is read
+    off the prior's arrays (:func:`_symmetry_wedge`), so only one direction
+    per orbit of their group G is integrated (the wedge theta in [0, pi/4]
+    for a uniform grid of 8k angles), and the images of the wedge tables
+    under G are summed in place, one reflection at a time (:func:`_fold`):
+    the call holds one set of tables and a K x K temporary.
 
     Every (radial node, wedge direction) pair is a column with success
     probabilities q_x = (1 + r_x)/2 and q_y = (1 + r_y)/2, binomial tables
     b_x, b_y over the counts 0..n, and weight w.  The columns are binned
-    into about sqrt(n)/2 cells per q axis and processed in batches of
-    _TABLE_CHUNK; the columns of one cell in one batch form a tile.  A
+    into about sqrt(n)/2 cells per q axis, one cell below n = 100
+    (:func:`_tiles_pay`), and processed in batches of _TABLE_CHUNK; the
+    columns of one cell in one batch form a tile.  A
     column's pmf falls below _SUPPORT_CUT times its largest value outside
     about +-10 sqrt(n q (1 - q)) of n q, so each tile multiplies only the
     rows of b_x and of b_y inside the hull of its columns' supports
@@ -344,7 +337,7 @@ def local_tables(spec: SchemeSpec, prior: Prior) -> LocalTables:
     _require_prior(spec.kind, prior)
     n = spec.n_per_axis
     K = n + 1
-    group, reps, rep_w = _symmetry_wedge(prior)
+    gens, reps, rep_w = _symmetry_wedge(prior)
     n_r = prior.radial_r.size
     r = np.repeat(prior.radial_r, reps.size)
     t = np.repeat(prior.radial_t, reps.size)
@@ -354,25 +347,20 @@ def local_tables(spec: SchemeSpec, prior: Prior) -> LocalTables:
     qx = 0.5 * (1.0 + rx)
     qy = 0.5 * (1.0 + ry)
 
-    tiled = _tiles_pay(n)
-    if tiled:
-        bins = max(1, math.isqrt(n) // 2)
-        cell = np.minimum(qx * bins, bins - 1).astype(np.intp) * bins
-        cell += np.minimum(qy * bins, bins - 1).astype(np.intp)
-        by_cell = np.argsort(cell, kind="stable")
-        cell, qx, qy, t, w, rx, ry = (a[by_cell] for a in (cell, qx, qy, t, w, rx, ry))
+    bins = max(1, math.isqrt(n) // 2) if _tiles_pay(n) else 1
+    cell = np.minimum(qx * bins, bins - 1).astype(np.intp) * bins
+    cell += np.minimum(qy * bins, bins - 1).astype(np.intp)
+    by_cell = np.argsort(cell, kind="stable")
+    cell, qx, qy, t, w, rx, ry = (a[by_cell] for a in (cell, qx, qy, t, w, rx, ry))
 
     wedge = np.zeros((4, K, K))
     for s in range(0, w.size, _TABLE_CHUNK):
         c = slice(s, s + _TABLE_CHUNK)
         log_bx = binom_log_pmf_matrix(n, qx[c])
         log_by = binom_log_pmf_matrix(n, qy[c])
-        if tiled:
-            starts = np.flatnonzero(np.diff(cell[c], prepend=-1))
-            ends = np.append(starts[1:], log_bx.shape[1])
-            spans = zip(starts, ends, *_tile_spans(log_bx, starts), *_tile_spans(log_by, starts))
-        else:
-            spans = [(0, log_bx.shape[1], 0, K, 0, K)]
+        starts = np.flatnonzero(np.diff(cell[c], prepend=-1))
+        ends = np.append(starts[1:], log_bx.shape[1])
+        spans = zip(starts, ends, *_tile_spans(log_bx, starts), *_tile_spans(log_by, starts))
         for a, b, x0, x1, y0, y1 in spans:
             j = slice(s + a, s + b)
             # in place: the tiles of a batch own disjoint columns
@@ -385,42 +373,37 @@ def local_tables(spec: SchemeSpec, prior: Prior) -> LocalTables:
             block[2] += (bx * rx[j]) @ wby.T
             block[3] += bx @ (wby * ry[j]).T
 
-    if len(group) == len(_D4):
-        _fold_d4(wedge)
-        total = wedge
-    else:
-        total = np.zeros((4, K, K))
-        for g in group:
-            for acc, image in zip(total, _d4_table_image(g, wedge)):
-                acc += image
-    prob, v_t, v_x, v_y = total
+    _fold(wedge, gens)
+    prob, v_t, v_x, v_y = wedge
     return LocalTables(n_per_axis=n, prob=prob, v_t=v_t, v_x=v_x, v_y=v_y)
 
 
-def _fold_d4(tables: np.ndarray) -> None:
-    """Sum the images of the (prob, v_t, v_x, v_y) tables under all of D4, in place.
+def _fold(tables: np.ndarray, gens) -> None:
+    """Sum the images of the (prob, v_t, v_x, v_y) tables under G, in place.
 
-    D4 is generated by x -> -x, y -> -y and the swap, and the sum over it
-    is (1 + swap)(1 + flip y)(1 + flip x) applied to the tables: one
-    reflection at a time, each through one K x K temporary, as
-    :func:`_d4_table_image` maps a table.
+    G is generated by the reflections ``gens`` (in :data:`_REFLECTIONS`
+    order), so the sum over it is the product of (1 + g) over them: one
+    reflection at a time, each through one K x K temporary.
     """
     prob, v_t, v_x, v_y = tables
     tmp = np.empty_like(prob)
-    # x -> -x reverses the rows and negates v_x; y -> -y the columns and v_y
-    for axis, negated in ((0, 2), (1, 3)):
-        for i, a in enumerate(tables):
-            np.copyto(tmp, np.flip(a, axis))
-            if i == negated:
-                a -= tmp
-            else:
+    for sx, _, swap in gens:
+        if swap:
+            for a in (prob, v_t):
+                np.copyto(tmp, a.T)
                 a += tmp
-    for a in (prob, v_t):
-        np.copyto(tmp, a.T)
-        a += tmp
-    np.copyto(tmp, v_x.T)
-    v_x += v_y.T
-    v_y += tmp
+            np.copyto(tmp, v_x.T)
+            v_x += v_y.T
+            v_y += tmp
+        else:
+            # x -> -x reverses the rows and negates v_x; y -> -y the columns and v_y
+            axis, negated = (0, 2) if sx == -1 else (1, 3)
+            for i, a in enumerate(tables):
+                np.copyto(tmp, np.flip(a, axis))
+                if i == negated:
+                    a -= tmp
+                else:
+                    a += tmp
 
 
 def _physical_mask(n: int) -> np.ndarray:
@@ -465,7 +448,7 @@ def _ml_guess_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the swap to pi/2 - phi.  So the boundary is solved only on the wedge
     (:func:`_ml_wedge`, about an eighth of the unphysical outcomes), and
     each wedge row's (cos phi, sin phi) is written to its images under the
-    maps of :data:`_D4`, as :func:`_d4_table_image` maps table entries.
+    maps of :data:`_D4`, as :func:`_fold` maps table entries.
     """
     tg, gx, gy, phys = _tomography_guess_tables(n)
     if np.all(phys):

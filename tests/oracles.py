@@ -22,9 +22,11 @@ before the closest-to-gamma pick was checked equal to it.
 every unphysical outcome solved by the package's ``ml_phi_batch``.
 
 ``local_tables_dense`` is the symmetry-wedge engine as it was before the
-binomial support tiles: it integrates one direction per orbit of the prior's
-D4 symmetries, like the package engine, but multiplies every column's full
-(n+1)-row binomial tables, negligible rows included.
+binomial support tiles and the in-place fold: it integrates one direction per
+orbit of the prior's D4 symmetries, like the package engine, but multiplies
+every column's full (n+1)-row binomial tables, negligible rows included, and
+adds the wedge tables' images under every element of the group into a second
+set of tables (``image_sum`` of ``d4_table_image``).
 
 ``binom_log_pmf_matrix_uncached`` is the log binomial table as it was before
 the coefficients were cached: 2(n + 1) ``math.lgamma`` calls on every call,
@@ -68,6 +70,7 @@ The cross-check routes share no code with the table engines:
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -89,7 +92,6 @@ from blochest.evaluator import (
     _WINDOW_CUT_NATS,
     CollectiveTables,
     LocalTables,
-    _d4_table_image,
     _greedy_pick,
     _require_prior,
     _symmetry_wedge,
@@ -146,7 +148,7 @@ def local_tables_dense(spec: SchemeSpec, prior: Prior) -> LocalTables:
     _require_prior(spec.kind, prior)
     n = spec.n_per_axis
     K = n + 1
-    group, reps, rep_w = _symmetry_wedge(prior)
+    gens, reps, rep_w = _symmetry_wedge(prior)
     n_r = prior.radial_r.size
     r = np.repeat(prior.radial_r, reps.size)
     t = np.repeat(prior.radial_t, reps.size)
@@ -164,12 +166,53 @@ def local_tables_dense(spec: SchemeSpec, prior: Prior) -> LocalTables:
         wedge[2] += (bx * rx[c]) @ wby.T
         wedge[3] += bx @ (wby * ry[c]).T
 
-    total = np.zeros((4, K, K))
-    for g in group:
-        for acc, image in zip(total, _d4_table_image(g, wedge)):
-            acc += image
-    prob, v_t, v_x, v_y = total
+    prob, v_t, v_x, v_y = image_sum(generated_group(gens), wedge)
     return LocalTables(n_per_axis=n, prob=prob, v_t=v_t, v_x=v_x, v_y=v_y)
+
+
+def d4_table_image(g, tables):
+    """Count tables of the directions mapped by g, from those of the originals.
+
+    g = (sx, sy, swap) scales (x, y) by the signs, then exchanges them when
+    ``swap``.  ``tables`` ends with the x and y components (v_x, v_y); the
+    tables before them are scalars, such as prob and v_t.
+    """
+    sx, sy, swap = g
+    *scalars, v_x, v_y = (a[::sx, ::sy] for a in tables)
+    v_x = sx * v_x
+    v_y = sy * v_y
+    if swap:
+        return (*(a.T for a in scalars), v_y.T, v_x.T)
+    return (*scalars, v_x, v_y)
+
+
+def generated_group(gens) -> list:
+    """The elements of the group the reflections ``gens`` generate.
+
+    ``gens`` lists reflections (sx, sy, swap) with the flips before the
+    swap, as the package's ``_symmetry_wedge`` returns them; the elements
+    are the products of their subsets, each flip applied before the swap,
+    listed with the first reflection toggling fastest (for all of D4, the
+    order of the package's ``_D4``).
+    """
+    group = []
+    for pick in itertools.product((False, True), repeat=len(gens)):
+        chosen = [g for g, on in zip(reversed(gens), pick) if on]
+        group.append((
+            math.prod(g[0] for g in chosen),
+            math.prod(g[1] for g in chosen),
+            any(g[2] for g in chosen),
+        ))
+    return group
+
+
+def image_sum(group, tables) -> np.ndarray:
+    """The sum of the images of ``tables`` under every element of ``group``."""
+    total = np.zeros(np.shape(tables))
+    for g in group:
+        for acc, image in zip(total, d4_table_image(g, tables)):
+            acc += image
+    return total
 
 
 def _safe_klogq(k, logq) -> np.ndarray:

@@ -607,6 +607,41 @@ class TestConfigFile:
         assert code == 2
         assert "cannot read config file" in err
 
+    def test_flag_set_to_zero_overrides_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 4, "samples": 400, "seed": 5}))
+        code, out, err = run_cli(capsys, "fidelity", "--config", str(cfg), "--seed", "0", *SMALL)
+        assert code == 0
+        (row,) = parse_csv(out)
+        ref = monte_carlo_fidelity(
+            SchemeSpec(SchemeKind.LOCAL_XY, 4), "optimal",
+            build_prior(PriorKind.EQUATORIAL_BURES, 32, 32), 400, 0,
+            radial_order=32, angular_order=32,
+        )
+        assert (row["fidelity"], row["stderr"]) == (ref.fidelity, ref.stderr)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("angular_order", 6.5),
+            ("radial_order", True),
+            ("samples", 10.7),
+            ("seed", "abc"),
+            ("enumeration_limit", 1e3),
+            ("abs_tol", "1e-6"),
+            ("estimator", 3),
+            ("format", ["csv"]),
+            ("out", 7),
+        ],
+    )
+    def test_value_of_the_wrong_type_rejected(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 4, "samples": 10, "seed": 1, key: value}))
+        code, out, err = run_cli(capsys, "fidelity", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith(f"error: {key} must be ")
+        assert out == ""
+
 
 # --------------------------------------------------------------------------
 # one parser per process

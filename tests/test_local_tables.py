@@ -3,6 +3,7 @@ dense wedge engine that multiplies every binomial row."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from blochest import evaluator
 from blochest.core import Prior, PriorKind, build_prior
 from blochest.evaluator import _local_exact_value, _symmetry_wedge, _tile_spans, local_tables
 from blochest.schemes import SchemeKind, SchemeSpec, binom_log_pmf_matrix
-from oracles import local_tables_dense, local_tables_per_node
+from oracles import generated_group, image_sum, local_tables_dense, local_tables_per_node
 
 FIELDS = ("prob", "v_t", "v_x", "v_y")
 TABLE_TOL = 1e-14
@@ -64,20 +65,42 @@ def test_tables_match_per_node_sum(n, radial, angular):
     [(7, 2, 4), (6, 4, 2), (12, 8, 2), (16, 8, 3), (256, 8, 33)],
 )
 def test_uniform_grid_symmetry(angular, group_order, wedge_size):
-    group, reps, rep_w = _symmetry_wedge(build_prior(PriorKind.EQUATORIAL_BURES, 4, angular))
-    assert (len(group), reps.size) == (group_order, wedge_size)
-    assert rep_w.sum() * len(group) == pytest.approx(1.0, abs=1e-15)
+    gens, reps, rep_w = _symmetry_wedge(build_prior(PriorKind.EQUATORIAL_BURES, 4, angular))
+    assert (len(set(generated_group(gens))), reps.size) == (group_order, wedge_size)
+    assert rep_w.sum() * group_order == pytest.approx(1.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("K", [1, 2, 5, 64])
-def test_in_place_fold_is_the_d4_image_sum(K):
-    """The full-D4 fold against the image sum that other subgroups take."""
+X_FLIP, Y_FLIP, SWAP = evaluator._REFLECTIONS
+# Every set of reflections that can fix a prior; all three keep the bare
+# table size as their test id.
+REFLECTION_SETS = {
+    "none": [],
+    "x": [X_FLIP],
+    "y": [Y_FLIP],
+    "swap": [SWAP],
+    "xy": [X_FLIP, Y_FLIP],
+    "": [X_FLIP, Y_FLIP, SWAP],
+}
+
+
+@pytest.mark.parametrize(
+    "gens, K",
+    [
+        pytest.param(gens, K, id=f"{name}-{K}" if name else str(K))
+        for name, gens in REFLECTION_SETS.items()
+        for K in (1, 2, 5, 64)
+    ],
+)
+def test_in_place_fold_is_the_d4_image_sum(gens, K):
+    """The in-place fold against the sum of the images under the generated group."""
+    group = generated_group(gens)
+    assert len(set(group)) == 2 ** len(gens)
     wedge = np.random.default_rng(K).standard_normal((4, K, K))
-    images = np.array([evaluator._d4_table_image(g, wedge) for g in evaluator._D4])
+    images = np.array([image_sum([g], wedge) for g in group])
     folded = wedge.copy()
-    evaluator._fold_d4(folded)
-    # both are sums of the same eight terms, in another order
-    bound = 8 * np.finfo(float).eps * np.abs(images).sum(axis=0)
+    evaluator._fold(folded, gens)
+    # both are sums of the same |G| terms, in another order
+    bound = len(group) * np.finfo(float).eps * np.abs(images).sum(axis=0)
     assert np.all(np.abs(folded - images.sum(axis=0)) <= bound)
 
 
@@ -91,8 +114,8 @@ def test_default_wedge_halves_the_mirror_lines():
 
 def test_rotated_grid_has_no_symmetry():
     prior = _hand_built(_uniform_angles(25, offset=math.sqrt(2.0) / 10.0), np.ones(25))
-    group, reps, _ = _symmetry_wedge(prior)
-    assert (len(group), reps.size) == (1, 25)
+    gens, reps, _ = _symmetry_wedge(prior)
+    assert (generated_group(gens), reps.size) == ([(1, 1, False)], 25)
     diff, _, _ = _table_diffs(SchemeSpec(SchemeKind.LOCAL_XY, 22), prior)
     assert diff <= TABLE_TOL
 
@@ -101,11 +124,59 @@ def test_unequal_mirror_weights_shrink_the_group():
     # 1 + 0.3 sin(theta) survives x -> -x only: y-flip and swap change it.
     angles = _uniform_angles(16)
     prior = _hand_built(angles, 1.0 + 0.3 * np.sin(angles))
-    group, reps, _ = _symmetry_wedge(prior)
-    assert group == [(1, 1, False), (-1, 1, False)]
+    gens, reps, _ = _symmetry_wedge(prior)
+    assert generated_group(gens) == [(1, 1, False), (-1, 1, False)]
     assert reps.size == 9  # 7 mirror pairs and the two nodes on the y axis
     diff, _, _ = _table_diffs(SchemeSpec(SchemeKind.LOCAL_XY, 30), prior)
     assert diff <= TABLE_TOL
+
+
+@pytest.mark.parametrize(
+    "bump, half_turn",
+    [
+        # cos + sin survives the swap only: both flips change it
+        pytest.param(lambda a: np.cos(a) + np.sin(a), False, id="swap-only"),
+        # sin 2 theta also survives the half turn and the anti-diagonal
+        # swap, which no reflection of the three generates
+        pytest.param(lambda a: np.sin(2.0 * a), True, id="beyond-the-reflections"),
+    ],
+)
+def test_swap_symmetric_weights_fold_the_transpose(bump, half_turn):
+    angles = _uniform_angles(16)
+    prior = _hand_built(angles, 1.0 + 0.3 * bump(angles))
+    xy = prior.directions[:, :2]
+    turned = evaluator._direction_permutation(xy, prior.angular_w, (-1, -1, False))
+    assert (turned is not None) == half_turn
+    gens, reps, rep_w = _symmetry_wedge(prior)
+    assert gens == [SWAP]
+    assert reps.size == 9  # 7 swapped pairs and the two nodes on the diagonal
+    assert rep_w.sum() * 2 == pytest.approx(1.0, abs=1e-15)
+    for n in (3, 30):
+        diff, fast, slow = _table_diffs(SchemeSpec(SchemeKind.LOCAL_XY, 2 * n), prior)
+        assert diff <= TABLE_TOL
+        assert abs(_local_exact_value(fast, None) - _local_exact_value(slow, None)) <= 1e-15
+
+
+def test_round_off_never_pairs_one_flip_with_the_swap():
+    """One D4 orbit nudged by up to 0.7e-14 per coordinate: x -> -x and the
+    swap each map it onto itself within the 1e-14 tolerance, y -> -y (their
+    product, conjugated) does not.  Folding over {x, swap} would sum four
+    of the eight images; the x-flip alone is a true subgroup."""
+    a, b = math.cos(0.3), math.sin(0.3)
+    signs = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+    xy = np.array([(sx * a, sy * b) for sx, sy in signs] + [(sy * b, sx * a) for sx, sy in signs])
+    nudge = [[1, -1], [-1, -1], [0, 1], [1, 1], [-1, 1], [-1, 0], [0, 0], [0, 0]]
+    xy += 0.7e-14 * np.array(nudge)
+    prior = dataclasses.replace(
+        _hand_built(np.zeros(8), np.ones(8)), directions=np.column_stack([xy, np.zeros(8)])
+    )
+    assert [evaluator._direction_permutation(xy, prior.angular_w, g) is not None
+            for g in evaluator._REFLECTIONS] == [True, False, True]
+    gens, reps, _ = _symmetry_wedge(prior)
+    assert (gens, reps.size) == ([X_FLIP], 4)
+    for n in (3, 30):
+        diff, _, _ = _table_diffs(SchemeSpec(SchemeKind.LOCAL_XY, 2 * n), prior)
+        assert diff <= TABLE_TOL
 
 
 def test_frozen_grid_at_n384(eq_prior):
@@ -150,7 +221,7 @@ def test_tiles_match_dense_engine(n, radial, angular):
 
 def test_tiles_without_symmetry_match_dense_engine():
     prior = _hand_built(_uniform_angles(25, offset=math.sqrt(2.0) / 10.0), np.ones(25))
-    assert len(_symmetry_wedge(prior)[0]) == 1  # G = {id}
+    assert _symmetry_wedge(prior)[0] == []  # G = {id}
     for n in (5, 40, 150):
         diff, dF = _tile_diffs(SchemeSpec(SchemeKind.LOCAL_XY, 2 * n), prior, force_tiles=True)
         assert diff <= TABLE_TOL
