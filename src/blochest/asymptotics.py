@@ -190,6 +190,8 @@ b3_integrand = _vectorize(_b3_scalar)
 
 # Split point for b1: quadrature below, analytic series tail above.
 _B1_CUT = 1e6
+# Subdivision budget of each appendix integral.
+_APPENDIX_LIMIT = 900
 
 
 def _b1_analytic_tail(x_cut: float) -> float:
@@ -211,7 +213,7 @@ def _b1_analytic_tail(x_cut: float) -> float:
     )
 
 
-def appendix_integrals(abs_tol: float = 1e-6, limit: int = 900) -> tuple[float, float, float]:
+def appendix_integrals(abs_tol: float = 1e-6) -> tuple[float, float, float]:
     """The three half-line tail integrals (b1, b2, b3) behind xi_o.
 
     Each is integrated over (0, inf) after the x = t/(1-t) change of
@@ -222,12 +224,16 @@ def appendix_integrals(abs_tol: float = 1e-6, limit: int = 900) -> tuple[float, 
     (1-t)^(-3/4) endpoint singularity that double precision cannot grade
     into; its x > 1e6 tail is therefore added analytically from the same
     cancellation-structure series the large-x integrand evaluation uses,
-    with truncation error ~1e-18.
+    with truncation error ~1e-18.  ``abs_tol`` bounds each integral's
+    estimated absolute error (b1's head gets half of it), within
+    ``_APPENDIX_LIMIT`` subintervals each.
     """
-    b1_head = integrate_half_line(b1_integrand, abs_tol=0.5 * abs_tol, limit=limit, x_max=_B1_CUT)
+    b1_head = integrate_half_line(
+        b1_integrand, abs_tol=0.5 * abs_tol, limit=_APPENDIX_LIMIT, x_max=_B1_CUT
+    )
     b1 = b1_head.value + _b1_analytic_tail(_B1_CUT)
-    b2 = integrate_half_line(b2_integrand, abs_tol=abs_tol, limit=limit).value
-    b3 = integrate_half_line(b3_integrand, abs_tol=abs_tol, limit=limit).value
+    b2 = integrate_half_line(b2_integrand, abs_tol=abs_tol, limit=_APPENDIX_LIMIT).value
+    b3 = integrate_half_line(b3_integrand, abs_tol=abs_tol, limit=_APPENDIX_LIMIT).value
     return b1, b2, b3
 
 
@@ -251,23 +257,15 @@ def constants() -> AsymptoticConstants:
 
 def _sweep_pairs(sweep) -> list[tuple[float, float]]:
     points = getattr(sweep, "points", sweep)
-    pairs = []
-    for p in points:
-        if hasattr(p, "copies") and hasattr(p, "fidelity"):
-            pairs.append((float(p.copies), float(p.fidelity)))
-        else:
-            n, f = p
-            if hasattr(f, "fidelity"):
-                f = f.fidelity
-            pairs.append((float(n), float(f)))
-    return pairs
+    return [(float(n), float(getattr(f, "fidelity", f))) for n, f in points]
 
 
 def fit_exponent(sweep) -> ExponentFit:
     """Least-squares power-law fit of a fidelity sweep.
 
     Fits log(1 - F) = log(coefficient) - exponent * log(N) over the sweep
-    points (either a SweepResult or an iterable of (N, fidelity) pairs).
+    points (a SweepResult, or an iterable of (N, fidelity) or (N, report)
+    pairs).
     Needs at least 4 points, strictly increasing N, every F < 1, and
     log(1 - F) non-increasing (a decay law); otherwise raises
     :class:`DegenerateSweepError`.

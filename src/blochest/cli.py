@@ -38,7 +38,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .asymptotics import DegenerateSweepError, appendix_integrals, constants
 from .core import PriorKind, build_prior
@@ -112,16 +112,15 @@ class RunConfig:
 def parse_n_spec(text) -> tuple:
     """Parse ``N`` or ``start:stop:step`` (inclusive stop) into a tuple.
 
-    Accepts an int or a list of ints as well (JSON config files).
+    Accepts an int or a list of ints as well (JSON config files); a list
+    element that is a bool or not an int is rejected, not truncated.
     """
     if isinstance(text, (list, tuple)):
-        try:
-            ns = [int(v) for v in text]
-        except (TypeError, ValueError):
-            raise CliUsageError(f"invalid N list {text!r}") from None
-        if not ns or any(n < 1 for n in ns):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in text):
+            raise CliUsageError(f"invalid N list {text!r}")
+        if not text or any(n < 1 for n in text):
             raise CliUsageError("copy numbers must be a nonempty list of integers >= 1")
-        return tuple(ns)
+        return tuple(text)
     parts = str(text).split(":")
     try:
         values = [int(p) for p in parts]
@@ -401,21 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = (
-    "scheme",
-    "estimator",
-    "prior",
-    "n",
-    "radial_order",
-    "angular_order",
-    "samples",
-    "seed",
-    "policy",
-    "abs_tol",
-    "enumeration_limit",
-    "out",
-    "format",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "command")
 
 
 def _merge_config_file(args: argparse.Namespace) -> dict:

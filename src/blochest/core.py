@@ -41,7 +41,6 @@ __all__ = [
     "CONSTRUCTION_TOL",
     "NORM_TOL",
     "PriorKind",
-    "BlochVector",
     "EmbeddedBloch",
     "RadialRule",
     "Prior",
@@ -69,10 +68,6 @@ class PriorKind(Enum):
 
     FULL_BURES = "full"
     EQUATORIAL_BURES = "equatorial"
-
-
-# Type alias used in signatures: a Bloch vector is a plain (3,) float array.
-BlochVector = np.ndarray
 
 
 def as_bloch_vector(components) -> np.ndarray:

@@ -83,13 +83,20 @@ class MLGuess:
 
 
 def tomography_estimate(outcome) -> TomographicGuess:
-    """Linear inversion of the count frequencies of a local x/y outcome."""
+    """Linear inversion of the count frequencies of a local x/y outcome.
+
+    The physicality flag is the exact integer test
+    (2 k_x - n)^2 + (2 k_y - n)^2 <= n^2, which the evaluator's tables use
+    too: a point on the circle can have a float R just above 1.
+    """
     ax, ay = outcome.alphas
     rx = 2.0 * ax - 1.0
     ry = 2.0 * ay - 1.0
     R = math.hypot(rx, ry)
     gamma = math.atan2(ry, rx)
-    return TomographicGuess(radius=R, azimuth=gamma, physical=R <= 1.0)
+    n = outcome.n_per_axis
+    dx, dy = (2 * k - n for k in outcome.counts)
+    return TomographicGuess(radius=R, azimuth=gamma, physical=dx * dx + dy * dy <= n * n)
 
 
 def boundary_equation(phi, R, gamma):

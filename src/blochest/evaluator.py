@@ -212,11 +212,10 @@ _TABLE_CHUNK = 1024
 # the largest pmf of every column in the tile.
 _SUPPORT_CUT = 1e-22
 
-# The symmetries of the x/y count model: D4 acting on (x, y) as
-# (sx, sy, swap), i.e. scale the coordinates by the signs, then exchange
-# them when ``swap``.
-_D4 = tuple((sx, sy, swap) for swap in (False, True) for sy in (1, -1) for sx in (1, -1))
-# x -> -x, y -> -y and x <-> y, which generate D4, in :func:`_fold`'s order.
+# The symmetries of the x/y count model are D4, generated by x -> -x,
+# y -> -y and x <-> y.  Each is written (sx, sy, swap): scale (x, y) by
+# the signs, then exchange them when ``swap``.  Listed in :func:`_fold`'s
+# order.
 _REFLECTIONS = ((-1, 1, False), (1, -1, False), (1, 1, True))
 # How far a mapped direction or its weight (relative) may sit from the grid
 # node it lands on; grid round-off is a few ulp.
@@ -447,25 +446,31 @@ def _ml_guess_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k_x -> n - k_x maps phi to pi - phi, k_y -> n - k_y maps it to -phi and
     the swap to pi/2 - phi.  So the boundary is solved only on the wedge
     (:func:`_ml_wedge`, about an eighth of the unphysical outcomes), and
-    each wedge row's (cos phi, sin phi) is written to its images under the
-    maps of :data:`_D4`, as :func:`_fold` maps table entries.
+    each wedge row's (cos phi, sin phi) is carried to its images by the
+    swap, y -> -y and x -> -x in turn, as :func:`_fold` maps table entries.
+    Each step writes only the images not yet filled, so an outcome that
+    two group elements reach keeps the first value, and the wedge its own.
     """
     tg, gx, gy, phys = _tomography_guess_tables(n)
-    if np.all(phys):
-        return tg, gx, gy
-    kx, ky = np.nonzero(_ml_wedge(phys))
-    phi = ml_phi_batch(kx / n, ky / n)
-    c, s = np.cos(phi), np.sin(phi)
     tg[~phys] = 0.0
-    # the identity comes last, so the wedge keeps its own values
-    for sx, sy, swap in reversed(_D4):
-        ix = kx if sx == 1 else n - kx
-        iy = ky if sy == 1 else n - ky
-        vx, vy = sx * c, sy * s
+    filled = _ml_wedge(phys)
+    kx, ky = np.nonzero(filled)
+    phi = ml_phi_batch(kx / n, ky / n)
+    gx[kx, ky] = np.cos(phi)
+    gy[kx, ky] = np.sin(phi)
+    for sx, _, swap in reversed(_REFLECTIONS):
         if swap:
-            ix, iy, vx, vy = iy, ix, vy, vx
-        gx[ix, iy] = vx
-        gy[ix, iy] = vy
+            new = filled.T & ~filled
+            np.copyto(gx, gy.T, where=new)
+            np.copyto(gy, gx.T, where=new)
+        else:
+            # x -> -x reverses the rows and negates x; y -> -y the columns and y
+            axis, negated = (0, gx) if sx == -1 else (1, gy)
+            new = np.flip(filled, axis) & ~filled
+            for a in (gx, gy):
+                np.copyto(a, np.flip(a, axis), where=new)
+            np.negative(negated, out=negated, where=new)
+        filled |= new
     return tg, gx, gy
 
 
@@ -890,10 +895,9 @@ def tomography_with_discard(
     happens at N = 2 (every count pair has both frequencies extremal, so
     R = sqrt(2)).  Auto mode verifies the given grid downward against half
     its orders, as :func:`exact_fidelity` does for the local scheme; this
-    is ``exact_fidelity(scheme, "tomography", prior, ...)``.
+    is ``exact_fidelity(scheme, "tomography", prior, ...)``, which rejects
+    the collective scheme.
     """
-    if scheme.kind is not SchemeKind.LOCAL_XY:
-        raise ValueError("tomography-with-discarding is defined for the local x/y scheme")
     return exact_fidelity(
         scheme,
         "tomography",

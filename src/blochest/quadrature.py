@@ -126,7 +126,6 @@ def adaptive_quad(
     b: float,
     *,
     abs_tol: float = 1e-10,
-    rel_tol: float = 1e-10,
     limit: int = 400,
     initial_splits: tuple[float, ...] = (),
 ) -> QuadResult:
@@ -136,7 +135,7 @@ def adaptive_quad(
     ``initial_splits`` seeds interior breakpoints (a graded starting mesh
     for integrands with known endpoint structure).  Raises
     :class:`QuadratureError` if the subdivision limit is exhausted before
-    the global error estimate drops below max(abs_tol, rel_tol * |value|).
+    the global error estimate drops to ``abs_tol`` (an absolute bound).
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"integration interval must satisfy a < b, got [{a}, {b}]")
@@ -153,7 +152,7 @@ def adaptive_quad(
         heapq.heappush(heap, (-err, counter, lo, hi, val, err))
         counter += 1
 
-    while total_err > max(abs_tol, rel_tol * abs(total)):
+    while total_err > abs_tol:
         if counter >= limit:
             raise QuadratureError("subdivision limit exhausted", total, total_err)
         if not heap:
@@ -182,14 +181,15 @@ def adaptive_quad(
 
 
 def integrate_half_line(
-    f, *, abs_tol: float = 1e-10, rel_tol: float = 0.0, limit: int = 400, x_max: float | None = None
+    f, *, abs_tol: float = 1e-10, limit: int = 400, x_max: float | None = None
 ) -> QuadResult:
     """Integrate the vectorized callable ``f`` over (0, inf) or (0, x_max).
 
     Maps to the unit interval via x = t/(1 - t) (dx = dt/(1-t)^2) and
-    integrates adaptively with a starting mesh graded toward both
-    endpoints (t -> 0 catches algebraic singularities of f at x -> 0;
-    t -> 1 is the x -> inf tail).
+    integrates adaptively, to an estimated absolute error of at most
+    ``abs_tol``, with a starting mesh graded toward both endpoints (t -> 0
+    catches algebraic singularities of f at x -> 0; t -> 1 is the
+    x -> inf tail).
 
     Double precision cannot represent t between 1 - eps/2 and 1, i.e.
     x beyond ~9e15: a node that rounds to exactly 1 contributes 0.  Tails
@@ -210,6 +210,4 @@ def integrate_half_line(
     upper = 1.0 if x_max is None else x_max / (1.0 + x_max)
     splits = (1e-8, 1e-5, 1e-3, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 0.99999)
     splits = tuple(s for s in splits if s < upper)
-    return adaptive_quad(
-        g, 0.0, upper, abs_tol=abs_tol, rel_tol=rel_tol, limit=limit, initial_splits=splits
-    )
+    return adaptive_quad(g, 0.0, upper, abs_tol=abs_tol, limit=limit, initial_splits=splits)

@@ -30,7 +30,6 @@ import math
 __all__ = [
     "gamma_fn",
     "log_gamma",
-    "log_binomial",
     "erfc_fn",
     "erfcx_fn",
     "scaled_erfc_product",
@@ -81,16 +80,6 @@ def gamma_fn(x: float) -> float:
     if x < 0.5:
         return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
     return math.exp(log_gamma(x))
-
-
-def log_binomial(n: int, k) -> float:
-    """log C(n, k); vectorizes over k via math.lgamma accumulation."""
-    import numpy as np
-
-    karr = np.asarray(k, dtype=float)
-    lg = np.vectorize(math.lgamma, otypes=[float])
-    out = lg(n + 1.0) - lg(karr + 1.0) - lg(n - karr + 1.0)
-    return out if out.shape else float(out)
 
 
 # ---------------------------------------------------------------------------

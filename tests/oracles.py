@@ -192,8 +192,7 @@ def generated_group(gens) -> list:
     ``gens`` lists reflections (sx, sy, swap) with the flips before the
     swap, as the package's ``_symmetry_wedge`` returns them; the elements
     are the products of their subsets, each flip applied before the swap,
-    listed with the first reflection toggling fastest (for all of D4, the
-    order of the package's ``_D4``).
+    listed with the first reflection toggling fastest.
     """
     group = []
     for pick in itertools.product((False, True), repeat=len(gens)):

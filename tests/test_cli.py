@@ -86,7 +86,10 @@ class TestParseNSpec:
 
     @pytest.mark.parametrize(
         "bad",
-        ["abc", "2:4", "1:2:3:4", "4:2:1", "2:8:0", "2:8:-1", "0", [0, 2], [], "x:y:z"],
+        [
+            "abc", "2:4", "1:2:3:4", "4:2:1", "2:8:0", "2:8:-1", "0", [0, 2], [], "x:y:z",
+            [4.5], [True], [4.0],
+        ],
     )
     def test_rejections(self, bad):
         from blochest.cli import CliUsageError
@@ -641,6 +644,17 @@ class TestConfigFile:
         assert code == 2
         assert err.startswith(f"error: {key} must be ")
         assert out == ""
+
+    def test_fractional_n_list_rejected_before_evaluation(self, capsys, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr("blochest.cli.run", runs.append)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": [4.5], "radial_order": 16, "angular_order": 16}))
+        code, out, err = run_cli(capsys, "fidelity", "--config", str(cfg))
+        assert code == 2
+        assert "invalid N list" in err
+        assert out == ""
+        assert runs == []
 
 
 # --------------------------------------------------------------------------

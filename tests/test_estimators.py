@@ -66,6 +66,17 @@ class TestTomography:
         with pytest.raises(DegenerateEstimateError):
             _ = g.embedded
 
+    def test_physicality_is_the_tables_exact_test(self):
+        # n = 274 has outcomes on the circle whose float R is 1 + 2^-52,
+        # e.g. (32, 225): (2*32 - 274)^2 + (2*225 - 274)^2 = 274^2.
+        n = 274
+        flags = [
+            [tomography_estimate(LocalOutcome(n, (kx, ky))).physical for ky in range(n + 1)]
+            for kx in range(n + 1)
+        ]
+        assert np.array_equal(np.array(flags), _physical_mask(n))
+        assert ml_estimate(LocalOutcome(n, (32, 225))).phi is None
+
 
 def _loglik(phi: float, ax: float, ay: float) -> float:
     total = 0.0

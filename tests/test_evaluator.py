@@ -213,6 +213,10 @@ class TestTomographyDiscard:
             float(tables.prob[unphysical].sum()), abs=1e-8
         )
 
+    def test_collective_scheme_rejected(self, full_prior):
+        with pytest.raises(ValueError, match="local x/y scheme"):
+            tomography_with_discard(SchemeSpec(SchemeKind.COLLECTIVE, 4), full_prior)
+
     def test_exact_fidelity_delegates(self, eq_prior):
         a = tomography_with_discard(
             SchemeSpec(SchemeKind.LOCAL_XY, 4), eq_prior, radial_order=128, angular_order=256

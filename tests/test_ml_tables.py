@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blochest.evaluator import _D4, _ml_guess_tables, _ml_wedge, _physical_mask
-from oracles import d4_table_image, ml_guess_tables_full
+from blochest.evaluator import _REFLECTIONS, _ml_guess_tables, _ml_wedge, _physical_mask
+from oracles import d4_table_image, generated_group, ml_guess_tables_full
 
 TABLE_TOL = 1e-12
 
@@ -43,7 +43,9 @@ def test_unfolded_tables_match_full_solve_large(n):
 def test_wedge_images_cover_the_unphysical_outcomes(n):
     wedge = _ml_wedge(_physical_mask(n))
     zeros = np.zeros(wedge.shape)
-    images = [d4_table_image(g, (wedge, zeros, zeros))[0] for g in _D4]
+    group = generated_group(_REFLECTIONS)
+    assert len(set(group)) == 8
+    images = [d4_table_image(g, (wedge, zeros, zeros))[0] for g in group]
     assert np.array_equal(np.logical_or.reduce(images), ~_physical_mask(n))
     k = np.arange(n + 1)
     assert wedge[n, n]  # the corner: R = sqrt 2

@@ -14,10 +14,10 @@ from blochest.special import (
     erfc_fn,
     erfcx_fn,
     gamma_fn,
-    log_binomial,
     log_gamma,
     scaled_erfc_product,
 )
+from blochest.schemes import _log_binom_coefficients
 
 mp.mp.dps = 30
 
@@ -43,17 +43,19 @@ class TestGamma:
 
 
 class TestLogBinomial:
+    """log C(n, k) as the binomial tables read it (``schemes._log_binom_coefficients``)."""
+
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 40, 64])
     def test_matches_exact_combinatorics(self, n):
+        vals = _log_binom_coefficients(n)
         for k in range(n + 1):
-            assert log_binomial(n, k) == pytest.approx(
-                math.log(math.comb(n, k)), rel=1e-13, abs=1e-13
-            )
+            assert vals[k] == pytest.approx(math.log(math.comb(n, k)), rel=1e-13, abs=1e-13)
 
     def test_vectorized_argument(self):
         ks = np.arange(0, 21)
-        vals = log_binomial(20, ks)
+        vals = _log_binom_coefficients(20)
         ref = [math.log(math.comb(20, int(k))) for k in ks]
+        assert vals.shape == ks.shape
         assert np.allclose(vals, ref, rtol=1e-13, atol=1e-13)
 
 
