@@ -86,8 +86,8 @@ def tomography_estimate(outcome) -> TomographicGuess:
     """Linear inversion of the count frequencies of a local x/y outcome.
 
     The physicality flag is the exact integer test
-    (2 k_x - n)^2 + (2 k_y - n)^2 <= n^2, which the evaluator's tables use
-    too: a point on the circle can have a float R just above 1.
+    (2 k_x - n)^2 + (2 k_y - n)^2 <= n^2, which the evaluator's guess rule
+    uses too: a point on the circle can have a float R just above 1.
     """
     ax, ay = outcome.alphas
     rx = 2.0 * ax - 1.0
@@ -189,8 +189,9 @@ def ml_phi_batch(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
     dropped.  The admissible candidate closest to gamma as a wrapped angle
     wins: it is the candidate of largest likelihood on every unphysical
     outcome with k_x >= k_y >= n/2 (one per orbit of the count model's
-    symmetries) up to n = 1024 counts per axis, and at n = 2048 and 4096
-    (``demos/ml_pick_check.py``).  Corner rows (cos 2 gamma = 0) return
+    symmetries) up to n = 1024 counts per axis and at n = 2048 and 4096,
+    and on the 235,300 such outcomes that 10^6 Monte Carlo draws per n
+    reach at n = 2^12 ... 2^24 (``demos/ml_pick_check.py``).  Corner rows (cos 2 gamma = 0) return
     gamma exactly.  Angles are returned in (gamma - pi, gamma + pi];
     non-finite input raises ValueError and a row with no admissible root
     :class:`DegenerateEstimateError`.  ``ax`` and ``ay`` broadcast against

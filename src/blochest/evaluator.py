@@ -16,15 +16,18 @@ Four entry points:
   whose axes are chosen by a policy; estimation by the optimal rule on
   the full outcome-sequence likelihood.
 
-The local x/y engine reduces every computation to (n+1) x (n+1) count
-tables.  It finds which of the reflections x -> -x, y -> -y and x <-> y
-map the prior onto itself, integrates one direction per orbit of the
-group they generate, and unfolds the wedge tables in place, one of those
-reflections at a time, by flipping or transposing them.  The (radial
-node, direction) pairs are binned by their success probabilities into
-tiles (one tile per batch below n = 100 counts per axis), and each tile's
-matrix products run only over the count rows where one of its binomials
-is within a factor 1e22 of its largest value.  The work is serial and in
+The local x/y engine reduces every exact computation to (n+1) x (n+1)
+count tables.  The ML and tomography guesses come from one rule per
+outcome (:func:`_count_guesses`), which exact enumeration applies to every
+count pair and Monte Carlo to the sampled ones.  The table engine finds
+which of the reflections x -> -x, y -> -y and x <-> y map the prior onto
+itself, integrates one direction per orbit of the group they generate,
+and unfolds the wedge tables in place, one of those reflections at a
+time, by flipping or transposing them.  The (radial node, direction)
+pairs are binned by their success probabilities into tiles (one tile per
+batch below n = 100 counts per axis), and each tile's matrix products run
+only over the count rows where one of its binomials is within a factor
+1e22 of its largest value.  The work is serial and in
 a fixed order, so results are bit-reproducible.
 Auto mode checks a local value on the given grid against half its orders
 and doubles the orders only when the two disagree; a collective value is
@@ -405,95 +408,76 @@ def _fold(tables: np.ndarray, gens) -> None:
                     a += tmp
 
 
-def _physical_mask(n: int) -> np.ndarray:
-    """Outcomes whose tomographic point is inside the disc, exactly.
+def _to_wedge(n: int, kx: np.ndarray, ky: np.ndarray):
+    """Map count arrays into the wedge k_x >= k_y >= n/2, one outcome per D4 orbit.
 
-    (2 k_x - n)^2 + (2 k_y - n)^2 <= n^2 in integer arithmetic.
+    Returns (wx, wy, flip_x, flip_y, swap): the wedge counts and the
+    reflections that carry (k_x, k_y) there, in this order: x -> -x
+    (k_x -> n - k_x) when 2 k_x < n, y -> -y when 2 k_y < n, then x <-> y
+    when the flipped k_x is below the flipped k_y.
     """
-    k = np.arange(n + 1)
-    dx = (2 * k - n)[:, None] ** 2
-    dy = (2 * k - n)[None, :] ** 2
-    return dx + dy <= n * n
+    flip_x = 2 * kx < n
+    flip_y = 2 * ky < n
+    fx = np.where(flip_x, n - kx, kx)
+    fy = np.where(flip_y, n - ky, ky)
+    swap = fx < fy
+    return np.where(swap, fy, fx), np.where(swap, fx, fy), flip_x, flip_y, swap
 
 
-def _tomography_guess_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(t, x, y) guess components for physical outcomes; NaN when unphysical."""
-    alpha = np.arange(n + 1, dtype=float) / n
-    rx = 2.0 * alpha - 1.0
-    gx, gy = np.meshgrid(rx, rx, indexing="ij")
-    rr = gx**2 + gy**2
-    phys = _physical_mask(n)
-    tg = np.where(phys, np.sqrt(np.maximum(0.0, 1.0 - rr)), np.nan)
-    gx = np.where(phys, gx, np.nan)
-    gy = np.where(phys, gy, np.nan)
-    return tg, gx, gy, phys
+def _ml_boundary(n: int, kx: np.ndarray, ky: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos phi, sin phi) of the ML boundary azimuth at unphysical counts.
 
-
-def _ml_wedge(phys: np.ndarray) -> np.ndarray:
-    """Unphysical outcomes with k_x >= k_y >= n/2: one per orbit of D4 on the counts.
-
-    ``phys`` is the (n+1) x (n+1) :func:`_physical_mask`.
+    The count model's D4 symmetries act on phi as on directions, so each
+    outcome is carried into the wedge (:func:`_to_wedge`), each distinct
+    wedge outcome is solved once by :func:`ml_phi_batch`, and its
+    (cos phi, sin phi) is carried back: exchanged on a swap, then sin
+    negated on a y-flip and cos on an x-flip.  Exchanges and negations are
+    exact, so an outcome's guess does not depend on which other outcomes
+    are passed with it.
     """
-    n = phys.shape[0] - 1
-    k = np.arange(n + 1)
-    return ~phys & (k[:, None] >= k[None, :]) & (2 * k[None, :] >= n)
+    wx, wy, flip_x, flip_y, swap = _to_wedge(n, kx, ky)
+    codes, row = np.unique(wx * (n + 1) + wy, return_inverse=True)
+    phi = ml_phi_batch(codes // (n + 1) / n, codes % (n + 1) / n)
+    c = np.cos(phi)[row]
+    s = np.sin(phi)[row]
+    c, s = np.where(swap, s, c), np.where(swap, c, s)
+    return np.where(flip_x, -c, c), np.where(flip_y, -s, s)
 
 
-def _ml_guess_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, x, y) guess components of the ML estimator for every outcome.
+def _count_guesses(estimator: str, n: int, kx, ky):
+    """(t, x, y) guesses of the ML or tomography estimator at counts (kx, ky), and the kept mask.
 
-    The count model's D4 symmetries act on the ML azimuth as on directions:
-    k_x -> n - k_x maps phi to pi - phi, k_y -> n - k_y maps it to -phi and
-    the swap to pi/2 - phi.  So the boundary is solved only on the wedge
-    (:func:`_ml_wedge`, about an eighth of the unphysical outcomes), and
-    each wedge row's (cos phi, sin phi) is carried to its images by the
-    swap, y -> -y and x -> -x in turn, as :func:`_fold` maps table entries.
-    Each step writes only the images not yet filled, so an outcome that
-    two group elements reach keeps the first value, and the wedge its own.
+    Any integer arrays of counts serve: exact enumeration passes
+    ``np.indices((n + 1, n + 1))``, Monte Carlo the sampled counts.  An
+    outcome is physical when (2 k_x - n)^2 + (2 k_y - n)^2 <= n^2 in
+    integers; there both estimators guess the tomographic point
+    (x, y) = (2 k_x/n - 1, 2 k_y/n - 1) with t = sqrt(1 - x^2 - y^2).
+    Tomography keeps only the physical outcomes (the mask; its guesses
+    elsewhere are never read).  ML keeps every outcome (mask None) and
+    guesses the pure state at the boundary azimuth (:func:`_ml_boundary`)
+    off the disc.
     """
-    tg, gx, gy, phys = _tomography_guess_tables(n)
-    tg[~phys] = 0.0
-    filled = _ml_wedge(phys)
-    kx, ky = np.nonzero(filled)
-    phi = ml_phi_batch(kx / n, ky / n)
-    gx[kx, ky] = np.cos(phi)
-    gy[kx, ky] = np.sin(phi)
-    for sx, _, swap in reversed(_REFLECTIONS):
-        if swap:
-            new = filled.T & ~filled
-            np.copyto(gx, gy.T, where=new)
-            np.copyto(gy, gx.T, where=new)
-        else:
-            # x -> -x reverses the rows and negates x; y -> -y the columns and y
-            axis, negated = (0, gx) if sx == -1 else (1, gy)
-            new = np.flip(filled, axis) & ~filled
-            for a in (gx, gy):
-                np.copyto(a, np.flip(a, axis), where=new)
-            np.negative(negated, out=negated, where=new)
-        filled |= new
-    return tg, gx, gy
-
-
-def _fixed_guess_tables(scheme: SchemeSpec, estimator: str):
-    """(guess tables, kept mask) of a local estimator whose guesses ignore the prior.
-
-    ML guesses on every outcome (mask None); tomography keeps only the
-    physical outcomes and raises :class:`AllOutcomesDiscardedError` when
-    there are none; the optimal rule's guesses come from the outcome tables,
-    so it gets (None, None).
-    """
-    n = scheme.n_per_axis
+    kx = np.asarray(kx)
+    ky = np.asarray(ky)
+    kept = np.square(2 * kx - n) + np.square(2 * ky - n) <= n * n
     if estimator == "ml":
-        return _ml_guess_tables(n), None
+        off = ~kept
+        bx, by = _ml_boundary(n, kx[off], ky[off])
+    # t = 1 - (x^2 + y^2) starts in y's square and y is formed again after,
+    # so at most three count-sized float arrays are live at once
+    t = 2.0 * (ky / n) - 1.0
+    t *= t
+    x = 2.0 * (kx / n) - 1.0
+    t += x * x
+    np.subtract(1.0, t, out=t)
+    np.sqrt(np.maximum(t, 0.0, out=t), out=t)
+    y = 2.0 * (ky / n) - 1.0
     if estimator == "tomography":
-        tg, gx, gy, phys = _tomography_guess_tables(n)
-        if not phys.any():
-            raise AllOutcomesDiscardedError(
-                f"every outcome at N = {scheme.total_copies} is unphysical (R > 1); "
-                "the kept-only average is undefined"
-            )
-        return (tg, gx, gy), phys
-    return None, None
+        return (t, x, y), kept
+    t[off] = 0.0
+    x[off] = bx
+    y[off] = by
+    return (t, x, y), None
 
 
 def _optimal_guess_tables(tables: LocalTables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -850,7 +834,15 @@ def exact_fidelity(
     _require_prior(scheme.kind, prior)
 
     if scheme.kind is SchemeKind.LOCAL_XY:
-        guesses, kept = _fixed_guess_tables(scheme, estimator)
+        guesses = kept = None  # the optimal guesses come from the tables
+        if estimator != "optimal":
+            n = scheme.n_per_axis
+            guesses, kept = _count_guesses(estimator, n, *np.indices((n + 1, n + 1)))
+        if kept is not None and not kept.any():
+            raise AllOutcomesDiscardedError(
+                f"every outcome at N = {scheme.total_copies} is unphysical (R > 1); "
+                "the kept-only average is undefined"
+            )
 
         def evaluate(ro: int, ao: int):
             tables = local_tables(scheme, _prior_at_orders(prior, ro, ao))
@@ -911,12 +903,13 @@ def tomography_with_discard(
 # ---------------------------------------------------------------------------
 # Monte Carlo
 #
-# The sampling loops run over blocks of whole samples.  A block's work
-# arrays hold about _MC_BLOCK_ELEMS doubles (1 MB, inside one core's L2
-# cache), are allocated once per call and are written in place.  Uniforms
-# are drawn with ``rng.random(out=...)``, which fills row-major, so the
-# random stream -- and every seeded report -- does not depend on the block
-# size.
+# A local sample draws its two counts as binomials, so its cost does not
+# grow with N.  The collective sampler runs over blocks of whole samples.
+# A block's work arrays hold about _MC_BLOCK_ELEMS doubles (1 MB, inside
+# one core's L2 cache), are allocated once per call and are written in
+# place.  Uniforms are drawn with ``rng.random(out=...)``, which fills
+# row-major, so the random stream -- and every seeded report -- does not
+# depend on the block size.
 
 _MC_BLOCK_ELEMS = 1 << 17
 
@@ -942,26 +935,6 @@ def _mc_report(
     )
 
 
-def _mc_draw_counts(rng, vecs: np.ndarray, n_half: int) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate per-axis +1 counts; one uniform per copy, row-major.
-
-    Each sample's N uniforms are its x copies, then its y copies.
-    """
-    samples = vecs.shape[0]
-    rows = _block_rows(2 * n_half, samples)
-    u = np.empty((rows, 2, n_half))
-    plus = np.empty((rows, 2, n_half), dtype=bool)
-    q = 0.5 * (1.0 + vecs[:, :2])
-    counts = np.empty((samples, 2), dtype=np.int64)
-    for s in range(0, samples, rows):
-        e = min(s + rows, samples)
-        ub, pb = u[: e - s], plus[: e - s]
-        rng.random(out=ub)
-        np.less(ub, q[s:e, :, None], out=pb)
-        counts[s:e] = np.count_nonzero(pb, axis=2)
-    return counts[:, 0], counts[:, 1]
-
-
 def _mc_local(
     scheme: SchemeSpec,
     estimator: str,
@@ -972,16 +945,16 @@ def _mc_local(
     n = scheme.n_per_axis
     rng = np.random.default_rng(seed)
     t_states, vecs = sample_states(prior.kind, samples, rng)
-    kx, ky = _mc_draw_counts(rng, vecs, n)
-
-    guesses, kept = _fixed_guess_tables(scheme, estimator)
-    if guesses is None:
-        guesses = _optimal_guess_tables(local_tables(scheme, prior))
-    tg, gx, gy = guesses
-    f = 0.5 * (1.0 + t_states * tg[kx, ky] + vecs[:, 0] * gx[kx, ky] + vecs[:, 1] * gy[kx, ky])
+    kx, ky = rng.binomial(n, 0.5 * (1.0 + vecs[:, :2])).T
+    if estimator == "optimal":
+        tg, gx, gy = (a[kx, ky] for a in _optimal_guess_tables(local_tables(scheme, prior)))
+        kept = None
+    else:
+        (tg, gx, gy), kept = _count_guesses(estimator, n, kx, ky)
+    del kx, ky  # free the counts before the fidelities' temporaries
+    f = 0.5 * (1.0 + t_states * tg + vecs[:, 0] * gx + vecs[:, 1] * gy)
     if kept is None:
         return _mc_report(scheme, estimator, f)
-    kept = kept[kx, ky]
     kept_count = int(kept.sum())
     if kept_count == 0:
         raise AllOutcomesDiscardedError(
@@ -1131,16 +1104,19 @@ def monte_carlo_fidelity(
 ) -> FidelityReport:
     """Stochastic estimate of the average fidelity.
 
-    Draw order is fixed: first all states (one batch), then outcome
-    uniforms row by row — (samples, N) for the local scheme, (samples, 2)
-    for the collective scheme (spin label, then polar cosine by inverse
-    CDF).  The samples are processed in cache-sized blocks, and neither
-    the stream nor any per-sample value depends on the block size, so the
-    same seed yields a bit-identical report.  With a single sample the
-    standard error is reported as 0 (no variance estimate exists), never
-    NaN.  Explicit orders set the quadrature of the tables the optimal
-    estimator is built from (an unset one takes its default); orders
-    below 2 raise for every estimator.
+    Draw order is fixed: first all states (one batch), then the outcomes
+    sample by sample.  A local sample draws two binomial counts, k_x then
+    k_y, and its ML or tomography guess comes from the counts alone
+    (:func:`_count_guesses`), so the cost per sample does not grow with N
+    and no outcome table is built; the optimal guess is read from the
+    (n+1) x (n+1) tables at the sampled counts.  A collective sample draws
+    two uniforms (spin label, then polar cosine by inverse CDF), processed
+    in cache-sized blocks; neither the stream nor any per-sample value
+    depends on the block size.  So the same seed yields a bit-identical
+    report.  With a single sample the standard error is reported as 0 (no
+    variance estimate exists), never NaN.  Explicit orders set the
+    quadrature of the tables the optimal estimator is built from (an unset
+    one takes its default); orders below 2 raise for every estimator.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

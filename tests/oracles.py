@@ -21,6 +21,18 @@ before the closest-to-gamma pick was checked equal to it.
 ``ml_guess_tables_full`` is the ML guess table as it was before the wedge:
 every unphysical outcome solved by the package's ``ml_phi_batch``.
 
+The (n+1) x (n+1) guess tables as they were before the per-outcome guess
+rule, which Monte Carlo indexed at the sampled counts:
+
+* ``physical_mask`` is the integer physicality test over every outcome;
+* ``tomography_guess_tables`` is the tomographic point on the physical
+  outcomes and NaN elsewhere;
+* ``ml_guess_tables_unfolded`` solves the wedge k_x >= k_y >= n/2
+  (``ml_wedge``) and unfolds it by the swap, y -> -y and x -> -x in turn,
+  each step writing only the outcomes not yet filled;
+* ``mc_local_table_lookup`` is local Monte Carlo reading those tables (and
+  the optimal guess tables) at the sampled counts.
+
 ``local_tables_dense`` is the symmetry-wedge engine as it was before the
 binomial support tiles and the in-place fold: it integrates one direction per
 orbit of the prior's D4 symmetries, like the package engine, but multiplies
@@ -43,9 +55,6 @@ cosine bound of every (label, kept radial row) pair.
 
 The Monte Carlo loops as they were before the cache-sized blocks:
 
-* ``mc_draw_counts_chunked`` draws each chunk of up to 2^23 local outcome
-  uniforms as a fresh array and counts the +1 outcomes with ``<`` and
-  ``sum``;
 * ``collective_fidelities_chunked`` samples the collective spin label and
   polar cosine on chunks of up to 2^22 (sample, label) entries, each
   expression a fresh temporary;
@@ -88,14 +97,17 @@ from blochest.evaluator import (
     _GREEDY_ANGULAR_ORDER,
     _GREEDY_AXES,
     _GREEDY_RADIAL_ORDER,
+    _REFLECTIONS,
     _TABLE_CHUNK,
     _WINDOW_CUT_NATS,
     CollectiveTables,
     LocalTables,
     _greedy_pick,
+    _mc_report,
+    _optimal_guess_tables,
     _require_prior,
     _symmetry_wedge,
-    _tomography_guess_tables,
+    local_tables,
 )
 from blochest.quadrature import gauss_legendre
 from blochest.schemes import (
@@ -661,41 +673,103 @@ def ml_phi_companion(ax, ay) -> np.ndarray:
     return np.where(corner, gamma, phi)
 
 
+def physical_mask(n: int) -> np.ndarray:
+    """Outcomes whose tomographic point is inside the disc, exactly.
+
+    (2 k_x - n)^2 + (2 k_y - n)^2 <= n^2 in integer arithmetic.
+    """
+    k = np.arange(n + 1)
+    dx = (2 * k - n)[:, None] ** 2
+    dy = (2 * k - n)[None, :] ** 2
+    return dx + dy <= n * n
+
+
+def tomography_guess_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(t, x, y) guess components for physical outcomes; NaN when unphysical."""
+    alpha = np.arange(n + 1, dtype=float) / n
+    rx = 2.0 * alpha - 1.0
+    gx, gy = np.meshgrid(rx, rx, indexing="ij")
+    rr = gx**2 + gy**2
+    phys = physical_mask(n)
+    tg = np.where(phys, np.sqrt(np.maximum(0.0, 1.0 - rr)), np.nan)
+    gx = np.where(phys, gx, np.nan)
+    gy = np.where(phys, gy, np.nan)
+    return tg, gx, gy, phys
+
+
+def ml_wedge(phys: np.ndarray) -> np.ndarray:
+    """Unphysical outcomes with k_x >= k_y >= n/2: one per orbit of D4 on the counts."""
+    n = phys.shape[0] - 1
+    k = np.arange(n + 1)
+    return ~phys & (k[:, None] >= k[None, :]) & (2 * k[None, :] >= n)
+
+
+def ml_guess_tables_unfolded(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, x, y) ML guess components, solved on the wedge and unfolded.
+
+    Each wedge row's (cos phi, sin phi) is carried to its images by the
+    swap, y -> -y and x -> -x in turn; each step writes only the images not
+    yet filled, so an outcome that two group elements reach keeps the first
+    value, and the wedge its own.
+    """
+    tg, gx, gy, phys = tomography_guess_tables(n)
+    tg[~phys] = 0.0
+    filled = ml_wedge(phys)
+    kx, ky = np.nonzero(filled)
+    phi = ml_phi_batch(kx / n, ky / n)
+    gx[kx, ky] = np.cos(phi)
+    gy[kx, ky] = np.sin(phi)
+    for sx, _, swap in reversed(_REFLECTIONS):
+        if swap:
+            new = filled.T & ~filled
+            np.copyto(gx, gy.T, where=new)
+            np.copyto(gy, gx.T, where=new)
+        else:
+            axis, negated = (0, gx) if sx == -1 else (1, gy)
+            new = np.flip(filled, axis) & ~filled
+            for a in (gx, gy):
+                np.copyto(a, np.flip(a, axis), where=new)
+            np.negative(negated, out=negated, where=new)
+        filled |= new
+    return tg, gx, gy
+
+
 def ml_guess_tables_full(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, x, y) ML guess components, solving every unphysical outcome."""
-    tg, gx, gy, phys = _tomography_guess_tables(n)
+    tg, gx, gy, phys = tomography_guess_tables(n)
     if not np.all(phys):
         alpha = np.arange(n + 1, dtype=float) / n
         ax, ay = np.meshgrid(alpha, alpha, indexing="ij")
         phi = ml_phi_batch(ax[~phys], ay[~phys])
-        tg = tg.copy()
-        gx = gx.copy()
-        gy = gy.copy()
         tg[~phys] = 0.0
         gx[~phys] = np.cos(phi)
         gy[~phys] = np.sin(phi)
     return tg, gx, gy
 
 
-def mc_draw_counts_chunked(rng, vecs: np.ndarray, n_half: int) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate per-axis +1 counts; one uniform per copy, row-major.
+def mc_local_table_lookup(spec: SchemeSpec, estimator: str, prior: Prior, samples: int, seed):
+    """Local Monte Carlo report from guess tables indexed at the sampled counts.
 
-    Chunked by whole samples so the stream is identical to a single
-    (samples, N) draw.
+    The states and counts are drawn as the package draws them: the states,
+    then two binomial counts per sample.
     """
-    samples = vecs.shape[0]
-    total = 2 * n_half
-    chunk = max(1, (1 << 23) // max(total, 1))
-    kx = np.empty(samples, dtype=np.int64)
-    ky = np.empty(samples, dtype=np.int64)
-    qx = 0.5 * (1.0 + vecs[:, 0])
-    qy = 0.5 * (1.0 + vecs[:, 1])
-    for s in range(0, samples, chunk):
-        e = min(s + chunk, samples)
-        u = rng.random((e - s, total))
-        kx[s:e] = (u[:, :n_half] < qx[s:e, None]).sum(axis=1)
-        ky[s:e] = (u[:, n_half:] < qy[s:e, None]).sum(axis=1)
-    return kx, ky
+    n = spec.n_per_axis
+    rng = np.random.default_rng(seed)
+    t_states, vecs = sample_states(prior.kind, samples, rng)
+    counts = rng.binomial(n, 0.5 * (1.0 + vecs[:, :2]))
+    kx, ky = counts[:, 0], counts[:, 1]
+    kept = None
+    if estimator == "optimal":
+        tg, gx, gy = _optimal_guess_tables(local_tables(spec, prior))
+    elif estimator == "ml":
+        tg, gx, gy = ml_guess_tables_unfolded(n)
+    else:
+        tg, gx, gy, phys = tomography_guess_tables(n)
+        kept = phys[kx, ky]
+    f = 0.5 * (1.0 + t_states * tg[kx, ky] + vecs[:, 0] * gx[kx, ky] + vecs[:, 1] * gy[kx, ky])
+    if kept is None:
+        return _mc_report(spec, estimator, f)
+    return _mc_report(spec, estimator, f[kept], discarded_fraction=1.0 - kept.sum() / samples)
 
 
 def collective_fidelities_chunked(rng, tables: CollectiveTables, t_states, vecs) -> np.ndarray:

@@ -24,9 +24,9 @@ from blochest.estimators import (
     random_estimate,
     tomography_estimate,
 )
-from blochest.evaluator import _physical_mask
+from blochest.evaluator import _count_guesses
 from blochest.schemes import LocalOutcome, SchemeKind, SchemeSpec, enumerate_outcomes, local_probability
-from oracles import ml_phi_companion, ml_phi_likelihood, ml_phi_scan
+from oracles import ml_phi_companion, ml_phi_likelihood, ml_phi_scan, physical_mask
 
 
 def _scipy_local_prob(outcome, vecs: np.ndarray) -> np.ndarray:
@@ -74,7 +74,8 @@ class TestTomography:
             [tomography_estimate(LocalOutcome(n, (kx, ky))).physical for ky in range(n + 1)]
             for kx in range(n + 1)
         ]
-        assert np.array_equal(np.array(flags), _physical_mask(n))
+        _, kept = _count_guesses("tomography", n, *np.indices((n + 1, n + 1)))
+        assert np.array_equal(np.array(flags), kept)
         assert ml_estimate(LocalOutcome(n, (32, 225))).phi is None
 
 
@@ -270,7 +271,7 @@ def _against_scan(solver):
             n = 64
             alpha = np.arange(n + 1, dtype=float) / n
             ax, ay = np.meshgrid(alpha, alpha, indexing="ij")
-            unphys = ~_physical_mask(n)
+            unphys = ~physical_mask(n)
             assert unphys.sum() == 1016
             phi = self.solve(ax[unphys], ay[unphys])
             for got, x, y in zip(phi, ax[unphys], ay[unphys]):
@@ -295,7 +296,7 @@ TestCompanionAgainstScan = _against_scan(ml_phi_companion)
 def _unphysical_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     alpha = np.arange(n + 1, dtype=float) / n
     ax, ay = np.meshgrid(alpha, alpha, indexing="ij")
-    unphys = ~_physical_mask(n)
+    unphys = ~physical_mask(n)
     return ax[unphys], ay[unphys]
 
 

@@ -1,10 +1,12 @@
-"""Blocked Monte Carlo kernels against the chunked loops they replaced.
+"""Monte Carlo kernels against the loops and tables they replaced.
 
-The comparisons are exact (``==``).  Both kernels run the same
-per-element arithmetic on the same uniforms, so the counts, the
-per-sample fidelities and the reported fidelity and standard error agree
-bit for bit, whatever the block size.  The memory tests pin the work
-arrays to a cache-sized block.
+The comparisons are exact (``==``).  The blocked collective sampler and
+the greedy policy run the same per-element arithmetic as their chunked
+references on the same uniforms, whatever the block size; local Monte
+Carlo guesses per sample by the rule that the exact tables use, and
+matches the former guess tables indexed at the same binomial counts.  The
+memory tests pin the work arrays to a cache-sized block, or to the
+sample-sized arrays themselves.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from blochest.schemes import SchemeKind, SchemeSpec
 from oracles import (
     collective_fidelities_chunked,
     greedy_adaptive_per_axis,
-    mc_draw_counts_chunked,
+    mc_local_table_lookup,
 )
 
 BLOCKS = st.sampled_from([None, 1, 7])  # None keeps the package's block size
@@ -47,45 +49,61 @@ def _samples_at(edge: str, rows: int) -> int:
 
 
 class TestLocalDraws:
-    @settings(max_examples=60)
-    @given(n_half=st.integers(1, 600), block=BLOCKS, edge=EDGES, seed=SEEDS)
-    @example(n_half=1, block=None, edge="block+1", seed=0)
-    @example(n_half=4096, block=None, edge="block+1", seed=1)
-    def test_counts_match_chunked_draws(self, n_half, block, edge, seed):
-        with pytest.MonkeyPatch.context() as mp:
-            samples = _samples_at(edge, _blocked(mp, block, 2 * n_half))
-            rng = np.random.default_rng(seed)
-            _, vecs = sample_states(PriorKind.EQUATORIAL_BURES, samples, rng)
-            rng_new = np.random.default_rng(seed + 1)
-            rng_old = np.random.default_rng(seed + 1)
-            kx, ky = evaluator._mc_draw_counts(rng_new, vecs, n_half)
-            ox, oy = mc_draw_counts_chunked(rng_old, vecs, n_half)
-        assert np.array_equal(kx, ox) and np.array_equal(ky, oy)
-        assert rng_new.random() == rng_old.random()  # same number of uniforms used
-
-    @pytest.mark.parametrize("block", [None, 1, 7])
-    @pytest.mark.parametrize("estimator", ["optimal", "ml", "tomography"])
-    def test_reports_match_chunked_draws(self, eq_prior_small, estimator, block):
-        spec = SchemeSpec(SchemeKind.LOCAL_XY, 10)
-        with pytest.MonkeyPatch.context() as mp:
-            _blocked(mp, block, 10)
-            blocked = monte_carlo_fidelity(spec, estimator, eq_prior_small, 3001, seed=17)
-            mp.setattr(evaluator, "_mc_draw_counts", mc_draw_counts_chunked)
-            chunked = monte_carlo_fidelity(spec, estimator, eq_prior_small, 3001, seed=17)
-        assert blocked == chunked
+    @pytest.mark.parametrize("seed", [17, 18])
+    @pytest.mark.parametrize(
+        "estimator, N",
+        [("optimal", 2), ("ml", 2), ("optimal", 10), ("ml", 10), ("tomography", 10),
+         ("optimal", 128), ("ml", 128), ("tomography", 128)],
+    )
+    def test_reports_match_table_lookup(self, eq_prior_small, estimator, N, seed):
+        """The per-sample guess rule against the guess tables indexed at the counts."""
+        spec = SchemeSpec(SchemeKind.LOCAL_XY, N)
+        rule = monte_carlo_fidelity(spec, estimator, eq_prior_small, 3001, seed)
+        assert rule == mc_local_table_lookup(spec, estimator, eq_prior_small, 3001, seed)
         if estimator == "tomography":
-            assert 0.0 < blocked.discarded_fraction < 1.0
+            assert 0.0 < rule.discarded_fraction < 1.0
 
-    def test_draw_memory_stays_in_one_block(self):
-        """N = 4096: the chunked draws held a 64 MiB uniform array (128 MiB peak)."""
-        _, vecs = sample_states(PriorKind.EQUATORIAL_BURES, 4096, np.random.default_rng(3))
+    @pytest.mark.parametrize("samples", [1, 2])
+    @pytest.mark.parametrize("estimator", ["ml", "tomography"])
+    def test_samples_all_on_the_disc(self, eq_prior, estimator, samples):
+        """N = 2^20: a few samples land inside the disc, so ML solves no boundary."""
+        spec = SchemeSpec(SchemeKind.LOCAL_XY, 2**20)
+        rep = monte_carlo_fidelity(spec, estimator, eq_prior, samples, seed=3)
+        assert 0.99 < rep.fidelity <= 1.0
+        if estimator == "tomography":
+            assert rep.discarded_fraction == 0.0
+
+    @pytest.mark.parametrize("estimator", ["ml", "tomography"])
+    def test_memory_past_the_enumeration_limit(self, eq_prior, estimator):
+        """N = 2^20 with 10^4 samples; (n+1)^2 guess tables would need 2 TB each."""
+        spec = SchemeSpec(SchemeKind.LOCAL_XY, 2**20)
         tracemalloc.start()
         try:
-            evaluator._mc_draw_counts(np.random.default_rng(4), vecs, 2048)
+            monte_carlo_fidelity(spec, estimator, eq_prior, 10_000, seed=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20  # measured 1.3 MiB
+        assert peak < 2 * 2**20  # measured 0.79 MiB
+
+    @pytest.mark.parametrize("estimator", ["optimal", "ml", "tomography"])
+    def test_memory_stays_at_the_state_draws(self, eq_prior_small, estimator):
+        """N = 128 with 2e5 samples: no stage holds more than drawing the states.
+
+        Drawing 2e5 equatorial states peaks at 15.26 MiB; so did the uniform
+        draws and table lookup this replaced.
+        """
+        spec = SchemeSpec(SchemeKind.LOCAL_XY, 128)
+        monte_carlo_fidelity(spec, estimator, eq_prior_small, 10, seed=1)  # warm caches
+        tracemalloc.start()
+        try:
+            sample_states(PriorKind.EQUATORIAL_BURES, 200_000, np.random.default_rng(1))
+            _, states_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            monte_carlo_fidelity(spec, estimator, eq_prior_small, 200_000, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= states_peak + 2**16
 
 
 class TestCollectiveSampler:
