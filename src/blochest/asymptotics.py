@@ -10,9 +10,9 @@ this package are
 xi_ml is a closed form in Gamma(1/4); xi_o is assembled from three
 half-line integrals b1, b2, b3 whose integrands combine exp(x) with the
 imaginary part of K_(1/4) continued to negative argument and with
-complementary-error-function tails.  Everything is computed from scratch:
-the Gamma/erfc/Bessel machinery lives in :mod:`blochest.special` and the
-adaptive integrator in :mod:`blochest.quadrature`.
+complementary-error-function tails.  Gamma and erfc come from ``math``,
+the modified Bessel functions from :mod:`blochest.special`, and the
+adaptive integrator from :mod:`blochest.quadrature`.
 
 :func:`fit_exponent` extracts (exponent, coefficient) pairs from measured
 fidelity sweeps so the laws above can be checked against direct numerics.
@@ -26,16 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import integrate_half_line
-from .special import bessel_i, bessel_k, erfc_fn, gamma_fn, scaled_erfc_product
+from .special import bessel_i, bessel_i_tail, bessel_k
 
 __all__ = [
     "AsymptoticConstants",
     "ExponentFit",
     "DegenerateSweepError",
-    "gamma_fn",
-    "erfc_fn",
-    "bessel_i",
-    "bessel_k",
     "im_k_quarter_negative",
     "b1_integrand",
     "b2_integrand",
@@ -60,7 +56,7 @@ def assemble_xi_o(b1: float, b2: float, b3: float) -> float:
     only place the combination is formed, so any xi_o in the package is
     bit-for-bit reproducible from its (b1, b2, b3).
     """
-    return gamma_fn(0.25) ** 2 / (48.0 * math.pi) * (4.0 * b1 + b2 - math.sqrt(2.0) * b3)
+    return math.gamma(0.25) ** 2 / (48.0 * math.pi) * (4.0 * b1 + b2 - math.sqrt(2.0) * b3)
 
 
 @dataclass(frozen=True)
@@ -118,29 +114,11 @@ def _im_scaled(x: float) -> float:
 
 # Beyond this point the K-type contribution to ImK has underflowed exactly
 # (e^(-2x) = 0 in double precision long before x = 500), so the combined
-# integrand reduces to the I-only cancellation form handled by
-# _b1_tail_fraction.
+# integrand reduces to the I-only cancellation form: S = bessel_i_tail(1/4, x)
+# is the piece that survives the counterterm cancellation, and evaluating
+# it directly keeps the integrand accurate long after the naive difference
+# of the two O(x^(-1/4)) pieces has sunk into round-off.
 _B1_TAIL_SWITCH = 500.0
-
-
-def _b1_tail_fraction(x: float) -> float:
-    """S(x) = sqrt(2 pi x) e^(-x) I_(1/4)(x) - 1 via its asymptotic series.
-
-    The series has strictly positive terms: term_k = term_(k-1) *
-    ((2k-1)^2 - 1/4)/(8 k x), term_1 = 3/(32 x).  For x >= 500 it reaches
-    round-off in a handful of terms.  This is the piece of the combined
-    b1 integrand that survives the counterterm cancellation: evaluating
-    it directly keeps the integrand accurate long after the naive
-    difference of the two O(x^(-1/4)) pieces has sunk into round-off.
-    """
-    term = 3.0 / (32.0 * x)
-    total = term
-    for k in range(2, 24):
-        term *= ((2.0 * k - 1.0) ** 2 - 0.25) / (8.0 * k * x)
-        total += term
-        if term < 1e-20 * total:
-            break
-    return total
 
 
 def _b1_scalar(x: float) -> float:
@@ -149,7 +127,7 @@ def _b1_scalar(x: float) -> float:
     # integrating.  Written with the scaled ImK so e^x never materializes.
     if x >= _B1_TAIL_SWITCH:
         # combined form after cancellation: sqrt(2/pi) x^(-1/4) S/(1+S)
-        s = _b1_tail_fraction(x)
+        s = bessel_i_tail(0.25, x)
         return math.sqrt(2.0 / math.pi) * x**-0.25 * s / (1.0 + s)
     ims = _im_scaled(x)
     return 1.0 / (x**0.75 * ims) + math.sqrt(2.0) / (math.sqrt(math.pi) * x**0.25)
@@ -159,7 +137,7 @@ def _b2_scalar(x: float) -> float:
     # e^x (erfc(sqrt(2x)) - 4) erfc(sqrt(2x)) / (x^(3/4) ImK); the erfc
     # factor decays like e^(-2x), so one plain erfc value is safe and the
     # whole integrand dies exponentially.
-    e = erfc_fn(math.sqrt(2.0 * x))
+    e = math.erfc(math.sqrt(2.0 * x))
     if e == 0.0:
         return 0.0
     return (e - 4.0) * e / (x**0.75 * _im_scaled(x))
@@ -167,10 +145,13 @@ def _b2_scalar(x: float) -> float:
 
 def _b3_scalar(x: float) -> float:
     # e^x erfc(sqrt(2x))^2 / (x^(3/4) K_(1/4)(x)) = E^2 / (x^(3/4) e^x K)
-    # with E = e^x erfc(sqrt(2x)) the scaled product; decays like e^(-2x).
-    E = scaled_erfc_product(x)
-    if E == 0.0:
+    # with E = e^x erfc(sqrt(2x)); decays like e^(-2x).  erfc underflows
+    # (from x ~ 370) long before e^x overflows (x ~ 710), so E is formed
+    # only while erfc is nonzero.
+    e = math.erfc(math.sqrt(2.0 * x))
+    if e == 0.0:
         return 0.0
+    E = math.exp(x) * e
     return E * E / (x**0.75 * bessel_k(0.25, x, scaled=True))
 
 
@@ -199,7 +180,7 @@ def _b1_analytic_tail(x_cut: float) -> float:
 
     Termwise integration of sqrt(2/pi) x^(-1/4) (c1/x + c2/x^2 + c3/x^3):
     the c_k come from expanding S/(1+S) = S - S^2 + S^3 - ... with the
-    series of :func:`_b1_tail_fraction` (c1 = 3/32, c2 = 87/2048,
+    series of :func:`blochest.special.bessel_i_tail` (c1 = 3/32, c2 = 87/2048,
     c3 = 8667/196608).  At x_cut = 1e6 the first omitted term is below
     1e-18, far inside any requested tolerance.
     """
@@ -247,7 +228,7 @@ def constants() -> AsymptoticConstants:
     b1, b2, b3 = appendix_integrals()
     return AsymptoticConstants(
         collective_coeff=0.75 + 4.0 / (3.0 * math.pi),
-        xi_ml=gamma_fn(0.25) ** 3 / (2.0**1.25 * 9.0 * math.pi**2),
+        xi_ml=math.gamma(0.25) ** 3 / (2.0**1.25 * 9.0 * math.pi**2),
         xi_o=assemble_xi_o(b1, b2, b3),
         b1=b1,
         b2=b2,

@@ -21,10 +21,11 @@ results are written to a temporary file and renamed, so a failed run never
 leaves a partial file.
 
 The command checks only what the library cannot: a single N where one is
-needed, samples and seed for stochastic runs, that sweeps are exact, and
-the output format.  Scheme, estimator, prior and policy pairings are
-validated by :mod:`blochest.evaluator`, whose ``ValueError`` becomes
-exit status 2.
+needed, samples and seed for stochastic runs, that sweeps are exact, that
+``tomography`` gets no other estimator and ``adaptive`` no scheme or
+estimator but local x/y and optimal, and the output format.  Scheme,
+estimator, prior and policy pairings are validated by
+:mod:`blochest.evaluator`, whose ``ValueError`` becomes exit status 2.
 
 Exit status: 0 on success, 2 on configuration/usage errors, 3 on
 numerical failure (diagnostic includes the achieved tolerance).
@@ -279,13 +280,23 @@ def _run_sweep(config: RunConfig) -> None:
     _run_rows(config, config.estimator or "optimal")
 
 
+def _require_only(config: RunConfig, name: str, value: str) -> None:
+    """Reject a setting that the command fixes to ``value``."""
+    given = getattr(config, name)
+    if given not in (None, value):
+        raise CliUsageError(f"{config.command} runs with {name} {value!r} only, not {given!r}")
+
+
 def _run_tomography(config: RunConfig) -> None:
+    _require_only(config, "estimator", "tomography")
     if config.n is None:
         raise CliUsageError("tomography needs --n (single value or range)")
     _run_rows(config, "tomography")
 
 
 def _run_adaptive(config: RunConfig) -> None:
+    _require_only(config, "scheme", SchemeKind.LOCAL_XY.value)
+    _require_only(config, "estimator", "optimal")
     policy = config.policy or "fixed-xy"
     prior_kind = _resolve_prior_kind(config, SchemeKind.LOCAL_XY)
     if config.n is None or len(config.n) != 1:

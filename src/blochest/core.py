@@ -328,10 +328,9 @@ def sample_states(kind: PriorKind, size: int, rng: np.random.Generator) -> tuple
     """
     q = rng.random(size)
     if kind is PriorKind.EQUATORIAL_BURES:
-        # radial CDF: P(r <= s) = 1 - sqrt(1 - s^2)
-        one_m = 1.0 - q
-        r = np.sqrt(np.maximum(0.0, 1.0 - one_m * one_m))
-        t = one_m
+        # radial CDF: P(r <= s) = 1 - sqrt(1 - s^2); t = 1 - q takes q's buffer
+        t = np.subtract(1.0, q, out=q)
+        r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
         theta = 2.0 * np.pi * rng.random(size)
         vecs = np.column_stack([r * np.cos(theta), r * np.sin(theta), np.zeros(size)])
         return t, vecs

@@ -946,13 +946,17 @@ def _mc_local(
     rng = np.random.default_rng(seed)
     t_states, vecs = sample_states(prior.kind, samples, rng)
     kx, ky = rng.binomial(n, 0.5 * (1.0 + vecs[:, :2])).T
+    # the x/y scheme never reads z: holding x and y, not the (samples, 3)
+    # vectors, keeps every later stage below the state draws' memory peak
+    vx, vy = vecs[:, 0].copy(), vecs[:, 1].copy()
+    del vecs
     if estimator == "optimal":
         tg, gx, gy = (a[kx, ky] for a in _optimal_guess_tables(local_tables(scheme, prior)))
         kept = None
     else:
         (tg, gx, gy), kept = _count_guesses(estimator, n, kx, ky)
     del kx, ky  # free the counts before the fidelities' temporaries
-    f = 0.5 * (1.0 + t_states * tg + vecs[:, 0] * gx + vecs[:, 1] * gy)
+    f = 0.5 * (1.0 + t_states * tg + vx * gx + vy * gy)
     if kept is None:
         return _mc_report(scheme, estimator, f)
     kept_count = int(kept.sum())

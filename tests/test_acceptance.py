@@ -133,9 +133,7 @@ def test_acceptance_2_asymptotic_constants(capsys):
 def test_acceptance_3_assembly_identity(capsys, the_constants):
     b1, b2, b3 = the_constants.b1, the_constants.b2, the_constants.b3
     # Independent spelling of the assembly, kept separate from the library's.
-    from blochest.special import gamma_fn
-
-    prefactor = gamma_fn(0.25) ** 2 / (48.0 * math.pi)
+    prefactor = math.gamma(0.25) ** 2 / (48.0 * math.pi)
     by_hand = prefactor * (4.0 * b1 + b2 - math.sqrt(2.0) * b3)
     via_library = assemble_xi_o(b1, b2, b3)
     assert by_hand == pytest.approx(via_library, rel=1e-12)

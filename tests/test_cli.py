@@ -351,6 +351,19 @@ class TestTomographyCommand:
         code, out, err = run_cli(capsys, "tomography", "--scheme", "collective", "--n", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("estimator", ["ml", "optimal", "bogus"])
+    def test_other_estimator_rejected(self, capsys, estimator):
+        code, out, err = run_cli(capsys, "tomography", "--estimator", estimator, "--n", "8")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_own_estimator_accepted(self, capsys):
+        code, out, err = run_cli(capsys, "tomography", "--estimator", "tomography", "--n", "6", *SMALL)
+        assert code == 0, err
+        (row,) = parse_csv(out)
+        assert row["estimator"] == "tomography"
+
 
 class TestSharedRowRunner:
     """fidelity, sweep and tomography print the same rows for the same evaluation."""
@@ -430,6 +443,34 @@ class TestAdaptiveCommand:
             "--prior", "full",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--scheme", "collective"),
+            ("--estimator", "ml"),
+            ("--scheme", "collective", "--estimator", "ml"),
+            ("--estimator", "tomography"),
+        ],
+        ids=["collective", "ml", "collective-ml", "tomography"],
+    )
+    def test_other_scheme_or_estimator_rejected(self, capsys, flags):
+        code, out, err = run_cli(
+            capsys, "adaptive", *flags, "--n", "4", "--samples", "5", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_its_own_scheme_and_estimator_accepted(self, capsys):
+        argv = ("adaptive", "--n", "4", "--samples", "50", "--seed", "9", *SMALL)
+        code, plain, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        code, named, err = run_cli(
+            capsys, *argv, "--scheme", "local-xy", "--estimator", "optimal"
+        )
+        assert code == 0, err
+        assert named == plain
 
 
 # --------------------------------------------------------------------------

@@ -89,8 +89,8 @@ class TestLocalDraws:
     def test_memory_stays_at_the_state_draws(self, eq_prior_small, estimator):
         """N = 128 with 2e5 samples: no stage holds more than drawing the states.
 
-        Drawing 2e5 equatorial states peaks at 15.26 MiB; so did the uniform
-        draws and table lookup this replaced.
+        Drawing 2e5 equatorial states peaks at 13.73 MiB, and every
+        estimator's call peaks there too.
         """
         spec = SchemeSpec(SchemeKind.LOCAL_XY, 128)
         monte_carlo_fidelity(spec, estimator, eq_prior_small, 10, seed=1)  # warm caches
