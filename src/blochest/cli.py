@@ -20,8 +20,9 @@ output files, because every evaluation runs serially in a fixed order;
 results are written to a temporary file and renamed, so a failed run never
 leaves a partial file.
 
-The command checks only what the library cannot: a single N where one is
-needed, samples and seed for stochastic runs, that sweeps are exact, that
+The command checks only what the library cannot: that a config file holds
+only keys the command has flags for, a single N where one is needed,
+samples and seed for stochastic runs, that sweeps are exact, that
 ``tomography`` gets no other estimator and ``adaptive`` no scheme or
 estimator but local x/y and optimal, and the output format.  Scheme,
 estimator, prior and policy pairings are validated by
@@ -39,7 +40,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .asymptotics import DegenerateSweepError, appendix_integrals, constants
 from .core import PriorKind, build_prior
@@ -312,20 +313,7 @@ def _run_adaptive(config: RunConfig) -> None:
 def _run_constants(config: RunConfig) -> None:
     if config.format == "csv":
         raise CliUsageError("constants emits JSON; drop --format csv")
-    values = constants()
-    _emit(
-        _json_text(
-            {
-                "collective_coeff": values.collective_coeff,
-                "xi_ml": values.xi_ml,
-                "xi_o": values.xi_o,
-                "b1": values.b1,
-                "b2": values.b2,
-                "b3": values.b3,
-            }
-        ),
-        config.out,
-    )
+    _emit(_json_text(asdict(constants())), config.out)
 
 
 def _run_integrals(config: RunConfig) -> None:
@@ -414,9 +402,13 @@ def _build_parser() -> argparse.ArgumentParser:
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "command")
 
 
-def _merge_config_file(args: argparse.Namespace) -> dict:
-    """Resolve flag/config-file/default precedence into a plain dict."""
+def _merge_config_file(args: argparse.Namespace) -> tuple[dict, list]:
+    """Resolve flag/config-file/default precedence into a plain dict.
+
+    Also returns the file's keys that the command has no flag for.
+    """
     merged = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+    unread = []
     if getattr(args, "config", None):
         try:
             with open(args.config) as handle:
@@ -433,16 +425,18 @@ def _merge_config_file(args: argparse.Namespace) -> dict:
                 continue
             if attr not in _CONFIG_KEYS:
                 raise CliUsageError(f"unknown config key {key!r}")
+            if attr not in vars(args):
+                unread.append(key)
             if merged.get(attr) is None:
                 merged[attr] = value
-    return merged
+    return merged, unread
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        merged = _merge_config_file(args)
+        merged, unread = _merge_config_file(args)
         if merged["n"] is not None:
             merged["n"] = parse_n_spec(merged["n"])
         default_format = "json" if args.command in ("constants", "integrals") else "csv"
@@ -451,6 +445,8 @@ def main(argv=None) -> int:
         config = RunConfig(
             command=args.command, **{k: v for k, v in merged.items() if v is not None}
         )
+        if unread:
+            raise CliUsageError(f"{args.command} does not read config key {unread[0]!r}")
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -320,11 +320,13 @@ def random_guess_fidelity(prior: Prior) -> float:
 
 
 def sample_states(kind: PriorKind, size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``size`` states from an ensemble by inverse-CDF sampling.
+    """Draw ``size`` states from an ensemble.
 
     Returns (t, vecs): time components (size,) and Bloch vectors (size, 3).
-    Draw order (radial variates first, then directional ones) is fixed so
-    that a seeded generator reproduces the same states bit-for-bit.
+    The equatorial radius comes by inverse CDF, then the azimuth; the full
+    ball takes three uniform Hopf coordinates.  Draw order (one variate per
+    state at a time, the radial one first) is fixed so that a seeded
+    generator reproduces the same states bit-for-bit.
     """
     q = rng.random(size)
     if kind is PriorKind.EQUATORIAL_BURES:
@@ -334,21 +336,14 @@ def sample_states(kind: PriorKind, size: int, rng: np.random.Generator) -> tuple
         theta = 2.0 * np.pi * rng.random(size)
         vecs = np.column_stack([r * np.cos(theta), r * np.sin(theta), np.zeros(size)])
         return t, vecs
-    # full ball: radial CDF in u (r = sin u) is (2/pi) (u - sin(2u)/2);
-    # invert by bisection (monotone, smooth)
-    lo = np.zeros(size)
-    hi = np.full(size, 0.5 * np.pi)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        cdf = (2.0 / np.pi) * (mid - 0.5 * np.sin(2.0 * mid))
-        take = cdf < q
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    u = 0.5 * (lo + hi)
-    r = np.sin(u)
-    t = np.cos(u)
-    z = 2.0 * rng.random(size) - 1.0
-    phi = 2.0 * np.pi * rng.random(size)
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    vecs = np.column_stack([r * s * np.cos(phi), r * s * np.sin(phi), r * z])
+    # full ball: the Bures prior is the uniform measure on the t >= 0 half of
+    # the unit sphere S^3 in (t, r⃗); Hopf coordinates with uniform q, alpha
+    # and beta give (sqrt(1-q) cos 2 pi alpha, sqrt(1-q) sin 2 pi alpha,
+    # sqrt(q) cos 2 pi beta, sqrt(q) sin 2 pi beta), and |.| folds t >= 0
+    alpha = 2.0 * np.pi * rng.random(size)
+    beta = 2.0 * np.pi * rng.random(size)
+    a = np.sqrt(1.0 - q)
+    b = np.sqrt(q)
+    t = a * np.abs(np.cos(alpha))
+    vecs = np.column_stack([a * np.sin(alpha), b * np.cos(beta), b * np.sin(beta)])
     return t, vecs

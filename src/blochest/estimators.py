@@ -10,11 +10,9 @@ any scheme:
 
 * ``ml_estimate`` -- maximum-likelihood over the physical equatorial
   disc.  For R <= 1 it coincides with the tomographic point; for R > 1
-  the maximum sits on the pure-state boundary at an angle Phi solving
-  cos(2 Phi) = R cos(gamma + Phi).  With z = exp(i Phi) that equation is a
-  quartic in z; ``ml_phi_batch`` takes its four roots in closed form
-  (Ferrari) and keeps the admissible one closest to gamma, which is the
-  one of largest likelihood.
+  the maximum sits on the pure-state boundary.  There the log-likelihood
+  is strictly concave in the azimuth on the quadrant of the tomographic
+  point, so ``ml_phi_batch`` bisects its slope for the one root.
 
 * ``optimal_estimate`` -- the Bayes rule for mean-fidelity loss: guess
   along the posterior-mean embedded vector V = ∫ dρ(𝐫) 𝐫 p(outcome | 𝐫),
@@ -40,15 +38,12 @@ __all__ = [
     "tomography_estimate",
     "ml_estimate",
     "ml_phi_batch",
-    "boundary_equation",
     "optimal_estimate",
     "random_estimate",
 ]
 
-# Newton steps that polish the root angles: one settles a simple root;
-# the rest serve near-double roots, where Newton converges only linearly.
-_NEWTON_STEPS = 4
-_RESIDUAL_TOL = 1e-12
+# Bisection steps on u = tan(phi/2) in (0, 1): the bracket shrinks to 2^-60.
+_BISECTION_STEPS = 60
 
 
 class DegenerateEstimateError(ValueError):
@@ -99,21 +94,12 @@ def tomography_estimate(outcome) -> TomographicGuess:
     return TomographicGuess(radius=R, azimuth=gamma, physical=dx * dx + dy * dy <= n * n)
 
 
-def boundary_equation(phi, R, gamma):
-    """g(phi) = cos(2 phi) - R cos(gamma + phi); zero at boundary optima.
-
-    R and gamma are floats or arrays that broadcast against phi.
-    """
-    phi = np.asarray(phi, dtype=float)
-    return np.cos(2.0 * phi) - R * np.cos(gamma + phi)
-
-
 def ml_estimate(outcome) -> MLGuess:
     """Maximum-likelihood estimate for a local x/y outcome.
 
     Physical tomographic points are already the interior maximum.  For
-    R > 1 the maximiser is the boundary azimuth Phi that
-    :func:`ml_phi_batch` picks among the roots of the boundary quartic.
+    R > 1 the maximiser is the boundary azimuth Phi of
+    :func:`ml_phi_batch`.
     """
     tomo = tomography_estimate(outcome)
     if tomo.physical:
@@ -124,102 +110,58 @@ def ml_estimate(outcome) -> MLGuess:
     return MLGuess(guess=guess, phi=phi)
 
 
-def _quartic_roots(R: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """(m, 4) roots of z^4 - a z^3 - conj(a) z + 1 = 0 with a = R e^{i gamma}.
-
-    Ferrari's method on the depressed quartic y^4 + p y^2 + q y + r = 0,
-    z = y + a/4, with p = -3 a^2/8, q = -a^3/8 - conj(a) and
-    r = 1 - R^2/4 - 3 a^4/256.  Any root m of the resolvent cubic
-    m^3 + p m^2 + (p^2/4 - r) m - q^2/8 = 0 serves; Cardano's formula, with
-    the larger of the two cube-root arguments, gives one.  For
-    1 <= R <= sqrt 2 every such root has modulus above 1/8 (checked on a
-    600 x 2001 grid of R and gamma), so sqrt(2 m) stays away from 0.  Then
-    y = (+-s sqrt(2 m) +- sqrt(-(2 p + 2 m +-s 2 q / sqrt(2 m)))) / 2.
-    """
-    a = R * np.exp(1j * gamma)
-    a2 = a * a
-    p = -0.375 * a2
-    q = -0.125 * a2 * a - np.conj(a)
-    r = 1.0 - 0.25 * R * R - (3.0 / 256.0) * a2 * a2
-    # resolvent cubic with m = u - p/3: u^3 + P u + Q = 0
-    P = -p * p / 12.0 - r
-    Q = -p * p * p / 108.0 + p * r / 3.0 - 0.125 * q * q
-    h = -0.5 * Q
-    d = np.sqrt(h * h + P * P * P / 27.0)
-    d = np.where((np.conj(h) * d).real < 0.0, -d, d)
-    c = (h + d) ** (1.0 / 3.0)
-    m = c - np.divide(P, 3.0 * c, out=np.zeros_like(c), where=c != 0.0) - p / 3.0
-    s = np.sqrt(2.0 * m)
-    e = -2.0 * (p + m)
-    f = 2.0 * q / s
-    d_plus = np.sqrt(e - f)
-    d_minus = np.sqrt(e + f)
-    y = 0.5 * np.stack([s + d_plus, s - d_plus, d_minus - s, -s - d_minus], axis=1)
-    return y + 0.25 * a[:, None]
-
-
-def _boundary_candidates(R: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(m, 4) boundary azimuths from the quartic's roots, and which solve g = 0.
-
-    Each root's angle, taken in (gamma - pi, gamma + pi], is polished by
-    Newton steps on :func:`boundary_equation`; roots off the unit circle
-    leave a residual above 1e-12 and are marked inadmissible.
-    """
-    Rc = R[:, None]
-    gc = gamma[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = _quartic_roots(R, gamma)
-        roots = gc + np.angle(z * np.exp(-1j * gc))
-        for _ in range(_NEWTON_STEPS):
-            g = boundary_equation(roots, Rc, gc)
-            dg = -2.0 * np.sin(2.0 * roots) + Rc * np.sin(gc + roots)
-            roots = roots - np.divide(g, dg, out=np.zeros_like(g), where=dg != 0.0)
-        admissible = np.abs(boundary_equation(roots, Rc, gc)) <= _RESIDUAL_TOL
-    return roots, admissible
-
-
 def ml_phi_batch(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
     """Boundary azimuths of the ML estimate for unphysical count frequencies.
 
-    With z = exp(i Phi) the boundary equation cos(2 Phi) = R cos(gamma + Phi)
-    is the quartic z^4 - R e^{i gamma} z^3 - R e^{-i gamma} z + 1 = 0, whose
-    four roots per row come in closed form (:func:`_quartic_roots`).  Their
-    angles, polished by Newton steps on :func:`boundary_equation`, are the
-    candidates; roots off the unit circle leave a residual and are
-    dropped.  The admissible candidate closest to gamma as a wrapped angle
-    wins: it is the candidate of largest likelihood on every unphysical
-    outcome with k_x >= k_y >= n/2 (one per orbit of the count model's
-    symmetries) up to n = 1024 counts per axis and at n = 2048 and 4096,
-    and on the 235,300 such outcomes that 10^6 Monte Carlo draws per n
-    reach at n = 2^12 ... 2^24 (``demos/ml_pick_check.py``).  Corner rows (cos 2 gamma = 0) return
-    gamma exactly.  Angles are returned in (gamma - pi, gamma + pi];
-    non-finite input raises ValueError and a row with no admissible root
-    :class:`DegenerateEstimateError`.  ``ax`` and ``ay`` broadcast against
-    each other, and the result has their common shape.
+    Fold (r_x, r_y) = (2 ax - 1, 2 ay - 1) into the first quadrant, where
+    the ML azimuth lies (reflecting an angle into the quadrant of r⃗ lowers
+    no term below), and let delta = 2 min(a, 1 - a) per axis, which is
+    exact in floats.  On the arc 0 < phi < pi/2 the per-copy boundary
+    log-likelihood is a sum of log(1 +- cos phi) and log(1 +- sin phi) with
+    non-negative weights, each strictly concave, so it has one maximum.
+    Its slope
+
+        L'(phi) = delta_x / sin phi - delta_y / cos phi
+                  - tan(phi/2) + tan(pi/4 - phi/2)
+                = (cos 2 phi - R cos(gamma + phi)) / (sin phi cos phi)
+
+    decreases from L'(0+) >= 0 to L'(pi/2-) <= 0, so the ML azimuth is its
+    one root.  In u = tan(phi/2), L' times 2u(1 - u^2) is the quartic
+
+        (1 - u) [delta_x (1 + u)(1 + u^2) + 2u (1 - 2u - u^2)]
+        - 2 delta_y u (1 + u^2),
+
+    with the factor 1 - u, exact in floats, where 1 - u^4 would lose the
+    digits of a root near u = 1.  A fixed number of bisection steps on its
+    sign in (0, 1) brackets u to 2^-60, and phi = atan2(2u, 1 - u^2) is
+    carried back into the quadrant of r⃗.  On the diagonal
+    delta_x = delta_y the root is pi/4 by symmetry, and gamma itself is
+    returned.  Angles lie in (-pi, pi]; non-finite input raises ValueError
+    and frequencies outside [0, 1] :class:`DegenerateEstimateError`.
+    ``ax`` and ``ay`` broadcast against each other, and the result has
+    their common shape.
     """
     ax, ay = np.broadcast_arrays(np.asarray(ax, dtype=float), np.asarray(ay, dtype=float))
-    shape = ax.shape
-    ax, ay = ax.ravel(), ay.ravel()
     if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
         raise ValueError("count frequencies must be finite")
+    if ((ax < 0.0) | (ax > 1.0) | (ay < 0.0) | (ay > 1.0)).any():
+        raise DegenerateEstimateError("count frequencies must lie in [0, 1]")
+    dx = 2.0 * np.minimum(ax, 1.0 - ax)
+    dy = 2.0 * np.minimum(ay, 1.0 - ay)
+    # u is the midpoint of the bracket (u - 2 step, u + 2 step); the sign of
+    # the slope at u says which half holds the root, and u moves to its middle
+    u = np.full(dx.shape, 0.5)
+    step = 0.5
+    for _ in range(_BISECTION_STEPS):
+        step *= 0.5
+        uu = u * u
+        v = 1.0 + uu
+        slope = (1.0 - u) * (dx * (1.0 + u) * v + 2.0 * u * (1.0 - 2.0 * u - uu)) - 2.0 * dy * u * v
+        u += np.copysign(step, slope)
     rx = 2.0 * ax - 1.0
     ry = 2.0 * ay - 1.0
-    R = np.hypot(rx, ry)
-    gamma = np.arctan2(ry, rx)
-
-    roots, admissible = _boundary_candidates(R, gamma)
-    offset = np.abs((roots - gamma[:, None] + np.pi) % (2.0 * np.pi) - np.pi)
-    pick = np.where(admissible, offset, np.inf).argmin(axis=1)
-    phi = roots[np.arange(ax.size), pick]
-
-    corner = np.abs(np.cos(2.0 * gamma)) < 1e-14
-    lost = ~(corner | admissible.any(axis=1))
-    if lost.any():
-        i = int(np.argmax(lost))
-        raise DegenerateEstimateError(
-            f"no boundary stationary point found for R={R[i]}, gamma={gamma[i]}"
-        )
-    return np.where(corner, gamma, phi).reshape(shape)
+    phi = np.arctan2(np.copysign(2.0 * u, ry), np.copysign((1.0 - u) * (1.0 + u), rx))
+    return np.where(dx == dy, np.arctan2(ry, rx), phi)
 
 
 def optimal_estimate(outcome, probability, prior: Prior) -> tuple[EmbeddedBloch, float]:

@@ -12,12 +12,19 @@ Newton polish inside each bracket, a Newton root seeded at
 gamma - (R - 1) cot(2 gamma) for likelihood bumps narrower than the scan
 grid, and selection by likelihood.
 
-``ml_phi_companion`` is the batched ML boundary solver as it was before the
-closed-form quartic: the four roots of each row from one (m, 4, 4) stack of
-companion-matrix eigenvalues, the same Newton polish and residual filter,
-and selection by likelihood (``likelihood_pick``), as the package made it
-before the closest-to-gamma pick was checked equal to it.
-``ml_phi_likelihood`` applies that pick to the package's own candidates.
+``ml_phi_ferrari`` is the batched ML boundary solver as it was before the
+bisection of the likelihood slope: the four roots of the boundary quartic
+z^4 - R e^{i gamma} z^3 - R e^{-i gamma} z + 1 = 0 (z = e^{i Phi}) in
+closed form (Ferrari), Newton-polished on the boundary equation
+cos 2 Phi = R cos(gamma + Phi), a 1e-12 residual filter, and the
+admissible root closest to gamma.  ``ml_phi_companion`` is the solver as it
+was before the closed-form quartic: the four roots of each row from one
+(m, 4, 4) stack of companion-matrix eigenvalues, the same Newton polish and
+residual filter, and selection by likelihood (``likelihood_pick``).
+``ml_phi_likelihood`` applies that pick to the closed-form candidates.
+``ml_phi_mpmath`` is the ML azimuth to 50 digits by bisection of the
+likelihood slope; ``guess_error`` measures a float angle's (cos, sin)
+against it.
 ``ml_guess_tables_full`` is the ML guess table as it was before the wedge:
 every unphysical outcome solved by the package's ``ml_phi_batch``.
 
@@ -65,6 +72,10 @@ The Monte Carlo loops as they were before the cache-sized blocks:
   per-sample fidelities then match the package's bit for bit, whatever
   the chunk size.
 
+``sample_full_ball_bisection`` is the full-ball state sampler as it was
+before the Hopf coordinates: the radial CDF in u (r = sin u) inverted by
+60 bisection passes, then a uniform direction from z and an azimuth.
+
 The cross-check routes share no code with the table engines:
 
 * ``fidelity_from_guesses`` sums sum_x integral dρ f(r⃗, R⃗(x)) p(x|r⃗) for
@@ -82,17 +93,11 @@ from __future__ import annotations
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 from blochest.core import Prior, build_prior, sample_states, sphere_grid
-from blochest.estimators import (
-    _NEWTON_STEPS,
-    _RESIDUAL_TOL,
-    DegenerateEstimateError,
-    _boundary_candidates,
-    boundary_equation,
-    ml_phi_batch,
-)
+from blochest.estimators import DegenerateEstimateError, ml_phi_batch
 from blochest.evaluator import (
     _GREEDY_ANGULAR_ORDER,
     _GREEDY_AXES,
@@ -445,8 +450,21 @@ def fidelity_from_guesses(
     return total, mass
 
 
+# Newton steps that polish the root angles: one settles a simple root;
+# the rest serve near-double roots, where Newton converges only linearly.
+_NEWTON_STEPS = 4
+_RESIDUAL_TOL = 1e-12
 _ROOT_TOL = 5e-15
 _LIKELIHOOD_TIE_TOL = 1e-12
+
+
+def boundary_equation(phi, R, gamma):
+    """g(phi) = cos(2 phi) - R cos(gamma + phi); zero at boundary optima.
+
+    R and gamma are floats or arrays that broadcast against phi.
+    """
+    phi = np.asarray(phi, dtype=float)
+    return np.cos(2.0 * phi) - R * np.cos(gamma + phi)
 
 
 def _pure_log_likelihood(phi: float, ax: float, ay: float) -> float:
@@ -595,6 +613,98 @@ def ml_phi_scan(R: float, gamma: float, ax: float, ay: float) -> float:
     return min(contenders, key=lambda r: abs(r - gamma))
 
 
+def _quartic_roots(R: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """(m, 4) roots of z^4 - a z^3 - conj(a) z + 1 = 0 with a = R e^{i gamma}.
+
+    Ferrari's method on the depressed quartic y^4 + p y^2 + q y + r = 0,
+    z = y + a/4, with p = -3 a^2/8, q = -a^3/8 - conj(a) and
+    r = 1 - R^2/4 - 3 a^4/256.  Any root m of the resolvent cubic
+    m^3 + p m^2 + (p^2/4 - r) m - q^2/8 = 0 serves; Cardano's formula, with
+    the larger of the two cube-root arguments, gives one.  For
+    1 <= R <= sqrt 2 every such root has modulus above 1/8 (checked on a
+    600 x 2001 grid of R and gamma), so sqrt(2 m) stays away from 0.  Then
+    y = (+-s sqrt(2 m) +- sqrt(-(2 p + 2 m +-s 2 q / sqrt(2 m)))) / 2.
+    """
+    a = R * np.exp(1j * gamma)
+    a2 = a * a
+    p = -0.375 * a2
+    q = -0.125 * a2 * a - np.conj(a)
+    r = 1.0 - 0.25 * R * R - (3.0 / 256.0) * a2 * a2
+    # resolvent cubic with m = u - p/3: u^3 + P u + Q = 0
+    P = -p * p / 12.0 - r
+    Q = -p * p * p / 108.0 + p * r / 3.0 - 0.125 * q * q
+    h = -0.5 * Q
+    d = np.sqrt(h * h + P * P * P / 27.0)
+    d = np.where((np.conj(h) * d).real < 0.0, -d, d)
+    c = (h + d) ** (1.0 / 3.0)
+    m = c - np.divide(P, 3.0 * c, out=np.zeros_like(c), where=c != 0.0) - p / 3.0
+    s = np.sqrt(2.0 * m)
+    e = -2.0 * (p + m)
+    f = 2.0 * q / s
+    d_plus = np.sqrt(e - f)
+    d_minus = np.sqrt(e + f)
+    y = 0.5 * np.stack([s + d_plus, s - d_plus, d_minus - s, -s - d_minus], axis=1)
+    return y + 0.25 * a[:, None]
+
+
+def _boundary_candidates(R: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, 4) boundary azimuths from the quartic's roots, and which solve g = 0.
+
+    Each root's angle, taken in (gamma - pi, gamma + pi], is polished by
+    Newton steps on :func:`boundary_equation`; roots off the unit circle
+    leave a residual above 1e-12 and are marked inadmissible.
+    """
+    Rc = R[:, None]
+    gc = gamma[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _quartic_roots(R, gamma)
+        roots = gc + np.angle(z * np.exp(-1j * gc))
+        for _ in range(_NEWTON_STEPS):
+            g = boundary_equation(roots, Rc, gc)
+            dg = -2.0 * np.sin(2.0 * roots) + Rc * np.sin(gc + roots)
+            roots = roots - np.divide(g, dg, out=np.zeros_like(g), where=dg != 0.0)
+        admissible = np.abs(boundary_equation(roots, Rc, gc)) <= _RESIDUAL_TOL
+    return roots, admissible
+
+
+def ml_phi_ferrari(ax, ay) -> np.ndarray:
+    """Boundary azimuths from the closed-form quartic, closest-to-gamma pick.
+
+    The admissible candidate (:func:`_boundary_candidates`) closest to
+    gamma as a wrapped angle wins: it was the candidate of largest
+    likelihood on every unphysical outcome with k_x >= k_y >= n/2 up to
+    n = 1024 counts per axis and at n = 2048 and 4096, and on the 235,300
+    such outcomes that 10^6 Monte Carlo draws per n reach at
+    n = 2^12 ... 2^24.  Corner rows (cos 2 gamma = 0) return gamma exactly.
+    Angles are returned in (gamma - pi, gamma + pi]; non-finite input
+    raises ValueError and a row with no admissible root
+    :class:`DegenerateEstimateError`.
+    """
+    ax, ay = np.broadcast_arrays(np.asarray(ax, dtype=float), np.asarray(ay, dtype=float))
+    shape = ax.shape
+    ax, ay = ax.ravel(), ay.ravel()
+    if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
+        raise ValueError("count frequencies must be finite")
+    rx = 2.0 * ax - 1.0
+    ry = 2.0 * ay - 1.0
+    R = np.hypot(rx, ry)
+    gamma = np.arctan2(ry, rx)
+
+    roots, admissible = _boundary_candidates(R, gamma)
+    offset = np.abs((roots - gamma[:, None] + np.pi) % (2.0 * np.pi) - np.pi)
+    pick = np.where(admissible, offset, np.inf).argmin(axis=1)
+    phi = roots[np.arange(ax.size), pick]
+
+    corner = np.abs(np.cos(2.0 * gamma)) < 1e-14
+    lost = ~(corner | admissible.any(axis=1))
+    if lost.any():
+        i = int(np.argmax(lost))
+        raise DegenerateEstimateError(
+            f"no boundary stationary point found for R={R[i]}, gamma={gamma[i]}"
+        )
+    return np.where(corner, gamma, phi).reshape(shape)
+
+
 def _log_likelihood(phi: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
     """Per-copy log-likelihood of pure equatorial states at azimuths phi.
 
@@ -634,7 +744,7 @@ def _frequency_polar(ax, ay):
 
 
 def ml_phi_likelihood(ax, ay) -> np.ndarray:
-    """The package's boundary candidates with the likelihood pick."""
+    """The closed-form quartic's candidates with the likelihood pick."""
     ax, ay, R, gamma = _frequency_polar(ax, ay)
     roots, admissible = _boundary_candidates(R, gamma)
     phi = likelihood_pick(roots, admissible, ax, ay, gamma)
@@ -671,6 +781,45 @@ def ml_phi_companion(ax, ay) -> np.ndarray:
             f"no boundary stationary point found for R={R[i]}, gamma={gamma[i]}"
         )
     return np.where(corner, gamma, phi)
+
+
+def ml_phi_mpmath(ax: float, ay: float) -> mpmath.mpf:
+    """The ML boundary azimuth to 50 digits, at the same float frequencies.
+
+    Bisection of L'(phi) = delta_x / sin phi - delta_y / cos phi
+    - tan(phi/2) + tan(pi/4 - phi/2) on the folded arc (0, pi/2), with
+    delta = 2 min(a, 1 - a), then reflected into the quadrant of r⃗.
+    """
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(ax), mpmath.mpf(ay)
+        dx, dy = 2 * min(a, 1 - a), 2 * min(b, 1 - b)
+        lo, hi = mpmath.mpf(0), mpmath.pi / 2
+        for _ in range(180):
+            mid = (lo + hi) / 2
+            slope = (
+                dx / mpmath.sin(mid) - dy / mpmath.cos(mid)
+                - mpmath.tan(mid / 2) + mpmath.tan(mpmath.pi / 4 - mid / 2)
+            )
+            if slope > 0:
+                lo = mid
+            else:
+                hi = mid
+        phi = (lo + hi) / 2
+        if 2 * a - 1 < 0:
+            phi = mpmath.pi - phi
+        if 2 * b - 1 < 0:
+            phi = -phi
+        return phi
+
+
+def guess_error(phi: float, root: mpmath.mpf) -> float:
+    """max |(cos, sin) of the float angle - (cos, sin) of the 50-digit root|.
+
+    The float cos and sin come from numpy, as the guess rule takes them.
+    """
+    c, s = float(np.cos(phi)), float(np.sin(phi))
+    with mpmath.workdps(50):
+        return float(max(abs(c - mpmath.cos(root)), abs(s - mpmath.sin(root))))
 
 
 def physical_mask(n: int) -> np.ndarray:
@@ -770,6 +919,31 @@ def mc_local_table_lookup(spec: SchemeSpec, estimator: str, prior: Prior, sample
     if kept is None:
         return _mc_report(spec, estimator, f)
     return _mc_report(spec, estimator, f[kept], discarded_fraction=1.0 - kept.sum() / samples)
+
+
+def sample_full_ball_bisection(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(t, vecs) of ``size`` full-ball Bures states, radius by bisection.
+
+    The radial CDF in u (r = sin u) is (2/pi)(u - sin(2u)/2); draw order
+    q, z, azimuth.
+    """
+    q = rng.random(size)
+    lo = np.zeros(size)
+    hi = np.full(size, 0.5 * np.pi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        cdf = (2.0 / np.pi) * (mid - 0.5 * np.sin(2.0 * mid))
+        take = cdf < q
+        lo = np.where(take, mid, lo)
+        hi = np.where(take, hi, mid)
+    u = 0.5 * (lo + hi)
+    r = np.sin(u)
+    t = np.cos(u)
+    z = 2.0 * rng.random(size) - 1.0
+    phi = 2.0 * np.pi * rng.random(size)
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    vecs = np.column_stack([r * s * np.cos(phi), r * s * np.sin(phi), r * z])
+    return t, vecs
 
 
 def collective_fidelities_chunked(rng, tables: CollectiveTables, t_states, vecs) -> np.ndarray:

@@ -686,6 +686,26 @@ class TestConfigFile:
         assert err.startswith(f"error: {key} must be ")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            (("fidelity", "--n", "4"), {"policy": "greedy-fidelity", "abs_tol": 0.5}),
+            (("integrals",), {"estimator": "ml", "n": 7, "samples": 3}),
+        ],
+        ids=["fidelity", "integrals"],
+    )
+    def test_key_the_command_does_not_read_rejected(self, capsys, tmp_path, monkeypatch, argv, values):
+        runs = []
+        monkeypatch.setattr("blochest.cli.run", runs.append)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert err.startswith(f"error: {argv[0]} does not read config key ")
+        assert err.count("\n") == 1
+        assert out == ""
+        assert runs == []
+
     def test_fractional_n_list_rejected_before_evaluation(self, capsys, tmp_path, monkeypatch):
         runs = []
         monkeypatch.setattr("blochest.cli.run", runs.append)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from blochest.core import (
     CONSTRUCTION_TOL,
@@ -20,6 +21,7 @@ from blochest.core import (
     sample_states,
 )
 from blochest.quadrature import adaptive_quad
+from oracles import sample_full_ball_bisection
 
 RANDOM_GUESS_FULL = 0.5 + 8.0 / (9.0 * math.pi**2)
 
@@ -249,6 +251,27 @@ class TestSampleStates:
         a = sample_states(PriorKind.FULL_BURES, 50, np.random.default_rng(42))
         b = sample_states(PriorKind.FULL_BURES, 50, np.random.default_rng(42))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_full_ball_moments_match_quadrature(self):
+        # E[t], E[t^2], E[z^2] and E[x^4] within 4 standard errors of the
+        # prior's own quadrature (4/(3 pi), 1/4, 1/4 and 1/8)
+        t, vecs = sample_states(PriorKind.FULL_BURES, 200_000, np.random.default_rng(12))
+        nodes4, weights = build_prior(PriorKind.FULL_BURES, 64, 64).product_nodes()
+        for drawn, exact in [
+            (t, weights @ nodes4[:, 0]),
+            (t**2, weights @ nodes4[:, 0] ** 2),
+            (vecs[:, 2] ** 2, weights @ nodes4[:, 3] ** 2),
+            (vecs[:, 0] ** 4, weights @ nodes4[:, 1] ** 4),
+        ]:
+            stderr = drawn.std(ddof=1) / math.sqrt(drawn.size)
+            assert abs(drawn.mean() - exact) <= 4.0 * stderr
+
+    def test_full_ball_matches_the_bisection_sampler(self):
+        # two-sample KS on t and each component, above the 0.1 % level
+        t, vecs = sample_states(PriorKind.FULL_BURES, 100_000, np.random.default_rng(13))
+        t_ref, vecs_ref = sample_full_ball_bisection(100_000, np.random.default_rng(14))
+        for a, b in [(t, t_ref)] + [(vecs[:, i], vecs_ref[:, i]) for i in range(3)]:
+            assert ks_2samp(a, b).pvalue > 1e-3
 
 
 class TestEmbeddedBlochValidation:

@@ -14,19 +14,27 @@ from scipy.stats import binom as scipy_binom
 from blochest.core import PriorKind, build_prior
 from blochest.estimators import (
     DegenerateEstimateError,
-    _quartic_roots,
     MLGuess,
     TomographicGuess,
-    boundary_equation,
     ml_estimate,
     ml_phi_batch,
     optimal_estimate,
     random_estimate,
     tomography_estimate,
 )
-from blochest.evaluator import _count_guesses
+from blochest.evaluator import _count_guesses, _ml_boundary
 from blochest.schemes import LocalOutcome, SchemeKind, SchemeSpec, enumerate_outcomes, local_probability
-from oracles import ml_phi_companion, ml_phi_likelihood, ml_phi_scan, physical_mask
+from oracles import (
+    _quartic_roots,
+    boundary_equation,
+    guess_error,
+    ml_phi_companion,
+    ml_phi_ferrari,
+    ml_phi_likelihood,
+    ml_phi_mpmath,
+    ml_phi_scan,
+    physical_mask,
+)
 
 
 def _scipy_local_prob(outcome, vecs: np.ndarray) -> np.ndarray:
@@ -288,7 +296,8 @@ def _against_scan(solver):
     return AgainstScan
 
 
-# the closed-form quartic solver, and the companion-matrix solver it replaced
+# the package's solver (the slope bisection, which replaced the closed-form
+# quartic the class is named for), and the companion-matrix solver
 TestQuarticAgainstScan = _against_scan(ml_phi_batch)
 TestCompanionAgainstScan = _against_scan(ml_phi_companion)
 
@@ -301,7 +310,7 @@ def _unphysical_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestClosedFormSolver:
-    """The closed-form solver against the companion solver and the likelihood pick."""
+    """The package's solver against the companion solver; the closed form's pick."""
 
     @settings(max_examples=25)
     @given(n=st.integers(1, 128))
@@ -321,7 +330,7 @@ class TestClosedFormSolver:
     def test_closest_root_is_likeliest(self, ax, ay):
         assume(math.hypot(2.0 * ax - 1.0, 2.0 * ay - 1.0) > 1.0)
         ax, ay = np.array([ax]), np.array([ay])
-        assert ml_phi_batch(ax, ay)[0] == ml_phi_likelihood(ax, ay)[0]
+        assert ml_phi_ferrari(ax, ay)[0] == ml_phi_likelihood(ax, ay)[0]
 
     @given(
         n=st.integers(1, 4096),
@@ -335,7 +344,7 @@ class TestClosedFormSolver:
         ax, ay = image(round(kx * n) / n, round(ky * n) / n)
         assume(math.hypot(2.0 * ax - 1.0, 2.0 * ay - 1.0) > 1.0)
         ax, ay = np.array([ax]), np.array([ay])
-        assert ml_phi_batch(ax, ay)[0] == ml_phi_likelihood(ax, ay)[0]
+        assert ml_phi_ferrari(ax, ay)[0] == ml_phi_likelihood(ax, ay)[0]
 
     @given(R=st.floats(1.0, math.sqrt(2.0)), gamma=st.floats(-math.pi, math.pi))
     @example(R=1.0, gamma=0.0)  # a double root at z = 1
@@ -369,6 +378,79 @@ class TestClosedFormSolver:
             ml_phi_batch(np.array([1.0, bad]), np.array([1.0, 0.9]))
         with pytest.raises(ValueError, match="finite"):
             ml_phi_batch(np.array([0.9]), np.array([bad]))
+
+
+def _near_axis_or_diagonal(n: int, i: int, j: int, diagonal: bool, image) -> tuple[float, float]:
+    """Frequencies of counts next to the k_x = n edge's midpoint or the diagonal.
+
+    Off the diagonal the counts are (n - i, n/2 + j); on it they are
+    (k, k - |j| mod 4) with k = n - i floor(n/16).  ``image`` is a symmetry
+    of the count square.  Physical counts are rejected.
+    """
+    if diagonal:
+        kx = n - i * (n // 16)
+        ky = kx - abs(j) % 4
+    else:
+        kx, ky = n - i, n // 2 + j
+    assume(0 <= kx and 0 <= ky <= n and (2 * kx - n) ** 2 + (2 * ky - n) ** 2 > n * n)
+    return image(kx / n, ky / n)
+
+
+_NEAR_AXIS_OR_DIAGONAL = dict(
+    i=st.integers(0, 3), j=st.integers(-50, 50), diagonal=st.booleans(),
+    image=st.sampled_from(SQUARE_IMAGES),
+)
+
+
+class TestSlopeBisection:
+    """The slope bisection against 50-digit roots and the likelihood pick."""
+
+    @given(n=st.integers(1, 2**24), **_NEAR_AXIS_OR_DIAGONAL)
+    # (n; k_x, k_y) = (51951; 25976, 0), where the closed-form quartic was 4.3e-12 off
+    @example(n=51951, i=0, j=1, diagonal=False, image=SQUARE_IMAGES[6])
+    @example(n=2**24, i=0, j=1, diagonal=False, image=SQUARE_IMAGES[0])
+    @example(n=2**24, i=1, j=1, diagonal=True, image=SQUARE_IMAGES[3])
+    def test_against_50_digit_roots(self, n, i, j, diagonal, image):
+        ax, ay = _near_axis_or_diagonal(n, i, j, diagonal, image)
+        phi = float(ml_phi_batch(ax, ay))
+        assert guess_error(phi, ml_phi_mpmath(ax, ay)) <= 5e-16
+
+    # The closed-form candidates drift from the root at large n (1.2e-9 at
+    # n = 13163739), so the 1e-12 comparison stops at n = 2^14.
+    @given(n=st.integers(1, 2**14), **_NEAR_AXIS_OR_DIAGONAL)
+    @example(n=2**14, i=0, j=1, diagonal=False, image=SQUARE_IMAGES[6])
+    def test_picks_the_likeliest_root(self, n, i, j, diagonal, image):
+        ax, ay = _near_axis_or_diagonal(n, i, j, diagonal, image)
+        ax, ay = np.array([ax]), np.array([ay])
+        assert abs(ml_phi_batch(ax, ay)[0] - ml_phi_likelihood(ax, ay)[0]) <= 1e-12
+
+    def test_direct_solve_matches_its_wedge_image(self):
+        # k_y = 0 and k_x within 50 of n/2: a direct solve sits next to the
+        # y axis, its wedge image next to the x axis
+        worst = 0.0
+        for n in np.random.default_rng(0).integers(1000, 2**24, size=200):
+            n = int(n)
+            kx = np.arange(n // 2 - 50, n // 2 + 51)
+            kx = kx[2 * kx != n]
+            ky = np.zeros_like(kx)
+            phi = ml_phi_batch(kx / n, ky / n)
+            c, s = _ml_boundary(n, kx, ky)
+            worst = max(worst, np.abs(np.cos(phi) - c).max(), np.abs(np.sin(phi) - s).max())
+        assert worst <= 1e-15
+
+    # n <= 256 is compared with the companion solver above
+    @pytest.mark.parametrize("n", [384, 512, 1024])
+    def test_whole_table_matches_ferrari(self, n):
+        ax, ay = _unphysical_rows(n)
+        phi = ml_phi_batch(ax, ay)
+        ref = ml_phi_ferrari(ax, ay)
+        assert np.abs(np.cos(phi) - np.cos(ref)).max() <= SCAN_TOL
+        assert np.abs(np.sin(phi) - np.sin(ref)).max() <= SCAN_TOL
+
+    @pytest.mark.parametrize("ax,ay", [(-1e-17, 0.9), (0.9, 1.0 + 2**-52), (2.0, 0.5)])
+    def test_frequencies_outside_the_unit_interval_raise(self, ax, ay):
+        with pytest.raises(DegenerateEstimateError, match=r"\[0, 1\]"):
+            ml_phi_batch(np.array([1.0, ax]), np.array([1.0, ay]))
 
 
 @pytest.fixture(scope="module")
