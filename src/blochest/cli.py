@@ -260,7 +260,7 @@ def _run_rows(config: RunConfig, estimator: str) -> None:
         reports = [
             monte_carlo_fidelity(
                 SchemeSpec(scheme_kind, n), estimator, prior, config.samples,
-                _require_seed(config), **orders,
+                _require_seed(config), enumeration_limit=config.enumeration_limit, **orders,
             )
             for n in config.n
         ]
@@ -306,7 +306,10 @@ def _run_adaptive(config: RunConfig) -> None:
         raise CliUsageError("adaptive is stochastic; --samples is required")
     seed = _require_seed(config)
     prior = _build_prior_for(config, prior_kind)
-    report = adaptive_local_fidelity(prior, config.n[0], policy, config.samples, seed)
+    report = adaptive_local_fidelity(
+        prior, config.n[0], policy, config.samples, seed,
+        enumeration_limit=config.enumeration_limit,
+    )
     _emit_rows(config, [_report_row(report, prior_kind)], extra={"policy": policy})
 
 

@@ -577,16 +577,22 @@ def _support_windows(total_copies: int, rule: RadialRule, cos_order: int):
         # log((1 - r^2)/4) = 2 log t - log 4, with t = cos u exact near r = 1
         hk_lq = np.outer(hk, 2.0 * np.log(rule.radial_t) - math.log(4.0))
         hk_lq[hk <= 0] = 0.0  # the top label has no (1 - r^2)/4 factor
-        log_wr = np.log(rule.radial_w)
-        base = lc[:, None] + hk_lq + log_wr
-        last = base + np.outer(2.0 * ks, np.log(0.5 * (1.0 + r * c[-1])))
-        floor = last.max(axis=1, keepdims=True) + (math.log(gw[-1] / 2.0) - _WINDOW_CUT_NATS)
-        kept = last + log_wc_max >= floor
+        base = lc[:, None] + hk_lq
+        base += np.log(rule.radial_w)
+        last = np.multiply.outer(2.0 * ks, np.log(0.5 * (1.0 + r * c[-1])))
+        last += base
+        floor = last.max(axis=1) + (math.log(gw[-1] / 2.0) - _WINDOW_CUT_NATS)
+        last += log_wc_max
+        kept = last >= floor[:, None]
+        # only the kept rows' cosine bounds are searched:
         # log((1 + r c)/2) >= need  <=>  c >= (2 e^need - 1)/r; a row with
         # r = 0 is flat in c and keeps every column, and so does k = 0
-        need = (floor - base - log_wc_max) / (2.0 * ks[:, None])
-        c_min = np.where((r > 0) & (ks[:, None] > 0), (2.0 * np.exp(need) - 1.0) / r, -np.inf)
-    lowest = np.fmin.reduce(np.where(kept, c_min, np.inf), axis=1)
+        li = np.repeat(np.arange(ks.size), np.count_nonzero(kept, axis=1))
+        rk = np.broadcast_to(r, kept.shape)[kept]
+        need = (floor[li] - base[kept] - log_wc_max) / (2.0 * ks[li])
+        c_min = np.where((rk > 0) & (ks[li] > 0), (2.0 * np.exp(need) - 1.0) / rk, -np.inf)
+    lowest = np.full(ks.size, np.inf)
+    np.fmin.at(lowest, li, c_min)
     j0 = np.maximum(np.searchsorted(c, lowest) - 1, 0)
     i0 = kept.argmax(axis=1)
     i1 = r.size - kept[:, ::-1].argmax(axis=1)
@@ -903,20 +909,10 @@ def tomography_with_discard(
 # ---------------------------------------------------------------------------
 # Monte Carlo
 #
-# A local sample draws its two counts as binomials, so its cost does not
-# grow with N.  The collective sampler runs over blocks of whole samples.
-# A block's work arrays hold about _MC_BLOCK_ELEMS doubles (1 MB, inside
-# one core's L2 cache), are allocated once per call and are written in
-# place.  Uniforms are drawn with ``rng.random(out=...)``, which fills
-# row-major, so the random stream -- and every seeded report -- does not
-# depend on the block size.
-
-_MC_BLOCK_ELEMS = 1 << 17
-
-
-def _block_rows(width: int, samples: int) -> int:
-    """Samples per block when each sample needs ``width`` work entries."""
-    return min(max(1, _MC_BLOCK_ELEMS // width), samples)
+# A local sample draws its two counts as binomials, and a collective sample
+# its spin label from one binomial and one search of the N/2 + 1 log
+# binomials, which a call forms once, so no sample's cost grows faster than
+# log N.  Every draw is vectorized over the samples.
 
 
 def _mc_report(
@@ -941,7 +937,10 @@ def _mc_local(
     prior: Prior,
     samples: int,
     seed,
+    enumeration_limit: int,
 ) -> FidelityReport:
+    if estimator == "optimal":  # its guesses are read from the (n+1) x (n+1) tables
+        check_enumerable(scheme.total_copies, enumeration_limit)
     n = scheme.n_per_axis
     rng = np.random.default_rng(seed)
     t_states, vecs = sample_states(prior.kind, samples, rng)
@@ -967,120 +966,65 @@ def _mc_local(
     return _mc_report(scheme, estimator, f[kept], discarded_fraction=1.0 - kept_count / samples)
 
 
-# expm1 is -1.0 below _EXPM1_IS_MINUS_ONE (e^-60 is 2e-10 of half an ulp
-# of 1) and exp is 0.0 below _EXP_IS_ZERO (e^-746 is under half the
-# smallest subnormal).
-_EXPM1_IS_MINUS_ONE = -60.0
-_EXP_IS_ZERO = -746.0
+def _spin_label_index(total_copies: int, n1: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Spin-label indices from binomial counts ``n1`` ~ Bin(N, (1 + r)/2) and uniforms ``u``.
+
+    The label is k = M - S/2 for the endpoint S and running maximum M of a
+    +-1 walk of N steps with n1 up-steps (Pitman's 2M - X), and every path
+    to that endpoint is equally likely.  With x = N/2 + k and
+    x0 = max(n1, N - n1), reflection gives P(x' >= x | n1) = C(N, x)/C(N, x0)
+    for x0 <= x <= N, so the label is the largest x with
+    log C(N, x) >= log C(N, x0) + log(1 - u).  From h = ceil(N/2) on,
+    log(C(N, x)/C(N, h)) is a running sum of the negative terms
+    log((N - x')/(x' + 1)), h <= x' < x, so it decreases, and one search
+    of it finds x.  The sum is formed on every call, in O(N) like the
+    tables, so no table per N outlives the call.
+    """
+    half = (total_copies + 1) // 2
+    x = np.arange(half, total_copies, dtype=float)
+    tail = np.zeros(total_copies - half + 1)
+    np.cumsum(np.log((total_copies - x) / (x + 1.0)), out=tail[1:])
+    x0 = np.maximum(n1, total_copies - n1) - half
+    idx = np.searchsorted(-tail, -(tail[x0] + np.log1p(-u)), side="right") - 1
+    return np.maximum(idx, x0)
 
 
 def _collective_fidelities(rng, tables: CollectiveTables, t_states, vecs) -> np.ndarray:
     """Per-sample fidelities of the optimal collective guess.
 
-    Each sample draws two uniforms: its spin label k by inverse CDF over
-    p(k|r), then the polar cosine of its state against the measured axis.
-    The label CDFs of a block are built in two (rows x labels) buffers.
-    Three shortcuts leave every value as in the direct evaluation
-    (``tests/oracles.collective_fidelities_chunked``): the labels whose
-    ``expm1`` argument is below :data:`_EXPM1_IS_MINUS_ONE` at every sample
-    of the block take its log-value 0.0 without it; ``exp`` is not called
-    on the entries below :data:`_EXP_IS_ZERO`, where it underflows to 0.0
-    (slowly); and the label is found by bisection on the running sums,
-    dividing only the probed ones by the total, since the normalised sums
-    do not decrease and the last is 1.0, above every uniform.
+    Each sample draws its spin label k, whose law given the radius r is
+    p(k|r) = c_k ((1 - r^2)/4)^(N/2 - k) I_k(r) with
+    I_k(r) = integral ((1 + r c)/2)^(2k) dc/2 over c in [-1, 1], from one
+    binomial count and one uniform (:func:`_spin_label_index`), then the
+    polar cosine of its state against the measured axis from a second
+    uniform by inverse CDF.  Radii are clamped to 1.  The draws are all
+    binomials, then all uniforms, two per sample.
     """
     N = tables.total_copies
-    samples = t_states.size
     norm = np.hypot(tables.v_t, tables.v_par)
     g_t = tables.v_t / norm
     g_par = tables.v_par / norm
-    r = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
+    rr = np.minimum(np.sqrt(np.einsum("ij,ij->i", vecs, vecs)), 1.0)
+    a = 0.5 * (1.0 + rr)
+    n1 = rng.binomial(N, a)
+    u = rng.random((rr.size, 2))
+    idx = _spin_label_index(N, n1, u[:, 0])
 
-    ks = tables.k_values
-    K = ks.size
-    logc = _label_log_weights(N)
-    hk = N / 2.0 - ks
-    m_exp = 2.0 * ks + 1.0
-
-    rows = _block_rows(K, samples)
-    u = np.empty((rows, 2))
-    work = np.empty((rows, K))
-    cum = np.empty((rows, K))
-    zero = np.empty((rows, K), dtype=bool)
-    f = np.empty(samples)
-    for s in range(0, samples, rows):
-        e = min(s + rows, samples)
-        ub, lw, cw, zw = u[: e - s], work[: e - s], cum[: e - s], zero[: e - s]
-        rng.random(out=ub)
-        rr = r[s:e]
-        tt = t_states[s:e]
-        with np.errstate(divide="ignore"):  # r = 1 gives log_b = -inf
-            log_a = np.log1p(rr) - math.log(2.0)
-            log_b = np.log1p(-rr) - math.log(2.0)
-        log_ratio = log_b - log_a
-        # marginal over directions: p(k|r) = c_k ((1-r^2)/4)^(N/2-k) I_k(r),
-        # I_k = (a^m - b^m)/(r m) with m = 2k+1, via expm1 for stability;
-        # lw holds the tail log(1 - (b/a)^m) - log(r m) of log I_k; its first
-        # term is 0.0 from label `head` on, where m log(b/a) is below the cut
-        # at every sample (a NaN log(b/a), from r above 1, keeps every label)
-        small = rr < 1e-12
-        head = K - np.count_nonzero(m_exp * log_ratio.max() < _EXPM1_IS_MINUS_ONE)
-        hw = lw[:, :head]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.multiply(log_ratio[:, None], m_exp[:head], out=hw)
-            np.expm1(hw, out=hw)
-            np.negative(hw, out=hw)
-            np.log(hw, out=hw)
-            lw[:, head:] = 0.0
-            np.multiply(rr[:, None], m_exp, out=cw)
-            np.log(cw, out=cw)
-            np.subtract(lw, cw, out=lw)
-        if small.any():
-            lw[small] = math.log(2.0)
-        # log I_k = m log a + tail; log p = (log c_k + (N/2 - k) log_quarter) + log I_k
-        np.multiply(log_a[:, None], m_exp, out=cw)
-        np.add(cw, lw, out=lw)
-        log_quarter = 2.0 * np.log(np.maximum(tt, 1e-300)) - math.log(4.0)
-        np.multiply(log_quarter[:, None], hk, out=cw)
-        np.add(logc, cw, out=cw)
-        np.add(cw, lw, out=lw)
-        np.subtract(lw, lw.max(axis=1, keepdims=True), out=lw)
-        np.less(lw, _EXP_IS_ZERO, out=zw)
-        np.copyto(lw, 0.0, where=zw)
-        np.exp(lw, out=lw)
-        np.copyto(lw, 0.0, where=zw)
-        np.cumsum(lw, axis=1, out=cw)
-        idx = _first_at_or_above(cw, ub[:, 0])
-
-        mm = m_exp[idx]
-        a = 0.5 * (1.0 + rr)
-        d = np.exp(mm * log_ratio)
-        base = d + ub[:, 1] * (1.0 - d)
-        with np.errstate(divide="ignore"):
-            root = np.exp(np.log(np.maximum(base, 1e-300)) / mm)
-        cos_th = np.where(small, 2.0 * ub[:, 1] - 1.0, (2.0 * a * root - 1.0) / np.maximum(rr, 1e-300))
-        cos_th = np.clip(cos_th, -1.0, 1.0)
-        f[s:e] = 0.5 * (1.0 + tt * g_t[idx] + g_par[idx] * (rr * cos_th))
-    return f
-
-
-def _first_at_or_above(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row, the first column j with cum[j] / cum[-1] >= u (row-wise bisection).
-
-    The rows of ``cum`` are running sums of non-negative terms, so their
-    normalised values do not decrease, and every u is below the last, 1.0.
-    """
-    n, K = cum.shape
-    at = np.arange(n)
-    total = cum[:, -1]
-    lo = np.zeros(n, dtype=np.intp)
-    hi = np.full(n, K - 1)
-    for _ in range((K - 1).bit_length()):
-        mid = (lo + hi) >> 1
-        below = cum[at, mid] / total < u
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(below, hi, mid)
-    return lo
+    # polar cosine c given k: density proportional to ((1 + r c)/2)^(2k),
+    # inverted through d = (b/a)^m with a, b = (1 +- r)/2 and m = 2k + 1
+    mm = 2.0 * tables.k_values[idx] + 1.0
+    with np.errstate(divide="ignore"):  # r = 1 gives log_b = -inf
+        log_a = np.log1p(rr) - math.log(2.0)
+        log_b = np.log1p(-rr) - math.log(2.0)
+    log_ratio = log_b - log_a
+    d = np.exp(mm * log_ratio)
+    base = d + u[:, 1] * (1.0 - d)
+    with np.errstate(divide="ignore"):
+        root = np.exp(np.log(np.maximum(base, 1e-300)) / mm)
+    small = rr < 1e-12
+    cos_th = np.where(small, 2.0 * u[:, 1] - 1.0, (2.0 * a * root - 1.0) / np.maximum(rr, 1e-300))
+    cos_th = np.clip(cos_th, -1.0, 1.0)
+    return 0.5 * (1.0 + t_states * g_t[idx] + g_par[idx] * (rr * cos_th))
 
 
 def _mc_collective(
@@ -1105,18 +1049,20 @@ def monte_carlo_fidelity(
     *,
     radial_order: int | None = None,
     angular_order: int | None = None,
+    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> FidelityReport:
     """Stochastic estimate of the average fidelity.
 
-    Draw order is fixed: first all states (one batch), then the outcomes
-    sample by sample.  A local sample draws two binomial counts, k_x then
-    k_y, and its ML or tomography guess comes from the counts alone
-    (:func:`_count_guesses`), so the cost per sample does not grow with N
-    and no outcome table is built; the optimal guess is read from the
-    (n+1) x (n+1) tables at the sampled counts.  A collective sample draws
-    two uniforms (spin label, then polar cosine by inverse CDF), processed
-    in cache-sized blocks; neither the stream nor any per-sample value
-    depends on the block size.  So the same seed yields a bit-identical
+    Draw order is fixed: first all states (one batch), then the outcomes.
+    A local sample draws two binomial counts, k_x then k_y, and its ML or
+    tomography guess comes from the counts alone (:func:`_count_guesses`),
+    so the cost per sample does not grow with N and no outcome table is
+    built; the optimal guess is read from the (n+1) x (n+1) tables at the
+    sampled counts, so it raises :class:`EnumerationLimitError` past
+    ``enumeration_limit``.  The collective scheme draws one binomial count
+    per sample, then two uniforms per sample: the spin label comes from the
+    count and the first uniform by one table search, the polar cosine from
+    the second by inverse CDF.  So the same seed yields a bit-identical
     report.  With a single sample the standard error is reported as 0 (no
     variance estimate exists), never NaN.  Explicit orders set the
     quadrature of the tables the optimal estimator is built from (an unset
@@ -1128,7 +1074,7 @@ def monte_carlo_fidelity(
     _require_prior(scheme.kind, prior)
     if scheme.kind is SchemeKind.LOCAL_XY:
         prior = _prior_at_orders(prior, radial_order, angular_order)
-        return _mc_local(scheme, estimator, prior, samples, seed)
+        return _mc_local(scheme, estimator, prior, samples, seed, enumeration_limit)
     orders = _orders(prior, radial_order, angular_order)
     return _mc_collective(scheme, prior, samples, seed, orders)
 
@@ -1199,20 +1145,28 @@ def _greedy_adaptive(prior: Prior, total_copies: int, samples: int, seed) -> np.
 
 
 def adaptive_local_fidelity(
-    prior: Prior, total_copies: int, policy: str, samples: int, seed
+    prior: Prior,
+    total_copies: int,
+    policy: str,
+    samples: int,
+    seed,
+    *,
+    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> FidelityReport:
     """Sequential single-copy measurements with policy-chosen axes.
 
     ``fixed-xy`` measures the first N/2 copies along x and the rest along
     y — exactly the local x/y scheme — and shares the Monte Carlo code
     path with :func:`monte_carlo_fidelity`, so its report is bit-identical
-    to the plain local run.  ``greedy-fidelity`` picks, before each copy,
-    the equatorial axis maximizing the expected posterior |V| (the
-    expected fidelity of the optimal guess) on a quadrature posterior;
-    the final guess is the optimal rule applied to the sequence posterior.
-    Axes whose scores lie within a relative 1e-13 of the best one tie (the
-    rotation-symmetric prior makes all twelve tie at the first copy), and
-    a tie goes to the lowest axis index.  Round-off therefore cannot pick
+    to the plain local run; like it, it raises
+    :class:`EnumerationLimitError` past ``enumeration_limit``.
+    ``greedy-fidelity`` picks, before each copy, the equatorial axis
+    maximizing the expected posterior |V| (the expected fidelity of the
+    optimal guess) on a quadrature posterior; the final guess is the
+    optimal rule applied to the sequence posterior.  Axes whose scores lie
+    within a relative 1e-13 of the best one tie (the rotation-symmetric
+    prior makes all twelve tie at the first copy), and a tie goes to the
+    lowest axis index.  Round-off therefore cannot pick
     the axis, and the seeded report does not depend on how the samples
     are batched.
     """
@@ -1224,7 +1178,7 @@ def adaptive_local_fidelity(
         raise ValueError("samples must be >= 1")
     scheme = SchemeSpec(SchemeKind.LOCAL_XY, total_copies)
     if policy == "fixed-xy":
-        return _mc_local(scheme, "optimal", prior, samples, seed)
+        return _mc_local(scheme, "optimal", prior, samples, seed, enumeration_limit)
     return _mc_report(scheme, "optimal", _greedy_adaptive(prior, total_copies, samples, seed))
 
 

@@ -60,17 +60,18 @@ entry and summed by three ``einsum`` calls against full-grid weight arrays.
 Its windows come from ``support_windows_per_entry``, which searches the
 cosine bound of every (label, kept radial row) pair.
 
-The Monte Carlo loops as they were before the cache-sized blocks:
+``collective_fidelities_chunked`` is the collective Monte Carlo sampler as
+it was before the binomial label draw: each sample's spin label by inverse
+CDF over p(k|r) at every label, on chunks of up to 2^22 (sample, label)
+entries, each expression a fresh temporary.  It draws its uniforms in
+another order than the package, so the two agree in law, not bit for bit.
 
-* ``collective_fidelities_chunked`` samples the collective spin label and
-  polar cosine on chunks of up to 2^22 (sample, label) entries, each
-  expression a fresh temporary;
-* ``greedy_adaptive_per_axis`` scores the twelve greedy axes one
-  elementwise product and one GEMM at a time.  It takes two rules from the
-  package: score ties go to the lowest axis (``_greedy_pick``), and the
-  final posterior mean is one dot product per sample and component.  Its
-  per-sample fidelities then match the package's bit for bit, whatever
-  the chunk size.
+``greedy_adaptive_per_axis``, the greedy loop as it was before the
+one-GEMM step, scores the twelve greedy axes one elementwise product and
+one GEMM at a time.  It takes two rules from the package: score ties go to
+the lowest axis (``_greedy_pick``), and the final posterior mean is one dot
+product per sample and component.  Its per-sample fidelities then match
+the package's bit for bit, whatever the chunk size.
 
 ``sample_full_ball_bisection`` is the full-ball state sampler as it was
 before the Hopf coordinates: the radial CDF in u (r = sin u) inverted by

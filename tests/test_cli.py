@@ -228,6 +228,21 @@ class TestFidelityCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_monte_carlo_enumeration_limit(self, capsys):
+        """Optimal Monte Carlo reads (n+1)^2 tables, so it honours the limit;
+        ML draws counts only and runs past it."""
+        for argv in (
+            ("fidelity", "--n", "2050", *MC_ROUTE),
+            ("fidelity", "--n", "30", "--enumeration-limit", "10", *MC_ROUTE, *SMALL),
+            ("adaptive", "--n", "30", "--enumeration-limit", "10", *MC_ROUTE, *SMALL),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert "exceeds the enumeration limit" in err
+        code, out, err = run_cli(capsys, "fidelity", "--n", "2050", "--estimator", "ml", *MC_ROUTE)
+        assert code == 0
+        assert parse_csv(out)[0]["method"] == "monte-carlo"
+
 
 # --------------------------------------------------------------------------
 # sweep command

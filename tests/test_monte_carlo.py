@@ -1,51 +1,55 @@
-"""Monte Carlo kernels against the loops and tables they replaced.
+"""Monte Carlo kernels against the loops, tables and laws they replaced.
 
-The comparisons are exact (``==``).  The blocked collective sampler and
-the greedy policy run the same per-element arithmetic as their chunked
-references on the same uniforms, whatever the block size; local Monte
-Carlo guesses per sample by the rule that the exact tables use, and
-matches the former guess tables indexed at the same binomial counts.  The
-memory tests pin the work arrays to a cache-sized block, or to the
+Local Monte Carlo guesses per sample by the rule that the exact tables
+use, and matches the former guess tables indexed at the same binomial
+counts exactly (``==``); the greedy policy runs the same per-element
+arithmetic as its per-axis reference on the same uniforms, whatever the
+chunk size.  The collective sampler draws each spin label from a binomial
+count and one uniform, not by inverse CDF over every label as its chunked
+reference does, so the two are compared in law: the labels against the
+exact p(k|r), in rationals and by chi-square, and the fidelities against
+the chunked loop's.  The memory tests pin the work arrays to the
 sample-sized arrays themselves.
 """
 
 from __future__ import annotations
 
+import math
 import tracemalloc
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare, ks_2samp, poisson
 
 from blochest import evaluator
 from blochest.core import PriorKind, sample_states
 from blochest.evaluator import (
     adaptive_local_fidelity,
     collective_tables,
+    exact_fidelity,
     monte_carlo_fidelity,
 )
-from blochest.schemes import SchemeKind, SchemeSpec
+from blochest.schemes import (
+    EnumerationLimitError,
+    SchemeKind,
+    SchemeSpec,
+    collective_k_values,
+    collective_log_weight,
+    collective_weight,
+)
 from oracles import (
     collective_fidelities_chunked,
     greedy_adaptive_per_axis,
     mc_local_table_lookup,
 )
 
-BLOCKS = st.sampled_from([None, 1, 7])  # None keeps the package's block size
-EDGES = st.sampled_from(["one", "block-1", "block", "block+1"])
 SEEDS = st.integers(0, 2**32 - 1)
-
-
-def _blocked(mp: pytest.MonkeyPatch, block, width: int) -> int:
-    """Force blocks of ``block`` samples of ``width`` entries; return the block size."""
-    if block is not None:
-        mp.setattr(evaluator, "_MC_BLOCK_ELEMS", block * width)
-    return evaluator._block_rows(width, 1 << 40)
-
-
-def _samples_at(edge: str, rows: int) -> int:
-    return max(1, {"one": 1, "block-1": rows - 1, "block": rows, "block+1": rows + 1}[edge])
+LAW_ALPHA = 1e-4  # least p-value of a test of two laws' equality
+MC_SIGMAS = 5.0  # largest distance of two Monte Carlo means, in combined stderr
 
 
 class TestLocalDraws:
@@ -85,6 +89,30 @@ class TestLocalDraws:
             tracemalloc.stop()
         assert peak < 2 * 2**20  # measured 0.79 MiB
 
+    def test_optimal_past_the_enumeration_limit_raises(self, eq_prior):
+        """Its guesses are read from (n+1)^2 tables: N = 2050 stops before
+        they are built, unless the limit is raised."""
+        with pytest.raises(EnumerationLimitError):
+            monte_carlo_fidelity(SchemeSpec(SchemeKind.LOCAL_XY, 2050), "optimal", eq_prior, 10, 1)
+        with pytest.raises(EnumerationLimitError):
+            adaptive_local_fidelity(eq_prior, 2050, "fixed-xy", 10, 1)
+        raised = monte_carlo_fidelity(
+            SchemeSpec(SchemeKind.LOCAL_XY, 2050), "optimal", eq_prior, 10, 1,
+            enumeration_limit=2050,
+        )
+        fixed = adaptive_local_fidelity(eq_prior, 2050, "fixed-xy", 10, 1, enumeration_limit=2050)
+        assert raised == fixed
+
+    @pytest.mark.parametrize(
+        "kind, estimator",
+        [(SchemeKind.LOCAL_XY, "ml"), (SchemeKind.LOCAL_XY, "tomography"),
+         (SchemeKind.COLLECTIVE, "optimal")],
+    )
+    def test_past_the_enumeration_limit_without_tables(self, eq_prior, full_prior, kind, estimator):
+        prior = eq_prior if kind is SchemeKind.LOCAL_XY else full_prior
+        rep = monte_carlo_fidelity(SchemeSpec(kind, 2050), estimator, prior, 100, seed=2)
+        assert 0.99 < rep.fidelity <= 1.0
+
     @pytest.mark.parametrize("estimator", ["optimal", "ml", "tomography"])
     def test_memory_stays_at_the_state_draws(self, eq_prior_small, estimator):
         """N = 128 with 2e5 samples: no stage holds more than drawing the states.
@@ -106,51 +134,146 @@ class TestLocalDraws:
         assert peak <= states_peak + 2**16
 
 
-class TestCollectiveSampler:
-    @settings(max_examples=40)
-    @given(N=st.integers(1, 2048), block=BLOCKS, edge=EDGES, seed=SEEDS)
-    @example(N=1, block=None, edge="block+1", seed=0)
-    @example(N=2, block=7, edge="block", seed=1)
-    @example(N=3, block=1, edge="block+1", seed=2)
-    @example(N=2047, block=None, edge="block-1", seed=3)
-    @example(N=2048, block=None, edge="block+1", seed=4)
-    def test_fidelities_match_chunked_loop(self, full_prior_small, N, block, edge, seed):
-        tables = collective_tables(N, full_prior_small, cos_order=full_prior_small.angular_order)
-        with pytest.MonkeyPatch.context() as mp:
-            samples = _samples_at(edge, _blocked(mp, block, tables.k_values.size))
-            rng = np.random.default_rng(seed)
-            t_states, vecs = sample_states(PriorKind.FULL_BURES, samples, rng)
-            state = rng.bit_generator.state
-            f = evaluator._collective_fidelities(rng, tables, t_states, vecs)
-            rng_old = np.random.default_rng()
-            rng_old.bit_generator.state = state
-            g = collective_fidelities_chunked(rng_old, tables, t_states, vecs)
-        assert np.array_equal(f, g)
-        assert rng.random() == rng_old.random()
+def _label_law(N: int, r: float) -> np.ndarray:
+    """p(k|r) = c_k ((1 - r^2)/4)^(N/2 - k) I_k(r) over the labels, in floats."""
+    ks = collective_k_values(N)
+    m = 2.0 * ks + 1.0
+    if r >= 1.0:
+        return (ks == N / 2.0).astype(float)
+    log_p = np.array([collective_log_weight(k, N) for k in ks])
+    log_p += (N / 2.0 - ks) * math.log1p(-r * r) - (N / 2.0 - ks) * math.log(4.0)
+    if r < 1e-12:  # I_k -> 2^-(m - 1)
+        log_p += (1.0 - m) * math.log(2.0)
+    else:  # I_k = (a^m - b^m)/(r m) with a, b = (1 +- r)/2
+        log_a, log_b = math.log1p(r) - math.log(2.0), math.log1p(-r) - math.log(2.0)
+        log_p += m * log_a + np.log(-np.expm1(m * (log_b - log_a))) - np.log(r * m)
+    p = np.exp(log_p - log_p.max())
+    return p / p.sum()
 
-    @pytest.mark.parametrize("block", [None, 1, 7])
-    def test_small_radius_branch(self, full_prior_small, block):
-        """r < 1e-12 takes the limit I_k = 2 and a uniform polar cosine."""
-        r = np.tile([0.0, 1e-14, 9.9e-13, 1e-12, 1e-6, 0.5, 1.0 - 1e-9], 3)
+
+def _law_p_value(counts: np.ndarray, law: np.ndarray) -> float:
+    """Chi-square p-value of label counts against a law.
+
+    Labels expected fewer than 5 times are pooled into the last of the
+    others.  When one label holds all but fewer than 5 expected draws, the
+    p-value is the Poisson tail of the draws outside it.
+    """
+    assert counts[law == 0.0].sum() == 0
+    expected = law * counts.sum()
+    big = expected >= 5.0
+    if big.sum() <= 1:
+        return float(poisson.sf(counts[~big].sum() - 1, expected[~big].sum()))
+    obs = counts[big].astype(float)
+    exp = expected[big]
+    obs[-1] += counts[~big].sum()
+    exp[-1] += expected[~big].sum()
+    return float(chisquare(obs, exp).pvalue)
+
+
+def _same_law(f: np.ndarray, g: np.ndarray) -> None:
+    """Two independent samples of per-sample fidelities share their law."""
+    assert ks_2samp(f, g).pvalue > LAW_ALPHA
+    z = (f.mean() - g.mean()) / math.sqrt(f.var(ddof=1) / f.size + g.var(ddof=1) / g.size)
+    assert abs(z) <= MC_SIGMAS
+
+
+class TestCollectiveSampler:
+    @pytest.mark.parametrize("N", range(1, 41))
+    def test_label_law_is_exact(self, N):
+        """In exact rationals: for each binomial count n1, the uniforms in
+        [1 - C(N, x)/C(N, x0), 1 - C(N, x + 1)/C(N, x0)) give label
+        x - N/2 (checked at their midpoints); so the sampler's law is
+        sum over n1 of Bin(n1) (C(N, x) - C(N, x + 1))/C(N, x0), and that
+        equals c_k ((1 - r^2)/4)^(N/2 - k) I_k, I_k = (a^m - b^m)/(r m)."""
+        half = (N + 1) // 2
+        xs = range(half, N + 1)
+        for a in (Fraction(501, 1000), Fraction(7, 13), Fraction(3, 4), Fraction(99, 100)):
+            b, r = 1 - a, 2 * a - 1
+            law = dict.fromkeys(xs, Fraction(0))
+            for n1 in range(N + 1):
+                x0 = max(n1, N - n1)
+                edges = [1 - Fraction(comb(N, x), comb(N, x0)) for x in range(x0, N + 2)]
+                mids = np.array([float((lo + hi) / 2) for lo, hi in zip(edges, edges[1:])])
+                got = evaluator._spin_label_index(N, np.full(mids.size, n1), mids)
+                assert np.array_equal(got, np.arange(x0, N + 1) - half)
+                pmf = comb(N, n1) * a**n1 * b ** (N - n1)
+                for x in range(x0, N + 1):
+                    law[x] += pmf * (edges[x - x0 + 1] - edges[x - x0])
+            for x in xs:
+                m = 2 * x - N + 1  # 2k + 1
+                target = (
+                    Fraction(collective_weight(x - N / 2, N))
+                    * ((1 - r * r) / 4) ** (N - x)
+                    * (a**m - b**m)
+                    / (r * m)
+                )
+                assert law[x] == target
+            assert sum(law.values()) == 1
+
+    @pytest.mark.parametrize("r", [0.0, 1e-13, 0.5, 1.0 - 1e-9, 1.0])
+    @pytest.mark.parametrize("N", [1, 2, 3, 9, 1024, 2047])
+    def test_labels_follow_the_law(self, N, r):
+        """10^5 seeded labels against p(k|r).  Over 100 seeds a case's
+        p-values spread evenly on [0, 1] (the least 1.1e-3), so a bound of
+        1e-4 fails a correct sampler about once in 10^4 seeds."""
+        rng = np.random.default_rng(N + int(1e4 * r))
+        samples = 100_000
+        n1 = rng.binomial(N, 0.5 * (1.0 + r), samples)
+        idx = evaluator._spin_label_index(N, n1, rng.random(samples))
+        law = _label_law(N, r)
+        assert _law_p_value(np.bincount(idx, minlength=law.size), law) > LAW_ALPHA
+
+    def test_fidelities_match_chunked_loop(self, full_prior_small):
+        """Fidelities of the same states from both samplers share a law.
+        Over 40 seeds per N the least KS p-value was 0.014."""
+        for N, seed in ((1, 0), (2, 1), (3, 2), (2047, 3), (2048, 4)):
+            tables = collective_tables(N, full_prior_small, full_prior_small.angular_order)
+            rng = np.random.default_rng(seed)
+            t_states, vecs = sample_states(PriorKind.FULL_BURES, 4000, rng)
+            f = evaluator._collective_fidelities(rng, tables, t_states, vecs)
+            other = np.random.default_rng(seed + 100)
+            g = collective_fidelities_chunked(other, tables, t_states, vecs)
+            _same_law(f, g)
+
+    def test_small_radius_branch(self, full_prior_small):
+        """r < 1e-12 takes the limit I_k = 2^-2k and a uniform polar cosine;
+        each radius's fidelities share the chunked loop's law.  Over 40
+        seeds (280 radius checks) the least KS p-value was 1.6e-3."""
+        radii = np.array([0.0, 1e-14, 9.9e-13, 1e-12, 1e-6, 0.5, 1.0 - 1e-9])
+        r = np.repeat(radii, 3000)
         axis = np.random.default_rng(5).normal(size=(r.size, 3))
         vecs = r[:, None] * axis / np.linalg.norm(axis, axis=1, keepdims=True)
         t_states = np.sqrt(1.0 - r * r)
         tables = collective_tables(9, full_prior_small, cos_order=full_prior_small.angular_order)
-        with pytest.MonkeyPatch.context() as mp:
-            _blocked(mp, block, tables.k_values.size)
-            f = evaluator._collective_fidelities(np.random.default_rng(6), tables, t_states, vecs)
-        g = collective_fidelities_chunked(np.random.default_rng(6), tables, t_states, vecs)
-        assert np.array_equal(f, g)
+        f = evaluator._collective_fidelities(np.random.default_rng(6), tables, t_states, vecs)
+        g = collective_fidelities_chunked(np.random.default_rng(7), tables, t_states, vecs)
         assert np.all((f >= 0.0) & (f <= 1.0))
+        for rows in np.split(np.arange(r.size), radii.size):
+            _same_law(f[rows], g[rows])
 
     @pytest.mark.parametrize("N, samples", [(257, 5000), (1024, 2000)])
     def test_reports_match_chunked_loop(self, full_prior, N, samples):
+        """Over 40 seeds the reports differed by at most 2.5 combined stderr."""
         spec = SchemeSpec(SchemeKind.COLLECTIVE, N)
-        blocked = monte_carlo_fidelity(spec, "optimal", full_prior, samples, seed=N)
+        fast = monte_carlo_fidelity(spec, "optimal", full_prior, samples, seed=N)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluator, "_collective_fidelities", collective_fidelities_chunked)
             chunked = monte_carlo_fidelity(spec, "optimal", full_prior, samples, seed=N)
-        assert blocked == chunked
+        z = (fast.fidelity - chunked.fidelity) / math.hypot(fast.stderr, chunked.stderr)
+        assert abs(z) <= MC_SIGMAS
+
+    @pytest.mark.parametrize("N", [1, 2, 257, 1024])
+    def test_report_matches_exact_fidelity(self, full_prior, N):
+        spec = SchemeSpec(SchemeKind.COLLECTIVE, N)
+        exact = exact_fidelity(spec, "optimal", full_prior)
+        mc = monte_carlo_fidelity(spec, "optimal", full_prior, 20_000, seed=N + 40)
+        assert abs(mc.fidelity - exact.fidelity) <= MC_SIGMAS * mc.stderr
+
+    def test_same_seed_same_report(self, full_prior):
+        spec = SchemeSpec(SchemeKind.COLLECTIVE, 1024)
+        first = monte_carlo_fidelity(spec, "optimal", full_prior, 3000, seed=11)
+        assert monte_carlo_fidelity(spec, "optimal", full_prior, 3000, seed=11) == first
+        assert monte_carlo_fidelity(spec, "optimal", full_prior, 3000, seed=12) != first
 
     def test_sampler_memory_stays_below_the_tables(self, full_prior):
         """N = 1024 with 2e4 samples: the chunked loop peaked at 258 MiB."""
@@ -161,7 +284,7 @@ class TestCollectiveSampler:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20  # measured 4.6 MiB, the table build's own peak
+        assert peak < 16 * 2**20  # measured 4.1 MiB, the table build's own peak
 
     def test_pure_state_draws_without_warning(self, full_prior_small):
         """r = 1 makes log((1 - r)/2) = -inf, which is expected, not a warning."""
@@ -172,41 +295,21 @@ class TestCollectiveSampler:
         assert np.all((f >= 0.0) & (f <= 1.0))
 
     def test_radius_above_one_leaves_its_block_exact(self, full_prior_small):
-        """A radius past 1 makes its own row NaN; the other rows match the oracle."""
+        """A radius past 1 is clamped: its sample gives the r = 1 value, not NaN."""
         r = np.array([1e-3, 0.3, 1.0 + 2.0**-52, 0.9, 1e-13])
-        vecs = np.zeros((r.size, 3))
-        vecs[:, 2] = r
-        t_states = np.sqrt(np.maximum(0.0, 1.0 - r * r))
+        at_one = np.where(r > 1.0, 1.0, r)
         tables = collective_tables(9, full_prior_small, cos_order=full_prior_small.angular_order)
-        with np.errstate(invalid="ignore"):
-            f = evaluator._collective_fidelities(np.random.default_rng(8), tables, t_states, vecs)
-            g = collective_fidelities_chunked(np.random.default_rng(8), tables, t_states, vecs)
-        assert np.array_equal(f, g, equal_nan=True)
-        assert np.isnan(f[2]) and not np.isnan(np.delete(f, 2)).any()
-
-    def test_shortcut_cuts_give_the_exact_values(self):
-        """expm1 is -1.0 and exp 0.0 beyond the sampler's cuts, down to -inf."""
-        below = -np.logspace(0.0, 300.0, 4001)
-        tails = np.concatenate((evaluator._EXPM1_IS_MINUS_ONE + 60.0 * below, [-np.inf]))
-        assert np.all(np.expm1(tails) == -1.0)
-        assert np.all(np.log(-np.expm1(tails)) == 0.0)
-        zeros = np.concatenate((evaluator._EXP_IS_ZERO + below, [evaluator._EXP_IS_ZERO, -np.inf]))
-        assert np.all(np.exp(zeros) == 0.0)
-
-    @settings(max_examples=60)
-    @given(K=st.integers(1, 600), seed=SEEDS)
-    def test_bisection_matches_the_full_comparison(self, K, seed):
-        rng = np.random.default_rng(seed)
-        terms = rng.random((9, K)) ** 8
-        terms[:, rng.random(K) < 0.3] = 0.0  # flat runs in the running sums
-        terms[:, -1] = 1.0
-        cum = np.cumsum(terms, axis=1)
-        u = rng.random(9)
-        u[0] = 0.0
-        u[1] = np.nextafter(1.0, 0.0)
-        u[2] = cum[2, K // 2] / cum[2, -1]  # a uniform equal to a normalised sum
-        full = np.minimum(np.count_nonzero(u[:, None] > cum / cum[:, -1:], axis=1), K - 1)
-        assert np.array_equal(evaluator._first_at_or_above(cum, u), full)
+        f, g = (
+            evaluator._collective_fidelities(
+                np.random.default_rng(8),
+                tables,
+                np.sqrt(np.maximum(0.0, 1.0 - radii * radii)),
+                np.column_stack((np.zeros((r.size, 2)), radii)),
+            )
+            for radii in (r, at_one)
+        )
+        assert np.array_equal(f, g)
+        assert not np.isnan(f).any()
 
 
 class TestGreedy:
