@@ -171,8 +171,11 @@ def _law_p_value(counts: np.ndarray, law: np.ndarray) -> float:
 
 
 def _same_law(f: np.ndarray, g: np.ndarray) -> None:
-    """Two independent samples of per-sample fidelities share their law."""
-    assert ks_2samp(f, g).pvalue > LAW_ALPHA
+    """Two independent samples of per-sample fidelities share their law.
+
+    The KS p-value is the asymptotic one: a radius of 0 makes the law
+    discrete, and on its ties the exact count can fail (seen at p = 1)."""
+    assert ks_2samp(f, g, method="asymp").pvalue > LAW_ALPHA
     z = (f.mean() - g.mean()) / math.sqrt(f.var(ddof=1) / f.size + g.var(ddof=1) / g.size)
     assert abs(z) <= MC_SIGMAS
 
@@ -235,21 +238,32 @@ class TestCollectiveSampler:
             g = collective_fidelities_chunked(other, tables, t_states, vecs)
             _same_law(f, g)
 
-    def test_small_radius_branch(self, full_prior_small):
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    def test_small_radius_branch(self, full_prior_small, block):
         """r < 1e-12 takes the limit I_k = 2^-2k and a uniform polar cosine;
-        each radius's fidelities share the chunked loop's law.  Over 40
-        seeds (280 radius checks) the least KS p-value was 1.6e-3."""
+        each radius's fidelities share the chunked loop's law, whether the
+        sampler is handed all samples in one call (None) or ``block`` per
+        call, so no sample's draw leans on the others in its call.
+        Over 40 seeds per block (840 radius checks) the least KS p-value
+        was 5.2e-4 and the largest |z| 3.98."""
         radii = np.array([0.0, 1e-14, 9.9e-13, 1e-12, 1e-6, 0.5, 1.0 - 1e-9])
-        r = np.repeat(radii, 3000)
+        r = np.tile(radii, 3000)
         axis = np.random.default_rng(5).normal(size=(r.size, 3))
         vecs = r[:, None] * axis / np.linalg.norm(axis, axis=1, keepdims=True)
         t_states = np.sqrt(1.0 - r * r)
         tables = collective_tables(9, full_prior_small, cos_order=full_prior_small.angular_order)
-        f = evaluator._collective_fidelities(np.random.default_rng(6), tables, t_states, vecs)
+        rng = np.random.default_rng(6)
+        step = r.size if block is None else block
+        f = np.concatenate(
+            [
+                evaluator._collective_fidelities(rng, tables, t_states[s : s + step], vecs[s : s + step])
+                for s in range(0, r.size, step)
+            ]
+        )
         g = collective_fidelities_chunked(np.random.default_rng(7), tables, t_states, vecs)
         assert np.all((f >= 0.0) & (f <= 1.0))
-        for rows in np.split(np.arange(r.size), radii.size):
-            _same_law(f[rows], g[rows])
+        for i in range(radii.size):
+            _same_law(f[i :: radii.size], g[i :: radii.size])
 
     @pytest.mark.parametrize("N, samples", [(257, 5000), (1024, 2000)])
     def test_reports_match_chunked_loop(self, full_prior, N, samples):
