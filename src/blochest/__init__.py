@@ -20,24 +20,13 @@ from .asymptotics import (
     fit_exponent,
 )
 from .core import (
-    EmbeddedBloch,
     Prior,
     PriorKind,
     build_prior,
-    embed,
-    fidelity,
     random_guess_fidelity,
     sample_states,
 )
-from .estimators import (
-    DegenerateEstimateError,
-    MLGuess,
-    TomographicGuess,
-    ml_estimate,
-    optimal_estimate,
-    random_estimate,
-    tomography_estimate,
-)
+from .estimators import DegenerateEstimateError
 from .evaluator import (
     AllOutcomesDiscardedError,
     EnumerationLimitError,
@@ -50,17 +39,7 @@ from .evaluator import (
     sweep,
     tomography_with_discard,
 )
-from .schemes import (
-    CollectiveOutcome,
-    LocalOutcome,
-    OutcomeSet,
-    SchemeKind,
-    SchemeSpec,
-    collective_probability,
-    collective_weight,
-    enumerate_outcomes,
-    local_probability,
-)
+from .schemes import SchemeKind, SchemeSpec
 
 __version__ = "0.1.0"
 
@@ -69,29 +48,13 @@ __all__ = [
     # core
     "PriorKind",
     "Prior",
-    "EmbeddedBloch",
-    "embed",
-    "fidelity",
     "build_prior",
     "random_guess_fidelity",
     "sample_states",
     # schemes
     "SchemeKind",
     "SchemeSpec",
-    "LocalOutcome",
-    "CollectiveOutcome",
-    "OutcomeSet",
-    "local_probability",
-    "collective_probability",
-    "collective_weight",
-    "enumerate_outcomes",
     # estimators
-    "TomographicGuess",
-    "MLGuess",
-    "tomography_estimate",
-    "ml_estimate",
-    "optimal_estimate",
-    "random_estimate",
     "DegenerateEstimateError",
     # evaluator
     "Method",

@@ -1,7 +1,8 @@
-"""Domain types and priors for equatorial/full-ball qubit state estimation.
+"""Priors, the blind-guess baseline and state sampling for qubit state estimation.
 
-A qubit mixed state is a Bloch vector r⃗ with |r⃗| <= 1.  Throughout the
-package states and guesses are handled in the four-dimensional embedding
+A qubit mixed state is a Bloch vector r⃗ with |r⃗| <= 1.  Prior nodes,
+sampled states and the evaluator's guesses are all handled as arrays in
+the four-dimensional embedding
 
     𝐫 = (sqrt(1 - r^2), r⃗),
 
@@ -29,7 +30,6 @@ direction grid; all downstream averages are weighted sums over this grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -38,15 +38,9 @@ import numpy as np
 from .quadrature import gauss_legendre
 
 __all__ = [
-    "CONSTRUCTION_TOL",
-    "NORM_TOL",
     "PriorKind",
-    "EmbeddedBloch",
     "RadialRule",
     "Prior",
-    "as_bloch_vector",
-    "embed",
-    "fidelity",
     "clamp_fidelity",
     "sphere_grid",
     "radial_rule",
@@ -54,13 +48,6 @@ __all__ = [
     "random_guess_fidelity",
     "sample_states",
 ]
-
-# |r⃗| may exceed 1 by at most this much at construction; such vectors are
-# rescaled onto the sphere, anything larger is rejected.
-CONSTRUCTION_TOL = 1e-9
-
-# Tolerance on the unit-4-norm invariant of an embedded state.
-NORM_TOL = 1e-12
 
 
 class PriorKind(Enum):
@@ -70,84 +57,9 @@ class PriorKind(Enum):
     EQUATORIAL_BURES = "equatorial"
 
 
-def as_bloch_vector(components) -> np.ndarray:
-    """Validate ``components`` as a Bloch vector and return a (3,) array.
-
-    Vectors with norm in (1, 1 + CONSTRUCTION_TOL] are rescaled onto the
-    unit sphere so that floating-point round-trips never raise; anything
-    longer is rejected.
-    """
-    v = np.asarray(components, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"Bloch vector must have 3 components, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("Bloch vector components must be finite")
-    r = float(np.sqrt(v @ v))
-    if r > 1.0 + CONSTRUCTION_TOL:
-        raise ValueError(f"Bloch vector norm {r} exceeds 1 beyond tolerance")
-    if r > 1.0:
-        v = v / r
-    return v
-
-
-@dataclass(frozen=True)
-class EmbeddedBloch:
-    """A state or guess in the 4-vector embedding (sqrt(1-r^2), r⃗).
-
-    Invariants: ``time_component >= 0`` and the Euclidean 4-norm equals 1
-    to within ``NORM_TOL``.
-    """
-
-    time_component: float
-    spatial: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.spatial, dtype=float)
-        if s.shape != (3,):
-            raise ValueError("spatial part must have 3 components")
-        s = s.copy()
-        s.flags.writeable = False
-        object.__setattr__(self, "spatial", s)
-        object.__setattr__(self, "time_component", float(self.time_component))
-        if self.time_component < -NORM_TOL:
-            raise ValueError("time component of an embedded state must be non-negative")
-        norm2 = self.time_component**2 + float(s @ s)
-        if abs(norm2 - 1.0) > 64 * NORM_TOL:
-            raise ValueError(f"embedded state must have unit 4-norm, got norm^2 = {norm2}")
-
-    @property
-    def vec4(self) -> np.ndarray:
-        """The full 4-vector (t, x, y, z)."""
-        return np.concatenate(([self.time_component], self.spatial))
-
-
-def embed(components) -> EmbeddedBloch:
-    """Embed a Bloch vector as (sqrt(1 - r^2), r⃗)."""
-    v = as_bloch_vector(components)
-    r2 = float(v @ v)
-    t = math.sqrt(max(0.0, 1.0 - r2))
-    return EmbeddedBloch(t, v)
-
-
 def clamp_fidelity(value: float) -> float:
     """Clamp a fidelity to [0, 1] (round-off may produce 1 + 1e-16)."""
     return min(1.0, max(0.0, float(value)))
-
-
-def fidelity(state: EmbeddedBloch, guess: EmbeddedBloch) -> float:
-    """Fidelity (1 + 𝐫·𝐑)/2 between two embedded states.
-
-    Symmetric in its arguments; equals 1 exactly when the arguments are
-    equal.  Raises if either argument violates the unit-4-norm invariant
-    beyond tolerance (the :class:`EmbeddedBloch` constructor enforces it,
-    so this only triggers on hand-built or corrupted inputs).
-    """
-    for arg in (state, guess):
-        norm2 = arg.time_component**2 + float(arg.spatial @ arg.spatial)
-        if abs(norm2 - 1.0) > 64 * NORM_TOL or arg.time_component < -NORM_TOL:
-            raise ValueError("fidelity argument violates the embedding invariants")
-    dot = state.time_component * guess.time_component + float(state.spatial @ guess.spatial)
-    return clamp_fidelity(0.5 * (1.0 + dot))
 
 
 @dataclass(frozen=True)
@@ -205,10 +117,6 @@ class Prior(RadialRule):
         if self.kind is PriorKind.FULL_BURES:
             return int(round(n**0.5))
         return n
-
-    def total_weight(self) -> float:
-        """Sum of all product weights (1 up to round-off)."""
-        return float(self.radial_w.sum() * self.angular_w.sum())
 
     def mean_embedding(self) -> np.ndarray:
         """The ensemble average of the embedded state, <𝐫> = (<t>, <r⃗>)."""

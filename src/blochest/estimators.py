@@ -1,45 +1,23 @@
-"""Estimators mapping measurement outcomes to guessed states.
+"""The maximum-likelihood boundary azimuth for the local x/y scheme.
 
-Three estimators for the local x/y scheme on equatorial states, plus the
-outcome-independent random guess and the Bayes-optimal rule that works for
-any scheme:
-
-* ``tomography_estimate`` -- linear inversion of the count frequencies,
-  R_i = 2 k_i / n - 1.  The raw point may fall outside the physical disc
-  (R > 1); callers decide whether to discard such outcomes.
-
-* ``ml_estimate`` -- maximum-likelihood over the physical equatorial
-  disc.  For R <= 1 it coincides with the tomographic point; for R > 1
-  the maximum sits on the pure-state boundary.  There the log-likelihood
-  is strictly concave in the azimuth on the quadrant of the tomographic
-  point, so ``ml_phi_batch`` bisects its slope for the one root.
-
-* ``optimal_estimate`` -- the Bayes rule for mean-fidelity loss: guess
-  along the posterior-mean embedded vector V = ∫ dρ(𝐫) 𝐫 p(outcome | 𝐫),
-  normalized to unit length.
-
-All equatorial estimators return guesses in the z = 0 plane; the
-four-component embedding carries the purity component t = sqrt(1 - R^2).
+The evaluator's guess rule (``evaluator._count_guesses``) gives the
+tomographic point R_i = 2 k_i / n - 1 of an outcome whose point lies in
+the physical disc, for both the tomography and the ML estimator.  Off the
+disc tomography discards the outcome, and ML guesses the pure state on
+the boundary that maximizes the likelihood.  There the log-likelihood is
+strictly concave in the azimuth on the quadrant of the tomographic point,
+so :func:`ml_phi_batch` bisects its slope for the one root.  The
+Bayes-optimal guess, the normalized posterior mean V/|V|, comes from the
+evaluator's count tables (``evaluator._optimal_guess_tables``).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import EmbeddedBloch, Prior, embed
-
 __all__ = [
-    "TomographicGuess",
-    "MLGuess",
     "DegenerateEstimateError",
-    "tomography_estimate",
-    "ml_estimate",
     "ml_phi_batch",
-    "optimal_estimate",
-    "random_estimate",
 ]
 
 # Bisection steps on u = tan(phi/2) in (0, 1): the bracket shrinks to 2^-60.
@@ -48,66 +26,6 @@ _BISECTION_STEPS = 60
 
 class DegenerateEstimateError(ValueError):
     """Raised when an estimator has no well-defined output for an outcome."""
-
-
-@dataclass(frozen=True)
-class TomographicGuess:
-    """Linear-inversion estimate: radius R, azimuth gamma, physicality flag."""
-
-    radius: float
-    azimuth: float
-    physical: bool
-
-    @property
-    def embedded(self) -> EmbeddedBloch:
-        if not self.physical:
-            raise DegenerateEstimateError(
-                "tomographic point lies outside the physical disc; no state to embed"
-            )
-        R = self.radius
-        t = math.sqrt(max(0.0, 1.0 - R * R))
-        return EmbeddedBloch(t, np.array([R * math.cos(self.azimuth), R * math.sin(self.azimuth), 0.0]))
-
-
-@dataclass(frozen=True)
-class MLGuess:
-    """Maximum-likelihood estimate; ``phi`` is set when the optimum is on the boundary."""
-
-    guess: EmbeddedBloch
-    phi: float | None
-
-
-def tomography_estimate(outcome) -> TomographicGuess:
-    """Linear inversion of the count frequencies of a local x/y outcome.
-
-    The physicality flag is the exact integer test
-    (2 k_x - n)^2 + (2 k_y - n)^2 <= n^2, which the evaluator's guess rule
-    uses too: a point on the circle can have a float R just above 1.
-    """
-    ax, ay = outcome.alphas
-    rx = 2.0 * ax - 1.0
-    ry = 2.0 * ay - 1.0
-    R = math.hypot(rx, ry)
-    gamma = math.atan2(ry, rx)
-    n = outcome.n_per_axis
-    dx, dy = (2 * k - n for k in outcome.counts)
-    return TomographicGuess(radius=R, azimuth=gamma, physical=dx * dx + dy * dy <= n * n)
-
-
-def ml_estimate(outcome) -> MLGuess:
-    """Maximum-likelihood estimate for a local x/y outcome.
-
-    Physical tomographic points are already the interior maximum.  For
-    R > 1 the maximiser is the boundary azimuth Phi of
-    :func:`ml_phi_batch`.
-    """
-    tomo = tomography_estimate(outcome)
-    if tomo.physical:
-        return MLGuess(guess=tomo.embedded, phi=None)
-
-    phi = float(ml_phi_batch(*outcome.alphas))
-    guess = EmbeddedBloch(0.0, np.array([math.cos(phi), math.sin(phi), 0.0]))
-    return MLGuess(guess=guess, phi=phi)
 
 
 def ml_phi_batch(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
@@ -162,44 +80,3 @@ def ml_phi_batch(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
     ry = 2.0 * ay - 1.0
     phi = np.arctan2(np.copysign(2.0 * u, ry), np.copysign((1.0 - u) * (1.0 + u), rx))
     return np.where(dx == dy, np.arctan2(ry, rx), phi)
-
-
-def optimal_estimate(outcome, probability, prior: Prior) -> tuple[EmbeddedBloch, float]:
-    """Bayes-optimal guess for mean fidelity: normalized posterior-mean vector.
-
-    ``probability(outcome, states)`` must accept an (n, 3) block of Bloch
-    vectors and return the outcome probabilities at each.  Returns the
-    unit-normalized embedded guess and the norm |V| of the unnormalized
-    posterior-mean vector (the outcome's fidelity contribution is
-    (P + |V|)/2 with P the outcome probability mass).
-    """
-    nodes4, weights = prior.product_nodes()
-    p = np.asarray(probability(outcome, nodes4[:, 1:]), dtype=float)
-    if p.shape != weights.shape:
-        raise ValueError("probability() must return one value per prior node")
-    V = (weights * p) @ nodes4
-    norm = float(np.sqrt(V @ V))
-    if norm <= 1e-300:
-        raise DegenerateEstimateError(
-            "posterior-mean vector vanishes; the optimal guess is undefined for this outcome"
-        )
-    return EmbeddedBloch(V[0] / norm, V[1:] / norm), norm
-
-
-def random_estimate(prior: Prior | None = None) -> EmbeddedBloch:
-    """The outcome-independent guess.
-
-    Ignoring the data, the best fixed guess maximizes the ensemble-average
-    fidelity (1 + <𝐫>·𝐑)/2 over unit embeddings 𝐑, i.e. the normalized
-    mean embedding of the prior.  Both supported ensembles are isotropic in
-    the Bloch plane/ball, so this is the maximally mixed state (1, 0, 0, 0);
-    with no prior given that value is returned directly.
-    """
-    if prior is None:
-        return embed(np.zeros(3))
-    mean = prior.mean_embedding()
-    norm = float(np.linalg.norm(mean))
-    if norm == 0.0:
-        return embed(np.zeros(3))
-    vec = mean / norm
-    return EmbeddedBloch(float(vec[0]), vec[1:].copy())

@@ -377,8 +377,14 @@ def collective_v_norm(total_copies: int, prior: Prior, k: float, direction) -> f
     return float(np.sqrt(v @ v))
 
 
+def collective_weight_exact(total_copies: int, x: int) -> int:
+    """c_k for k = x - N/2 as an exact integer: (2k + 1)(C(N, x) - C(N, x + 1))."""
+    return (2 * x - total_copies + 1) * (math.comb(total_copies, x) - math.comb(total_copies, x + 1))
+
+
 def _collective_density(total_copies: int, k: float, t, dots):
-    """Vectorized p(k, m̂ | r⃗) from time components t and projections dots = r⃗·m̂."""
+    """Vectorized p(k, m̂ | r⃗) from time components t and projections dots = r⃗·m̂,
+    with the shape of t and dots broadcast together."""
     hk = total_copies / 2.0 - k
     logp = collective_log_weight(k, total_copies)
     with np.errstate(divide="ignore"):
@@ -386,7 +392,7 @@ def _collective_density(total_copies: int, k: float, t, dots):
             logp = logp + hk * (2.0 * np.log(t) - math.log(4.0))
         if k > 0:
             logp = logp + 2.0 * k * np.log(0.5 * (1.0 + dots))
-    return np.exp(logp)
+    return np.broadcast_to(np.exp(logp), np.broadcast_shapes(np.shape(t), np.shape(dots)))
 
 
 def collective_fidelity_full_grid(

@@ -22,14 +22,15 @@ import time
 
 import numpy as np
 import pytest
-from scipy.stats import binom as scipy_binom
 
 from conftest import ANGULAR_ORDER, BUILD_SECONDS, EVEN_NS, EXPONENT_NS, RADIAL_ORDER
 from blochest.asymptotics import assemble_xi_o, constants, fit_exponent
 from blochest.core import PriorKind, build_prior, random_guess_fidelity
-from blochest.estimators import ml_estimate, ml_phi_batch, optimal_estimate
+from blochest.estimators import ml_phi_batch
 from blochest.evaluator import (
     AllOutcomesDiscardedError,
+    _count_guesses,
+    _optimal_guess_tables,
     adaptive_local_fidelity,
     exact_fidelity,
     local_tables,
@@ -37,18 +38,9 @@ from blochest.evaluator import (
     tomography_with_discard,
 )
 from blochest.quadrature import gauss_legendre
-from blochest.schemes import (
-    CollectiveOutcome,
-    LocalOutcome,
-    SchemeKind,
-    SchemeSpec,
-    collective_k_values,
-    collective_probability,
-    enumerate_outcomes,
-    local_probability,
-)
+from blochest.schemes import SchemeKind, SchemeSpec, binom_log_pmf_matrix, collective_k_values
 from blochest.special import bessel_i, bessel_k
-from oracles import collective_v_norm, fidelity_from_guesses
+from oracles import _collective_density, collective_v_norm, fidelity_from_guesses
 
 # Headline targets.  The first six are the asymptotic rate constants; the
 # remaining entries anchor the finite-N experiments.
@@ -344,14 +336,6 @@ def _direction_grid(order: int):
     return dirs, weights
 
 
-def _scipy_local_prob(outcome, states):
-    n = outcome.n_per_axis
-    kx, ky = outcome.counts
-    qx = 0.5 * (1.0 + states[:, 1])
-    qy = 0.5 * (1.0 + states[:, 2])
-    return scipy_binom.pmf(kx, n, qx) * scipy_binom.pmf(ky, n, qy)
-
-
 def test_acceptance_8_property_suite(capsys, eq_prior, eq_prior_small, full_prior):
     notes = []
 
@@ -359,16 +343,11 @@ def test_acceptance_8_property_suite(capsys, eq_prior, eq_prior_small, full_prio
     # continuum both resolve the identity.
     radii = (0.0, 0.3, 0.7, 0.95)
     angles = (0.1, 2.0)
-    eq_states = [
-        np.array([r * math.cos(a), r * math.sin(a), 0.0])
-        for r in radii
-        for a in angles
-    ]
+    eq_q = 0.5 * (1.0 + np.array([[r * math.cos(a), r * math.sin(a)] for r in radii for a in angles]))
     for total in (2, 8, 20):
-        outcomes = enumerate_outcomes(SchemeSpec(SchemeKind.LOCAL_XY, total)).outcomes
-        for state in eq_states:
-            mass = sum(local_probability(o, state) for o in outcomes)
-            assert abs(mass - 1.0) <= 1e-9
+        pmf = np.exp(binom_log_pmf_matrix(total // 2, eq_q.ravel())).sum(axis=0)
+        mass = pmf[0::2] * pmf[1::2]  # every count pair of each state
+        assert np.abs(mass - 1.0).max() <= 1e-9
     dirs, dir_w = _direction_grid(24)
     full_states = [
         np.zeros(3),
@@ -378,35 +357,28 @@ def test_acceptance_8_property_suite(capsys, eq_prior, eq_prior_small, full_prio
     ]
     for total in (2, 5):
         for state in full_states:
-            mass = 0.0
-            for k in collective_k_values(total):
-                dens = np.array(
-                    [
-                        collective_probability(CollectiveOutcome(total, float(k), d), state)
-                        for d in dirs
-                    ]
-                )
-                mass += float(dir_w @ dens)
+            t = math.sqrt(1.0 - float(state @ state))
+            mass = sum(
+                float(dir_w @ _collective_density(total, k, t, dirs @ state))
+                for k in collective_k_values(total)
+            )
             assert abs(mass - 1.0) <= 1e-9
     notes.append("completeness ≤ 1e-9")
 
-    # (b) estimator physicality at every enumerated outcome, N ≤ 20.
+    # (b) estimator physicality at every count pair, N ≤ 20.
     ml_checked = 0
     for total in EVEN_NS:
-        for outcome in enumerate_outcomes(SchemeSpec(SchemeKind.LOCAL_XY, total)).outcomes:
-            guess = ml_estimate(outcome).guess
-            vec = guess.vec4
-            assert abs(float(vec @ vec) - 1.0) <= 1e-12
-            assert vec[0] >= 0.0
-            ml_checked += 1
+        n = total // 2
+        (t, x, y), _ = _count_guesses("ml", n, *np.indices((n + 1, n + 1)))
+        assert np.abs(t**2 + x**2 + y**2 - 1.0).max() <= 1e-12
+        assert np.all(t >= 0.0)
+        ml_checked += t.size
     opt_checked = 0
     for total in (2, 6, 20):
-        for outcome in enumerate_outcomes(SchemeSpec(SchemeKind.LOCAL_XY, total)).outcomes:
-            guess, _ = optimal_estimate(outcome, _scipy_local_prob, eq_prior_small)
-            vec = guess.vec4
-            assert abs(float(vec @ vec) - 1.0) <= 1e-12
-            assert vec[0] >= 0.0
-            opt_checked += 1
+        t, x, y = _optimal_guess_tables(local_tables(SchemeSpec(SchemeKind.LOCAL_XY, total), eq_prior_small))
+        assert np.abs(t**2 + x**2 + y**2 - 1.0).max() <= 1e-12
+        assert np.all(t >= 0.0)
+        opt_checked += t.size
     notes.append(
         f"physicality 100% ({ml_checked} ML + {opt_checked} optimal outcomes)"
     )

@@ -1,4 +1,4 @@
-"""State embedding, fidelity, priors, and the random-guess baseline."""
+"""Priors, their 4-vector nodes, the fidelity clamp, and the random-guess baseline."""
 
 from __future__ import annotations
 
@@ -9,13 +9,9 @@ import pytest
 from scipy.stats import ks_2samp
 
 from blochest.core import (
-    CONSTRUCTION_TOL,
-    EmbeddedBloch,
     PriorKind,
     build_prior,
     clamp_fidelity,
-    embed,
-    fidelity,
     radial_rule,
     random_guess_fidelity,
     sample_states,
@@ -27,57 +23,25 @@ RANDOM_GUESS_FULL = 0.5 + 8.0 / (9.0 * math.pi**2)
 
 
 class TestEmbedding:
+    """The prior's product nodes are embedded states (t, r⃗)."""
+
     def test_unit_four_norm(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            v = rng.normal(size=3)
-            v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v)
-            e = embed(v)
-            norm2 = e.time_component**2 + float(e.spatial @ e.spatial)
-            assert abs(norm2 - 1.0) <= 1e-12
-            assert e.time_component >= 0.0
-
-    def test_clamps_tiny_overshoot(self):
-        e = embed((1.0 + 0.5 * CONSTRUCTION_TOL, 0.0, 0.0))
-        assert e.time_component == 0.0
-        assert np.linalg.norm(e.spatial) == pytest.approx(1.0, abs=1e-15)
-
-    def test_rejects_clear_overshoot(self):
-        with pytest.raises(ValueError):
-            embed((1.0 + 1e-6, 0.0, 0.0))
+        for kind in PriorKind:
+            nodes4, _ = build_prior(kind, 16, 12).product_nodes()
+            assert np.abs(np.einsum("ij,ij->i", nodes4, nodes4) - 1.0).max() <= 1e-12
+            assert np.all(nodes4[:, 0] >= 0.0)
 
     def test_vec4_layout(self):
-        e = embed((0.6, 0.0, 0.0))
-        assert e.vec4 == pytest.approx([0.8, 0.6, 0.0, 0.0], abs=1e-15)
+        p = build_prior(PriorKind.EQUATORIAL_BURES, 3, 4)
+        nodes4, weights = p.product_nodes()
+        # radius-major: node 4 i + j is radius i in direction j
+        assert nodes4[5] == pytest.approx(
+            [p.radial_t[1], *(p.radial_r[1] * p.directions[1])], abs=1e-15
+        )
+        assert weights[5] == pytest.approx(p.radial_w[1] * p.angular_w[1], rel=1e-15)
 
 
 class TestFidelity:
-    def test_identity_case(self):
-        a = embed((0.3, -0.2, 0.5))
-        assert fidelity(a, a) == pytest.approx(1.0, abs=1e-12)
-
-    def test_antipodal_pure_states(self):
-        a = embed((1.0, 0.0, 0.0))
-        b = embed((-1.0, 0.0, 0.0))
-        assert fidelity(a, b) == pytest.approx(0.0, abs=1e-15)
-
-    def test_mixed_antipodal_direct_substitution(self):
-        a = embed((0.6, 0.0, 0.0))
-        b = embed((-0.6, 0.0, 0.0))
-        # (1 - 0.36 + 0.8 * 0.8) / 2
-        assert fidelity(a, b) == pytest.approx(0.64, abs=1e-15)
-
-    def test_symmetric_exactly_and_self_unity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            va = rng.normal(size=3)
-            vb = rng.normal(size=3)
-            va *= rng.uniform(0, 1) / np.linalg.norm(va)
-            vb *= rng.uniform(0, 1) / np.linalg.norm(vb)
-            a, b = embed(va), embed(vb)
-            assert fidelity(a, b) == fidelity(b, a)
-            assert abs(fidelity(a, a) - 1.0) <= 1e-12
-
     def test_clamp(self):
         assert clamp_fidelity(1.0 + 1e-16) == 1.0
         assert clamp_fidelity(-1e-17) == 0.0
@@ -103,7 +67,8 @@ class TestPriors:
     @pytest.mark.parametrize("orders", [(2, 2), (8, 16), (64, 64), (128, 256)])
     def test_total_weight_normalized(self, kind, orders):
         p = build_prior(kind, *orders)
-        assert p.total_weight() == pytest.approx(1.0, abs=1e-10)
+        assert p.radial_w.sum() == pytest.approx(1.0, abs=1e-10)
+        assert p.angular_w.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_equatorial_r_squared_moment(self):
         # ∫ r^2 dρ over the equatorial ensemble; closed form 2/3, checked
@@ -272,13 +237,3 @@ class TestSampleStates:
         t_ref, vecs_ref = sample_full_ball_bisection(100_000, np.random.default_rng(14))
         for a, b in [(t, t_ref)] + [(vecs[:, i], vecs_ref[:, i]) for i in range(3)]:
             assert ks_2samp(a, b).pvalue > 1e-3
-
-
-class TestEmbeddedBlochValidation:
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddedBloch(-0.5, np.array([math.sqrt(0.75), 0.0, 0.0]))
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValueError):
-            EmbeddedBloch(0.5, np.array([0.5, 0.0, 0.0]))

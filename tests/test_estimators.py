@@ -1,4 +1,9 @@
-"""Tomographic inversion, boundary-constrained ML, and the Bayes-optimal guess."""
+"""Tomographic inversion, boundary-constrained ML, and the Bayes-optimal guess.
+
+The tomography and ML guesses come from the evaluator's rule for any
+arrays of counts (``_count_guesses``), the optimal guess from its count
+tables (``local_tables`` and ``_optimal_guess_tables``).
+"""
 
 from __future__ import annotations
 
@@ -12,22 +17,20 @@ from hypothesis import strategies as st
 from scipy.stats import binom as scipy_binom
 
 from blochest.core import PriorKind, build_prior
-from blochest.estimators import (
-    DegenerateEstimateError,
-    MLGuess,
-    TomographicGuess,
-    ml_estimate,
-    ml_phi_batch,
-    optimal_estimate,
-    random_estimate,
-    tomography_estimate,
+from blochest.estimators import DegenerateEstimateError, ml_phi_batch
+from blochest.evaluator import (
+    LocalTables,
+    _count_guesses,
+    _ml_boundary,
+    _optimal_guess_tables,
+    local_tables,
 )
-from blochest.evaluator import _count_guesses, _ml_boundary
-from blochest.schemes import LocalOutcome, SchemeKind, SchemeSpec, enumerate_outcomes, local_probability
+from blochest.schemes import SchemeKind, SchemeSpec, binom_log_pmf_matrix
 from oracles import (
     _quartic_roots,
     boundary_equation,
     guess_error,
+    local_tables_per_node,
     ml_phi_companion,
     ml_phi_ferrari,
     ml_phi_likelihood,
@@ -37,54 +40,52 @@ from oracles import (
 )
 
 
-def _scipy_local_prob(outcome, vecs: np.ndarray) -> np.ndarray:
+def _scipy_local_prob(n: int, kx: int, ky: int, vecs: np.ndarray) -> np.ndarray:
     """Independent local x/y outcome probability (scipy binomials)."""
-    n = outcome.n_per_axis
-    kx, ky = outcome.counts
     qx = 0.5 * (1.0 + vecs[:, 0])
     qy = 0.5 * (1.0 + vecs[:, 1])
     return scipy_binom.pmf(kx, n, qx) * scipy_binom.pmf(ky, n, qy)
 
 
+def _guess(estimator: str, n: int, kx: int, ky: int) -> tuple[np.ndarray, bool]:
+    """(t, x, y) of the evaluator's guess rule at one outcome, and whether it is kept."""
+    (t, x, y), kept = _count_guesses(estimator, n, np.array([kx]), np.array([ky]))
+    return np.array([t[0], x[0], y[0]]), kept is None or bool(kept[0])
+
+
 class TestTomography:
     def test_balanced_counts_give_center(self):
-        g = tomography_estimate(LocalOutcome(2, (1, 1)))
-        assert g.radius == 0.0
-        assert g.physical
-        assert g.embedded.vec4 == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
+        g, kept = _guess("tomography", 2, 1, 1)
+        assert g[1] == g[2] == 0.0
+        assert kept
+        assert g == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
 
     def test_extreme_x_counts(self):
-        g = tomography_estimate(LocalOutcome(2, (2, 1)))
-        assert g.radius == pytest.approx(1.0, abs=1e-15)
-        assert g.azimuth == pytest.approx(0.0, abs=1e-15)
-        assert g.embedded.vec4 == pytest.approx([0.0, 1.0, 0.0, 0.0], abs=1e-12)
+        g, _ = _guess("tomography", 2, 2, 1)
+        assert math.hypot(g[1], g[2]) == pytest.approx(1.0, abs=1e-15)
+        assert math.atan2(g[2], g[1]) == pytest.approx(0.0, abs=1e-15)
+        assert g == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
 
     def test_interior_frequencies(self):
-        g = tomography_estimate(LocalOutcome(10, (9, 7)))
-        assert g.radius == pytest.approx(math.sqrt(0.8), rel=1e-14)
-        assert g.physical
-        e = g.embedded
-        assert e.spatial[2] == 0.0
-        assert e.time_component**2 + float(e.spatial @ e.spatial) == pytest.approx(1.0, abs=1e-14)
+        g, kept = _guess("tomography", 10, 9, 7)
+        assert math.hypot(g[1], g[2]) == pytest.approx(math.sqrt(0.8), rel=1e-14)
+        assert kept
+        assert float(g @ g) == pytest.approx(1.0, abs=1e-14)
 
     def test_unphysical_point_flagged(self):
-        g = tomography_estimate(LocalOutcome(2, (2, 2)))
-        assert g.radius == pytest.approx(math.sqrt(2.0), rel=1e-14)
-        assert not g.physical
-        with pytest.raises(DegenerateEstimateError):
-            _ = g.embedded
+        g, kept = _guess("tomography", 2, 2, 2)
+        assert math.hypot(g[1], g[2]) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert not kept
 
     def test_physicality_is_the_tables_exact_test(self):
         # n = 274 has outcomes on the circle whose float R is 1 + 2^-52,
         # e.g. (32, 225): (2*32 - 274)^2 + (2*225 - 274)^2 = 274^2.
         n = 274
-        flags = [
-            [tomography_estimate(LocalOutcome(n, (kx, ky))).physical for ky in range(n + 1)]
-            for kx in range(n + 1)
-        ]
         _, kept = _count_guesses("tomography", n, *np.indices((n + 1, n + 1)))
-        assert np.array_equal(np.array(flags), kept)
-        assert ml_estimate(LocalOutcome(n, (32, 225))).phi is None
+        assert np.array_equal(kept, physical_mask(n))
+        assert math.hypot(2 * 32 / n - 1, 2 * 225 / n - 1) > 1.0
+        assert kept[32, 225]
+        assert np.array_equal(_guess("ml", n, 32, 225)[0], _guess("tomography", n, 32, 225)[0])
 
 
 def _loglik(phi: float, ax: float, ay: float) -> float:
@@ -124,19 +125,18 @@ def _bisection_oracle(R: float, gamma: float, ax: float, ay: float) -> float:
 class TestMaximumLikelihood:
     def test_corner_outcome_exact(self):
         # all counts up on both axes: gamma = pi/4, solution is exactly there
-        g = ml_estimate(LocalOutcome(3, (3, 3)))
-        assert g.phi == pytest.approx(math.pi / 4.0, abs=0.0)
-        assert g.guess.time_component == 0.0
-        assert g.guess.spatial[:2] == pytest.approx(
+        assert ml_phi_batch(1.0, 1.0) == pytest.approx(math.pi / 4.0, abs=0.0)
+        g, kept = _guess("ml", 3, 3, 3)
+        assert kept and g[0] == 0.0
+        assert g[1:] == pytest.approx(
             [math.cos(math.pi / 4), math.sin(math.pi / 4)], abs=1e-15
         )
 
     def test_physical_point_passes_through(self):
-        out = LocalOutcome(10, (7, 6))
-        ml = ml_estimate(out)
-        tomo = tomography_estimate(out)
-        assert ml.phi is None
-        assert np.array_equal(ml.guess.vec4, tomo.embedded.vec4)
+        ml, _ = _guess("ml", 10, 7, 6)
+        tomo, kept = _guess("tomography", 10, 7, 6)
+        assert kept
+        assert np.array_equal(ml, tomo)
 
     def test_boundary_solution_against_bisection_oracle(self):
         R, gamma = 1.1, math.pi / 3.0
@@ -148,14 +148,14 @@ class TestMaximumLikelihood:
 
     @pytest.mark.parametrize("counts,n", [((4, 3), 4), ((6, 5), 6), ((8, 1), 8), ((5, 0), 5)])
     def test_integer_outcomes_match_batch(self, counts, n):
-        out = LocalOutcome(n, counts)
-        tomo = tomography_estimate(out)
-        if tomo.physical:
+        if _guess("tomography", n, *counts)[1]:
             pytest.skip("chosen counts are physical")
-        g = ml_estimate(out)
-        ax, ay = out.alphas
-        batch = float(ml_phi_batch(np.array([ax]), np.array([ay]))[0])
-        assert g.phi == pytest.approx(batch, abs=1e-12)
+        g, _ = _guess("ml", n, *counts)
+        ax, ay = counts[0] / n, counts[1] / n
+        rx, ry = 2.0 * ax - 1.0, 2.0 * ay - 1.0
+        scan = ml_phi_scan(math.hypot(rx, ry), math.atan2(ry, rx), ax, ay)
+        assert g[0] == 0.0
+        assert math.atan2(g[2], g[1]) == pytest.approx(scan, abs=1e-12)
 
     def test_random_unphysical_points_against_oracle(self):
         rng = np.random.default_rng(17)
@@ -363,7 +363,7 @@ class TestClosedFormSolver:
     def test_scalar_input(self):
         phi = ml_phi_batch(0.9, 1.0)
         assert phi.shape == ()
-        assert phi == ml_estimate(LocalOutcome(10, (9, 10))).phi == 0.9886980582976127
+        assert phi == 0.9886980582976127
 
     def test_result_has_the_input_shape(self):
         ax = np.array([[0.9, 1.0, 0.95], [1.0, 0.0, 0.1]])
@@ -459,37 +459,40 @@ def prior():
 
 
 class TestOptimalEstimate:
+    """V/|V| from the local tables, against a Riemann sum and the per-node tables."""
+
     def test_uninformative_outcome_gives_center(self, prior):
-        guess, norm = optimal_estimate(
-            LocalOutcome(1, (0, 0)), lambda o, v: np.full(len(v), 0.25), prior
+        # the balanced outcome of N = 4 is even under x -> -x and y -> -y,
+        # so V has no spatial part
+        spec = SchemeSpec(SchemeKind.LOCAL_XY, 4)
+        tables = local_tables(spec, prior)
+        guess = [g[1, 1] for g in _optimal_guess_tables(tables)]
+        assert guess == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
+        ref = local_tables_per_node(spec, prior)
+        assert tables.v_t[1, 1] == pytest.approx(ref.v_t[1, 1], rel=1e-12)
+
+    def test_normalization_of_posterior_vector(self):
+        # V = (0.3, 0, 0), (0.3, 0.4, 0) and 0 on hand-made tables: the
+        # guesses are (1, 0, 0), (0.6, 0.8, 0), and the unit t axis where
+        # V vanishes
+        zero = np.zeros((2, 2))
+        tables = LocalTables(
+            n_per_axis=1,
+            prob=zero,
+            v_t=np.array([[0.3, 0.3], [0.0, 0.0]]),
+            v_x=np.array([[0.0, 0.4], [0.0, 0.0]]),
+            v_y=zero,
         )
-        assert guess.vec4 == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
-        assert norm == pytest.approx(0.25 * float(prior.mean_embedding()[0]), rel=1e-12)
-
-    def test_normalization_of_posterior_vector(self, prior):
-        # probability weights engineered so V = (0.3, 0.4, 0, 0), whose
-        # normalized guess must be (0.6, 0.8, 0, 0) with |V| = 0.5
-        m = prior.mean_embedding()
-        nodes4, w = prior.product_nodes()
-        x2 = float(w @ nodes4[:, 1] ** 2)
-
-        def prob_scalar(_, vecs):
-            return np.full(len(vecs), 0.3 / m[0])
-
-        guess, norm = optimal_estimate(LocalOutcome(1, (0, 0)), prob_scalar, prior)
-        assert norm == pytest.approx(0.3, rel=1e-10)
-        assert guess.vec4 == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-10)
-
-        def prob_xy(_, vecs):
-            return 0.3 / m[0] + (0.4 / x2) * vecs[:, 0]
-
-        guess, norm = optimal_estimate(LocalOutcome(1, (0, 0)), prob_xy, prior)
-        assert norm == pytest.approx(0.5, rel=1e-10)
-        assert guess.vec4 == pytest.approx([0.6, 0.8, 0.0, 0.0], abs=1e-10)
+        tg, gx, gy = _optimal_guess_tables(tables)
+        assert [tg[0, 0], gx[0, 0], gy[0, 0]] == pytest.approx([1.0, 0.0, 0.0], abs=1e-10)
+        assert [tg[0, 1], gx[0, 1], gy[0, 1]] == pytest.approx([0.6, 0.8, 0.0], abs=1e-10)
+        assert np.array_equal(tg[1], [1.0, 1.0]) and not gx[1].any() and not gy[1].any()
 
     def test_single_copy_outcome_vs_riemann_oracle(self, prior):
-        outcome = LocalOutcome(1, (1, 1))
-        guess, norm = optimal_estimate(outcome, _scipy_local_prob, prior)
+        # both single-copy counts up
+        tables = local_tables(SchemeSpec(SchemeKind.LOCAL_XY, 2), prior)
+        norm = math.sqrt(tables.v_t[1, 1] ** 2 + tables.v_x[1, 1] ** 2 + tables.v_y[1, 1] ** 2)
+        guess = [g[1, 1] for g in _optimal_guess_tables(tables)]
 
         # dense midpoint Riemann sum over (u, theta), r = sin u
         nu, nth = 3000, 2048
@@ -508,62 +511,44 @@ class TestOptimalEstimate:
                 float((wu * t) @ p.sum(axis=1)) * wth,
                 float(wu @ ((p * (r[:, None] * np.cos(th)[None, :])).sum(axis=1))) * wth,
                 float(wu @ ((p * (r[:, None] * np.sin(th)[None, :])).sum(axis=1))) * wth,
-                0.0,
             ]
         )
         oracle_norm = float(np.linalg.norm(V))
         oracle_guess = V / oracle_norm
         assert norm == pytest.approx(oracle_norm, abs=1e-6)
-        assert guess.vec4 == pytest.approx(oracle_guess, abs=1e-6)
-
-    def test_probability_shape_validated(self, prior):
-        with pytest.raises(ValueError):
-            optimal_estimate(LocalOutcome(1, (0, 0)), lambda o, v: np.ones(3), prior)
+        assert guess == pytest.approx(oracle_guess, abs=1e-6)
 
     def test_equivariance_under_plane_rotation(self, prior):
-        delta = 0.83
-        c, s = math.cos(delta), math.sin(delta)
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        outcome = LocalOutcome(2, (2, 1))
-
-        def prob_rotated(o, vecs):
-            return _scipy_local_prob(o, vecs @ rot)  # rows become rot^(-1) @ v
-
-        base, _ = optimal_estimate(outcome, _scipy_local_prob, prior)
-        turned, _ = optimal_estimate(outcome, prob_rotated, prior)
-        assert turned.time_component == pytest.approx(base.time_component, abs=1e-10)
-        assert turned.spatial == pytest.approx(rot @ base.spatial, abs=1e-10)
-
-
-class TestRandomEstimate:
-    def test_default_is_center(self):
-        assert random_estimate().vec4 == pytest.approx([1, 0, 0, 0], abs=0.0)
-
-    @pytest.mark.parametrize("kind", list(PriorKind))
-    def test_prior_symmetric_center(self, kind):
-        p = build_prior(kind, 32, 32)
-        assert random_estimate(p).vec4 == pytest.approx([1, 0, 0, 0], abs=1e-12)
+        # A quarter turn (x, y) -> (-y, x) of the state maps the counts
+        # (k_x, k_y) to (n - k_y, k_x), and the prior's 96 directions onto
+        # themselves, so it turns the guess at (2, 1) into that at (1, 2).
+        spec = SchemeSpec(SchemeKind.LOCAL_XY, 4)
+        tg, gx, gy = _optimal_guess_tables(local_tables(spec, prior))
+        bt, bx, by = _optimal_guess_tables(local_tables_per_node(spec, prior))
+        assert [tg[1, 2], gx[1, 2], gy[1, 2]] == pytest.approx(
+            [bt[2, 1], -by[2, 1], bx[2, 1]], abs=1e-10
+        )
 
 
 class TestPhysicalityAcrossOutcomes:
     @pytest.mark.parametrize("total", [2, 6, 12, 20])
     def test_ml_guesses_all_physical(self, total):
-        outcomes = enumerate_outcomes(SchemeSpec(SchemeKind.LOCAL_XY, total)).outcomes
-        for out in outcomes:
-            g = ml_estimate(out).guess
-            assert g.time_component >= 0.0
-            norm2 = g.time_component**2 + float(g.spatial @ g.spatial)
-            assert abs(norm2 - 1.0) <= 1e-12
+        n = total // 2
+        (t, x, y), _ = _count_guesses("ml", n, *np.indices((n + 1, n + 1)))
+        assert np.all(t >= 0.0)
+        assert np.abs(t**2 + x**2 + y**2 - 1.0).max() <= 1e-12
 
     def test_optimal_guesses_physical(self):
         prior = build_prior(PriorKind.EQUATORIAL_BURES, 24, 48)
-        outcomes = enumerate_outcomes(SchemeSpec(SchemeKind.LOCAL_XY, 6)).outcomes
-        for out in outcomes:
-            g, norm = optimal_estimate(out, _scipy_local_prob, prior)
-            assert norm > 0.0
-            assert g.time_component >= 0.0
-            norm2 = g.time_component**2 + float(g.spatial @ g.spatial)
-            assert abs(norm2 - 1.0) <= 1e-12
+        spec = SchemeSpec(SchemeKind.LOCAL_XY, 6)
+        tables = local_tables(spec, prior)
+        assert np.all(np.sqrt(tables.v_t**2 + tables.v_x**2 + tables.v_y**2) > 0.0)
+        t, x, y = _optimal_guess_tables(tables)
+        assert np.all(t >= 0.0)
+        assert np.abs(t**2 + x**2 + y**2 - 1.0).max() <= 1e-12
+        ref = _optimal_guess_tables(local_tables_per_node(spec, prior))
+        for got, want in zip((t, x, y), ref):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestProbabilityOracleAgreement:
@@ -576,6 +561,7 @@ class TestProbabilityOracleAgreement:
             r = rng.uniform(0, 1)
             th = rng.uniform(0, 2 * math.pi)
             state = np.array([r * math.cos(th), r * math.sin(th), 0.0])
-            mine = local_probability(LocalOutcome(n, (kx, ky)), state)
-            ref = float(_scipy_local_prob(LocalOutcome(n, (kx, ky)), state[None, :])[0])
+            b = np.exp(binom_log_pmf_matrix(n, 0.5 * (1.0 + state[:2])))
+            mine = b[kx, 0] * b[ky, 1]
+            ref = float(_scipy_local_prob(n, kx, ky, state[None, :])[0])
             assert mine == pytest.approx(ref, rel=1e-10, abs=1e-280)

@@ -39,10 +39,10 @@ from blochest.schemes import (
     SchemeSpec,
     collective_k_values,
     collective_log_weight,
-    collective_weight,
 )
 from oracles import (
     collective_fidelities_chunked,
+    collective_weight_exact,
     greedy_adaptive_per_axis,
     mc_local_table_lookup,
 )
@@ -205,7 +205,7 @@ class TestCollectiveSampler:
             for x in xs:
                 m = 2 * x - N + 1  # 2k + 1
                 target = (
-                    Fraction(collective_weight(x - N / 2, N))
+                    collective_weight_exact(N, x)
                     * ((1 - r * r) / 4) ** (N - x)
                     * (a**m - b**m)
                     / (r * m)

@@ -47,3 +47,30 @@ def test_imports_only_numpy_and_the_standard_library():
                 continue
             outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
     assert outside == []
+
+
+# The scalar per-outcome API: the evaluator's count tables and guess rule
+# give every outcome at once, and tests check them against the oracles.
+RETIRED = {
+    "blochest.core": ["EmbeddedBloch", "embed", "fidelity"],
+    "blochest.schemes": [
+        "LocalOutcome", "CollectiveOutcome", "OutcomeSet", "local_probability",
+        "collective_probability", "collective_weight", "enumerate_outcomes",
+    ],
+    "blochest.estimators": [
+        "TomographicGuess", "MLGuess", "tomography_estimate", "ml_estimate",
+        "optimal_estimate", "random_estimate",
+    ],
+}
+
+
+def test_retired_names_stay_gone():
+    names = {n for group in RETIRED.values() for n in group}
+    assert len(names) == 16
+    exported = {n for m in MODULES for n in importlib.import_module(m).__all__}
+    assert names & exported == set()
+    lingering = [
+        f"{m}.{n}" for m, group in RETIRED.items() for n in group
+        if hasattr(importlib.import_module(m), n) or hasattr(blochest, n)
+    ]
+    assert lingering == []

@@ -10,23 +10,19 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blochest import evaluator
-from blochest.core import PriorKind, sample_states
+from blochest.core import PriorKind, build_prior, sample_states
+from blochest.evaluator import local_tables
 from blochest.quadrature import gauss_legendre
 from blochest.schemes import (
-    CollectiveOutcome,
     EnumerationLimitError,
-    LocalOutcome,
     SchemeKind,
     SchemeSpec,
     binom_log_pmf_matrix,
+    check_enumerable,
     collective_k_values,
     collective_log_weight,
-    collective_probability,
-    collective_weight,
-    enumerate_outcomes,
-    local_probability,
 )
-from oracles import binom_log_pmf_matrix_uncached
+from oracles import _collective_density, binom_log_pmf_matrix_uncached, collective_weight_exact
 
 
 def _direction_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -57,66 +53,57 @@ def _random_states(count: int, kind: PriorKind = PriorKind.FULL_BURES) -> list[n
     return out
 
 
+def _local_pmf(n: int, state) -> np.ndarray:
+    """The (n+1) x (n+1) count law at an equatorial state: the outer product
+    of the two binomial tables that the local tables multiply."""
+    b = np.exp(binom_log_pmf_matrix(n, 0.5 * (1.0 + np.asarray(state, dtype=float)[:2])))
+    return np.outer(b[:, 0], b[:, 1])
+
+
 class TestLocalProbability:
     def test_single_copy_unbiased(self):
-        assert local_probability(LocalOutcome(1, (1, 1)), np.zeros(3)) == pytest.approx(
-            0.25, abs=1e-15
-        )
+        assert _local_pmf(1, np.zeros(3))[1, 1] == pytest.approx(0.25, abs=1e-15)
 
     def test_hand_computed_case(self):
         # q_x = 0.9 with both x outcomes up, q_y = 1/2 with both y outcomes
         # down: C(2,2) 0.9^2 * C(2,0) 0.5^2.
-        p = local_probability(LocalOutcome(2, (2, 0)), np.array([0.8, 0.0, 0.0]))
+        p = _local_pmf(2, np.array([0.8, 0.0, 0.0]))[2, 0]
         assert p == pytest.approx(0.9**2 * 0.5**2, rel=1e-13)
 
     def test_completeness_five_per_axis(self):
-        state = np.array([0.6, 0.3, 0.0])
-        total = sum(
-            local_probability(LocalOutcome(5, (kx, ky)), state)
-            for kx in range(6)
-            for ky in range(6)
-        )
+        total = _local_pmf(5, np.array([0.6, 0.3, 0.0])).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_state_degenerate_axis(self):
         # r_x = 1 makes the x counts deterministic; 0^0 = 1 keeps the
         # distribution well formed.
-        state = np.array([1.0, 0.0, 0.0])
-        p_all_up = local_probability(LocalOutcome(3, (3, 2)), state)
-        p_partial = local_probability(LocalOutcome(3, (2, 2)), state)
-        assert p_all_up > 0.0
-        assert p_partial == 0.0
+        pmf = _local_pmf(3, np.array([1.0, 0.0, 0.0]))
+        assert pmf[3, 2] > 0.0
+        assert pmf[2, 2] == 0.0
 
     def test_axis_exchange_symmetry(self):
         state = np.array([0.3, -0.5, 0.0])
         sw = np.array([-0.5, 0.3, 0.0])
-        for kx in range(4):
-            for ky in range(4):
-                assert local_probability(LocalOutcome(3, (kx, ky)), state) == pytest.approx(
-                    local_probability(LocalOutcome(3, (ky, kx)), sw), rel=1e-14
-                )
+        np.testing.assert_allclose(_local_pmf(3, state), _local_pmf(3, sw).T, rtol=1e-14, atol=0)
 
     def test_non_negative_everywhere(self):
         for state in _random_states(10, PriorKind.EQUATORIAL_BURES):
-            for kx in range(5):
-                for ky in range(5):
-                    assert local_probability(LocalOutcome(4, (kx, ky)), state) >= 0.0
+            assert np.all(_local_pmf(4, state) >= 0.0)
 
     def test_off_equator_state_rejected(self):
-        with pytest.raises(ValueError):
-            local_probability(LocalOutcome(2, (1, 1)), np.array([0.0, 0.0, 0.5]))
+        # the local tables integrate the equatorial ensemble only
+        with pytest.raises(ValueError, match="equatorial ensemble"):
+            local_tables(SchemeSpec(SchemeKind.LOCAL_XY, 2), build_prior(PriorKind.FULL_BURES, 4, 4))
 
 
 class TestLocalCompleteness:
     @pytest.mark.parametrize("n_per_axis", [1, 2, 5, 10])
     def test_many_states(self, n_per_axis):
-        for state in _random_states(20, PriorKind.EQUATORIAL_BURES):
-            total = sum(
-                local_probability(LocalOutcome(n_per_axis, (kx, ky)), state)
-                for kx in range(n_per_axis + 1)
-                for ky in range(n_per_axis + 1)
-            )
-            assert abs(total - 1.0) <= 1e-9
+        q = 0.5 * (1.0 + np.array(_random_states(20, PriorKind.EQUATORIAL_BURES)))
+        bx = np.exp(binom_log_pmf_matrix(n_per_axis, q[:, 0]))
+        by = np.exp(binom_log_pmf_matrix(n_per_axis, q[:, 1]))
+        total = np.einsum("is,js->s", bx, by)
+        assert np.abs(total - 1.0).max() <= 1e-9
 
 
 class TestBinomLogPmfMatrix:
@@ -163,17 +150,20 @@ class TestBinomLogPmfMatrix:
 
 class TestCollectiveWeight:
     def test_stated_values(self):
-        assert collective_weight(1.0, 2) == 3.0
-        assert collective_weight(0.0, 2) == 1.0
+        assert collective_weight_exact(2, 2) == 3
+        assert collective_weight_exact(2, 1) == 1
+        assert math.exp(collective_log_weight(1.0, 2)) == pytest.approx(3.0, rel=1e-14)
+        assert math.exp(collective_log_weight(0.0, 2)) == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 14, 20])
     def test_top_sector_multiplicity(self, n):
-        assert collective_weight(n / 2.0, n) == n + 1
+        assert collective_weight_exact(n, n) == n + 1
+        assert math.exp(collective_log_weight(n / 2.0, n)) == pytest.approx(n + 1, rel=1e-13)
 
     def test_log_form_consistent(self):
         for n in (2, 6, 12, 30):
             for k in collective_k_values(n):
-                w = collective_weight(float(k), n)
+                w = collective_weight_exact(n, round(n / 2 + k))
                 assert collective_log_weight(float(k), n) == pytest.approx(
                     math.log(w), rel=1e-12
                 )
@@ -183,57 +173,44 @@ class TestCollectiveWeight:
         # must keep working far beyond that.
         val = collective_log_weight(600.0, 2400)
         assert math.isfinite(val)
-        with pytest.raises(OverflowError):
-            collective_weight(600.0, 2400)
+        assert val == pytest.approx(math.log(collective_weight_exact(2400, 1800)), rel=1e-12)
 
     def test_k_values_grid(self):
         assert collective_k_values(3).tolist() == [0.5, 1.5]
         assert collective_k_values(4).tolist() == [0.0, 1.0, 2.0]
 
 
+def _density(n: int, k: float, state, dirs: np.ndarray) -> np.ndarray:
+    """p(k, m̂ | r⃗) at each row m̂ of ``dirs``, from log c_k."""
+    v = np.asarray(state, dtype=float)
+    t = math.sqrt(max(0.0, 1.0 - float(v @ v)))
+    return _collective_density(n, float(k), t, dirs @ v)
+
+
 class TestCollectiveProbability:
     def test_unpolarized_two_copies(self):
-        z = np.array([0.0, 0.0, 1.0])
-        p0 = collective_probability(CollectiveOutcome(2, 0.0, z), np.zeros(3))
-        p1 = collective_probability(CollectiveOutcome(2, 1.0, z), np.zeros(3))
-        assert p0 == pytest.approx(0.25, rel=1e-12)
-        assert p1 == pytest.approx(0.75, rel=1e-12)
+        z = np.array([[0.0, 0.0, 1.0]])
+        assert _density(2, 0.0, np.zeros(3), z)[0] == pytest.approx(0.25, rel=1e-12)
+        assert _density(2, 1.0, np.zeros(3), z)[0] == pytest.approx(0.75, rel=1e-12)
 
     def test_pure_state_kills_low_sectors(self):
         state = np.array([0.0, 0.0, 1.0])
-        m = np.array([1.0, 0.0, 0.0])
+        m = np.array([[1.0, 0.0, 0.0]])
         for k in (0.0, 1.0):
-            assert collective_probability(CollectiveOutcome(4, k, m), state) == 0.0
-        assert collective_probability(CollectiveOutcome(4, 2.0, state), state) > 0.0
+            assert _density(4, k, state, m)[0] == 0.0
+        assert _density(4, 2.0, state, state[None, :])[0] > 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_completeness_by_quadrature(self, n):
         dirs, w = _direction_grid(24)
         for state in _random_states(4):
-            total = 0.0
-            for k in collective_k_values(n):
-                dens = [
-                    collective_probability(CollectiveOutcome(n, float(k), d), state)
-                    for d in dirs
-                ]
-                total += float(w @ np.asarray(dens))
+            total = sum(float(w @ _density(n, k, state, dirs)) for k in collective_k_values(n))
             assert abs(total - 1.0) <= 1e-9
 
     def test_four_copies_half_radius_completeness(self):
         dirs, w = _direction_grid(32)
         state = np.array([0.5, 0.0, 0.0])
-        total = sum(
-            float(
-                w
-                @ np.asarray(
-                    [
-                        collective_probability(CollectiveOutcome(4, float(k), d), state)
-                        for d in dirs
-                    ]
-                )
-            )
-            for k in collective_k_values(4)
-        )
+        total = sum(float(w @ _density(4, k, state, dirs)) for k in collective_k_values(4))
         assert abs(total - 1.0) <= 1e-10
 
     def test_rotational_covariance(self):
@@ -247,51 +224,31 @@ class TestCollectiveProbability:
             m = rng.normal(size=3)
             m /= np.linalg.norm(m)
             for k in (0.0, 1.0, 2.0):
-                a = collective_probability(CollectiveOutcome(4, k, m), state)
-                b = collective_probability(CollectiveOutcome(4, k, rot @ m), rot @ state)
+                a = _density(4, k, state, m[None, :])[0]
+                b = _density(4, k, rot @ state, (rot @ m)[None, :])[0]
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
 
     def test_non_negative(self):
         dirs, _ = _direction_grid(6)
         for state in _random_states(5):
             for k in collective_k_values(5):
-                for d in dirs[::7]:
-                    assert collective_probability(CollectiveOutcome(5, float(k), d), state) >= 0.0
+                assert np.all(_density(5, k, state, dirs[::7]) >= 0.0)
 
 
 class TestEnumerateOutcomes:
-    def test_local_two_copies(self):
-        out = enumerate_outcomes(SchemeSpec(SchemeKind.LOCAL_XY, 2))
-        assert len(out.outcomes) == 4
-        assert {o.counts for o in out.outcomes} == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
-    def test_local_twenty_copies(self):
-        out = enumerate_outcomes(SchemeSpec(SchemeKind.LOCAL_XY, 20))
-        assert len(out.outcomes) == 121
-
-    def test_collective_three_copies(self):
-        out = enumerate_outcomes(SchemeSpec(SchemeKind.COLLECTIVE, 3), angular_order=6)
-        assert sorted({o.k for o in out.outcomes}) == [0.5, 1.5]
-        # per-sector direction weights each realize a normalized average
-        for k in (0.5, 1.5):
-            w = sum(
-                float(wt)
-                for o, wt in zip(out.outcomes, out.weights)
-                if o.k == k
-            )
-            assert w == pytest.approx(1.0, abs=1e-10)
+    """Exact enumeration's copy-number limit and the even split it needs."""
 
     def test_enumeration_limit_enforced(self):
         # the evaluator's check and error: one class, re-exported unchanged
         assert evaluator.EnumerationLimitError is EnumerationLimitError
         assert issubclass(EnumerationLimitError, ValueError)
-        for kind in SchemeKind:
-            with pytest.raises(EnumerationLimitError, match="exceeds the enumeration limit 50"):
-                enumerate_outcomes(SchemeSpec(kind, 200), enumeration_limit=50)
+        check_enumerable(50, 50)
+        with pytest.raises(EnumerationLimitError, match="exceeds the enumeration limit 50"):
+            check_enumerable(200, 50)
 
     def test_odd_local_copies_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_outcomes(SchemeSpec(SchemeKind.LOCAL_XY, 3))
+            SchemeSpec(SchemeKind.LOCAL_XY, 3)
 
 
 class TestSchemeSpec:
