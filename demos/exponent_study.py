@@ -17,7 +17,7 @@ import numpy as np
 
 from blochest.asymptotics import constants, fit_exponent
 from blochest.core import PriorKind, build_prior
-from blochest.evaluator import monte_carlo_fidelity, sweep
+from blochest.evaluator import exact_fidelity, monte_carlo_fidelity
 from blochest.schemes import SchemeKind, SchemeSpec
 
 RADIAL_ORDER = 128
@@ -26,6 +26,12 @@ NS = (64, 128, 256, 512, 1024)
 MC_NS = tuple(2**e for e in range(10, 26))
 MC_SAMPLES = 1_000_000
 MC_SEED = 2026
+ORDERS = {"radial_order": RADIAL_ORDER, "angular_order": ANGULAR_ORDER}
+
+
+def exact_sweep(kind: SchemeKind, estimator: str, prior, **orders) -> list:
+    """(N, exact report) pairs over NS."""
+    return [(n, exact_fidelity(SchemeSpec(kind, n), estimator, prior, **orders)) for n in NS]
 
 
 def main() -> None:
@@ -34,12 +40,9 @@ def main() -> None:
     limits = constants()
 
     print("collective measurements, full-ball ensemble")
-    coll = sweep(
-        SchemeKind.COLLECTIVE, "optimal", full, NS,
-        radial_order=RADIAL_ORDER, angular_order=ANGULAR_ORDER,
-    )
+    coll = exact_sweep(SchemeKind.COLLECTIVE, "optimal", full, **ORDERS)
     print(f"{'N':>6}  {'1-F':>12}  {'N(1-F)':>10}")
-    for n, rep in coll.points:
+    for n, rep in coll:
         print(f"{n:>6}  {1 - rep.fidelity:>12.3e}  {n * (1 - rep.fidelity):>10.6f}")
     print(
         f"   →  N(1-F) rises toward {limits.collective_coeff:.6f} "
@@ -47,17 +50,10 @@ def main() -> None:
     )
 
     print("local x/y measurements, equatorial ensemble")
-    results = {}
-    for estimator in ("optimal", "ml"):
-        results[estimator] = sweep(
-            SchemeKind.LOCAL_XY, estimator, eq, NS,
-            radial_order=RADIAL_ORDER, angular_order=ANGULAR_ORDER,
-        )
-    tomo = sweep(SchemeKind.LOCAL_XY, "tomography", eq, NS).points
+    results = {e: exact_sweep(SchemeKind.LOCAL_XY, e, eq, **ORDERS) for e in ("optimal", "ml")}
+    tomo = exact_sweep(SchemeKind.LOCAL_XY, "tomography", eq)
     print(f"{'N':>6}  {'1-F opt':>12}  {'1-F ML':>12}  {'1-F tomo*':>12}  {'discarded':>10}")
-    for (n, rep_o), (_, rep_m), (_, rep_t) in zip(
-        results["optimal"].points, results["ml"].points, tomo
-    ):
+    for (n, rep_o), (_, rep_m), (_, rep_t) in zip(results["optimal"], results["ml"], tomo):
         print(
             f"{n:>6}  {1 - rep_o.fidelity:>12.3e}  {1 - rep_m.fidelity:>12.3e}"
             f"  {1 - rep_t.fidelity:>12.3e}  {rep_t.discarded_fraction:>10.4f}"
@@ -71,7 +67,7 @@ def main() -> None:
     disc_slope = -float(
         np.polyfit(log_n, np.log([rep.discarded_fraction for _, rep in tomo]), 1)[0]
     )
-    n_last, ml_last = results["ml"].points[-1]
+    n_last, ml_last = results["ml"][-1]
     ml_coeff = (1 - ml_last.fidelity) * n_last**0.75
 
     print("fitted decay exponents, 1 - F ~ C · N^(-e)")

@@ -11,8 +11,8 @@ Usage: python3 demos/figure_sweep.py
 from __future__ import annotations
 
 from blochest.core import PriorKind, build_prior, random_guess_fidelity
-from blochest.evaluator import sweep
-from blochest.schemes import SchemeKind
+from blochest.evaluator import exact_fidelity
+from blochest.schemes import SchemeKind, SchemeSpec
 
 RADIAL_ORDER = 128
 ANGULAR_ORDER = 256
@@ -27,20 +27,18 @@ def bar(value: float, lo: float, hi: float, width: int = 34) -> str:
 def main() -> None:
     prior = build_prior(PriorKind.EQUATORIAL_BURES, RADIAL_ORDER, ANGULAR_ORDER)
     baseline = random_guess_fidelity(prior)
-    optimal = sweep(
-        SchemeKind.LOCAL_XY, "optimal", prior, EVEN_NS,
-        radial_order=RADIAL_ORDER, angular_order=ANGULAR_ORDER,
-    )
-    ml = sweep(
-        SchemeKind.LOCAL_XY, "ml", prior, EVEN_NS,
-        radial_order=RADIAL_ORDER, angular_order=ANGULAR_ORDER,
+    specs = [SchemeSpec(SchemeKind.LOCAL_XY, n) for n in EVEN_NS]
+    orders = {"radial_order": RADIAL_ORDER, "angular_order": ANGULAR_ORDER}
+    optimal, ml = (
+        [exact_fidelity(spec, estimator, prior, **orders) for spec in specs]
+        for estimator in ("optimal", "ml")
     )
     print("average fidelity, equatorial ensemble, local x/y measurements")
     print(f"outcome-independent baseline: {baseline:.6f}")
     print("-" * 74)
     print(f"{'N':>4}  {'F_optimal':>12}  {'F_ML':>12}  {'gap':>10}  F_optimal scaled")
     lo, hi = baseline, 1.0
-    for (n, rep_opt), (_, rep_ml) in zip(optimal.points, ml.points):
+    for n, rep_opt, rep_ml in zip(EVEN_NS, optimal, ml):
         gap = rep_opt.fidelity - rep_ml.fidelity
         print(
             f"{n:>4}  {rep_opt.fidelity:>12.8f}  {rep_ml.fidelity:>12.8f}"

@@ -32,12 +32,9 @@ from .evaluator import (
     EnumerationLimitError,
     FidelityReport,
     Method,
-    SweepResult,
     adaptive_local_fidelity,
     exact_fidelity,
     monte_carlo_fidelity,
-    sweep,
-    tomography_with_discard,
 )
 from .schemes import SchemeKind, SchemeSpec
 
@@ -59,12 +56,9 @@ __all__ = [
     # evaluator
     "Method",
     "FidelityReport",
-    "SweepResult",
     "exact_fidelity",
     "monte_carlo_fidelity",
-    "tomography_with_discard",
     "adaptive_local_fidelity",
-    "sweep",
     "AllOutcomesDiscardedError",
     "EnumerationLimitError",
     # asymptotics

@@ -32,7 +32,6 @@ __all__ = [
     "AsymptoticConstants",
     "ExponentFit",
     "DegenerateSweepError",
-    "im_k_quarter_negative",
     "b1_integrand",
     "b2_integrand",
     "b3_integrand",
@@ -91,21 +90,13 @@ class ExponentFit:
             raise ValueError("residual must be nonnegative")
 
 
-def im_k_quarter_negative(x: float) -> float:
-    """Imaginary part of K_(1/4) continued to the negative real axis.
-
-    Principal branch (argument x * e^(i pi)), via
-    K_nu(x e^(i pi)) = e^(-i nu pi) K_nu(x) - i pi I_nu(x), giving
-    -sin(pi/4) K_(1/4)(x) - pi I_(1/4)(x): strictly negative, and growing
-    like -pi e^x / sqrt(2 pi x) (overflows to -inf beyond x ~ 705).
-    """
-    if x <= 0.0:
-        raise ValueError("x must be positive")
-    return -(_SIN_QUARTER_PI * bessel_k(0.25, x) + math.pi * bessel_i(0.25, x))
-
-
 def _im_scaled(x: float) -> float:
-    """e^(-x) * im_k_quarter_negative(x), stable for all x > 0."""
+    """e^(-x) Im K_(1/4)(x e^(i pi)) for x > 0, finite at every such x.
+
+    K_nu(x e^(i pi)) = e^(-i nu pi) K_nu(x) - i pi I_nu(x) on the principal
+    branch, so the imaginary part is -sin(pi/4) K_(1/4)(x) - pi I_(1/4)(x):
+    strictly negative, and growing like -pi e^x / sqrt(2 pi x).
+    """
     return -(
         _SIN_QUARTER_PI * math.exp(-2.0 * x) * bessel_k(0.25, x, scaled=True)
         + math.pi * bessel_i(0.25, x, scaled=True)
@@ -236,22 +227,18 @@ def constants() -> AsymptoticConstants:
     )
 
 
-def _sweep_pairs(sweep) -> list[tuple[float, float]]:
-    points = getattr(sweep, "points", sweep)
-    return [(float(n), float(getattr(f, "fidelity", f))) for n, f in points]
-
-
-def fit_exponent(sweep) -> ExponentFit:
+def fit_exponent(points) -> ExponentFit:
     """Least-squares power-law fit of a fidelity sweep.
 
-    Fits log(1 - F) = log(coefficient) - exponent * log(N) over the sweep
-    points (a SweepResult, or an iterable of (N, fidelity) or (N, report)
-    pairs).
+    Fits log(1 - F) = log(coefficient) - exponent * log(N) over ``points``,
+    an iterable of (N, fidelity) or (N, report) pairs, where a report is
+    anything with a ``fidelity`` attribute, such as a
+    :class:`~blochest.evaluator.FidelityReport`.
     Needs at least 4 points, strictly increasing N, every F < 1, and
     log(1 - F) non-increasing (a decay law); otherwise raises
     :class:`DegenerateSweepError`.
     """
-    pairs = _sweep_pairs(sweep)
+    pairs = [(float(n), float(getattr(f, "fidelity", f))) for n, f in points]
     if len(pairs) < 4:
         raise DegenerateSweepError("need at least 4 sweep points for a fit")
     ns = np.array([n for n, _ in pairs])

@@ -20,12 +20,16 @@ output files, because every evaluation runs serially in a fixed order;
 results are written to a temporary file and renamed, so a failed run never
 leaves a partial file.
 
+The prior follows the scheme: local x/y and adaptive runs estimate the
+equatorial ensemble, collective runs the full ball, so there is no prior
+flag; the ``prior`` column reports the one used.
+
 The command checks only what the library cannot: that a config file holds
-only keys the command has flags for, a single N where one is needed,
-samples and seed for stochastic runs, that sweeps are exact, that
-``tomography`` gets no other estimator and ``adaptive`` no scheme or
-estimator but local x/y and optimal, and the output format.  Scheme,
-estimator, prior and policy pairings are validated by
+only keys the command has flags for, a single N where one is needed, that
+an N list strictly increases, samples and seed for stochastic runs, that
+sweeps are exact, that ``tomography`` gets no other estimator and
+``adaptive`` no scheme or estimator but local x/y and optimal, and the
+output format.  Scheme, estimator and policy pairings are validated by
 :mod:`blochest.evaluator`, whose ``ValueError`` becomes exit status 2.
 
 Exit status: 0 on success, 2 on configuration/usage errors, 3 on
@@ -43,17 +47,15 @@ import tempfile
 from dataclasses import asdict, dataclass, fields
 
 from .asymptotics import DegenerateSweepError, appendix_integrals, constants
-from .core import PriorKind, build_prior
+from .core import DEFAULT_ANGULAR_ORDER, DEFAULT_RADIAL_ORDER, build_prior
 from .estimators import DegenerateEstimateError
 from .evaluator import (
-    DEFAULT_ANGULAR_ORDER,
-    DEFAULT_RADIAL_ORDER,
+    SCHEME_PRIOR_KINDS,
     AllOutcomesDiscardedError,
     FidelityReport,
-    _check_increasing,
     adaptive_local_fidelity,
+    exact_fidelity,
     monte_carlo_fidelity,
-    sweep,
 )
 from .quadrature import QuadratureError
 from .schemes import DEFAULT_ENUMERATION_LIMIT, SchemeKind, SchemeSpec
@@ -75,7 +77,7 @@ class CliUsageError(Exception):
 _FIELD_TYPES = (
     (("radial_order", "angular_order", "samples", "seed", "enumeration_limit"), int, "an integer"),
     (("abs_tol",), (int, float), "a number"),
-    (("scheme", "estimator", "prior", "policy", "out", "format"), str, "a string"),
+    (("scheme", "estimator", "policy", "out", "format"), str, "a string"),
 )
 
 
@@ -86,7 +88,6 @@ class RunConfig:
     command: str
     scheme: str | None = None
     estimator: str | None = None
-    prior: str | None = None
     n: tuple | None = None
     radial_order: int | None = None
     angular_order: int | None = None
@@ -115,13 +116,16 @@ def parse_n_spec(text) -> tuple:
     """Parse ``N`` or ``start:stop:step`` (inclusive stop) into a tuple.
 
     Accepts an int or a list of ints as well (JSON config files); a list
-    element that is a bool or not an int is rejected, not truncated.
+    element that is a bool or not an int is rejected, not truncated, and
+    the list must strictly increase.
     """
     if isinstance(text, (list, tuple)):
         if any(isinstance(v, bool) or not isinstance(v, int) for v in text):
             raise CliUsageError(f"invalid N list {text!r}")
         if not text or any(n < 1 for n in text):
             raise CliUsageError("copy numbers must be a nonempty list of integers >= 1")
+        if any(b <= a for a, b in zip(text, text[1:])):
+            raise CliUsageError("copy numbers must be strictly increasing")
         return tuple(text)
     parts = str(text).split(":")
     try:
@@ -150,21 +154,12 @@ def _resolve_scheme(config: RunConfig) -> SchemeKind:
         raise CliUsageError(f"unknown scheme {name!r}") from None
 
 
-def _resolve_prior_kind(config: RunConfig, scheme: SchemeKind) -> PriorKind:
-    if config.prior is None:
-        return PriorKind.EQUATORIAL_BURES if scheme is SchemeKind.LOCAL_XY else PriorKind.FULL_BURES
-    try:
-        return PriorKind(config.prior)
-    except ValueError:
-        raise CliUsageError(f"unknown prior {config.prior!r}") from None
-
-
-def _report_row(report: FidelityReport, prior_kind: PriorKind) -> dict:
+def _report_row(report: FidelityReport) -> dict:
     return {
         "n": report.copies,
         "scheme": report.scheme.kind.value,
         "estimator": report.estimator,
-        "prior": prior_kind.value,
+        "prior": SCHEME_PRIOR_KINDS[report.scheme.kind].value,
         "fidelity": report.fidelity,
         "stderr": report.stderr,
         "method": report.method.value,
@@ -228,10 +223,10 @@ def _emit_rows(config: RunConfig, rows: list, extra: dict | None = None) -> None
     _emit(_json_text(payload), config.out)
 
 
-def _build_prior_for(config: RunConfig, prior_kind: PriorKind):
+def _build_prior_for(config: RunConfig, scheme_kind: SchemeKind):
     ro, ao = config.radial_order, config.angular_order
     return build_prior(
-        prior_kind,
+        SCHEME_PRIOR_KINDS[scheme_kind],
         radial_order=DEFAULT_RADIAL_ORDER if ro is None else ro,
         angular_order=DEFAULT_ANGULAR_ORDER if ao is None else ao,
     )
@@ -244,27 +239,25 @@ def _require_seed(config: RunConfig) -> int:
 
 
 def _run_rows(config: RunConfig, estimator: str) -> None:
-    """One row per N: exact through :func:`sweep`, or Monte Carlo with --samples."""
+    """One row per N: exact, or Monte Carlo with --samples."""
     scheme_kind = _resolve_scheme(config)
-    prior_kind = _resolve_prior_kind(config, scheme_kind)
-    _check_increasing(config.n)
-    prior = _build_prior_for(config, prior_kind)
-    orders = {"radial_order": config.radial_order, "angular_order": config.angular_order}
-    if config.samples is None:
-        result = sweep(
-            scheme_kind, estimator, prior, config.n,
-            enumeration_limit=config.enumeration_limit, **orders,
-        )
-        reports = [report for _, report in result.points]
-    else:
-        reports = [
-            monte_carlo_fidelity(
-                SchemeSpec(scheme_kind, n), estimator, prior, config.samples,
-                _require_seed(config), enumeration_limit=config.enumeration_limit, **orders,
+    prior = _build_prior_for(config, scheme_kind)
+    options = {
+        "radial_order": config.radial_order,
+        "angular_order": config.angular_order,
+        "enumeration_limit": config.enumeration_limit,
+    }
+    rows = []
+    for n in config.n:
+        spec = SchemeSpec(scheme_kind, n)
+        if config.samples is None:
+            report = exact_fidelity(spec, estimator, prior, **options)
+        else:
+            report = monte_carlo_fidelity(
+                spec, estimator, prior, config.samples, _require_seed(config), **options
             )
-            for n in config.n
-        ]
-    _emit_rows(config, [_report_row(report, prior_kind) for report in reports])
+        rows.append(_report_row(report))
+    _emit_rows(config, rows)
 
 
 def _run_fidelity(config: RunConfig) -> None:
@@ -299,18 +292,17 @@ def _run_adaptive(config: RunConfig) -> None:
     _require_only(config, "scheme", SchemeKind.LOCAL_XY.value)
     _require_only(config, "estimator", "optimal")
     policy = config.policy or "fixed-xy"
-    prior_kind = _resolve_prior_kind(config, SchemeKind.LOCAL_XY)
     if config.n is None or len(config.n) != 1:
         raise CliUsageError("adaptive evaluates a single N")
     if config.samples is None:
         raise CliUsageError("adaptive is stochastic; --samples is required")
     seed = _require_seed(config)
-    prior = _build_prior_for(config, prior_kind)
+    prior = _build_prior_for(config, SchemeKind.LOCAL_XY)
     report = adaptive_local_fidelity(
         prior, config.n[0], policy, config.samples, seed,
         enumeration_limit=config.enumeration_limit,
     )
-    _emit_rows(config, [_report_row(report, prior_kind)], extra={"policy": policy})
+    _emit_rows(config, [_report_row(report)], extra={"policy": policy})
 
 
 def _run_constants(config: RunConfig) -> None:
@@ -379,7 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_scheme:
             sp.add_argument("--scheme", default=None, help="local-xy or collective")
             sp.add_argument("--estimator", default=None, help="optimal, ml, or tomography")
-            sp.add_argument("--prior", default=None, help="equatorial or full")
             sp.add_argument("--n", default=None, help="copy number N, or start:stop:step")
             sp.add_argument("--radial-order", type=int, default=None)
             sp.add_argument("--angular-order", type=int, default=None)

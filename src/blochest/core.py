@@ -50,6 +50,11 @@ __all__ = [
 ]
 
 
+# Quadrature orders of a prior built without explicit ones.
+DEFAULT_RADIAL_ORDER = 128
+DEFAULT_ANGULAR_ORDER = 256
+
+
 class PriorKind(Enum):
     """Which a-priori ensemble a :class:`Prior` represents."""
 
@@ -159,7 +164,7 @@ def sphere_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
     return dirs, np.repeat(wmu / wmu.sum(), order) / order
 
 
-def radial_rule(kind: PriorKind, radial_order: int = 128) -> RadialRule:
+def radial_rule(kind: PriorKind, radial_order: int = DEFAULT_RADIAL_ORDER) -> RadialRule:
     """The radial rule of an ensemble: ``radial_order`` Gauss-Legendre nodes
     in the substituted variable u (r = sin u), with the ensemble's radial
     weights normalized to unit mass.
@@ -180,7 +185,11 @@ def radial_rule(kind: PriorKind, radial_order: int = 128) -> RadialRule:
     return RadialRule(kind=kind, radial_r=r, radial_t=t, radial_w=wr)
 
 
-def build_prior(kind: PriorKind, radial_order: int = 128, angular_order: int = 256) -> Prior:
+def build_prior(
+    kind: PriorKind,
+    radial_order: int = DEFAULT_RADIAL_ORDER,
+    angular_order: int = DEFAULT_ANGULAR_ORDER,
+) -> Prior:
     """Build the quadrature grid for an ensemble.
 
     ``radial_order`` is the number of Gauss-Legendre nodes in the

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import settings
 
 from blochest.core import PriorKind, build_prior
-from blochest.evaluator import sweep
-from blochest.schemes import SchemeKind
+from blochest.evaluator import exact_fidelity
+from blochest.schemes import SchemeKind, SchemeSpec
 
 # Frozen quadrature orders used for every headline number.  128 radial x 256
 # angular is the converged working point: doubling both changes the collective
@@ -61,14 +61,17 @@ def full_prior_small():
     return build_prior(PriorKind.FULL_BURES, 32, 24)
 
 
+def _sweep(scheme_kind, estimator, prior, ns):
+    """(N, exact report) pairs at the frozen orders."""
+    orders = {"radial_order": RADIAL_ORDER, "angular_order": ANGULAR_ORDER}
+    return [(n, exact_fidelity(SchemeSpec(scheme_kind, n), estimator, prior, **orders)) for n in ns]
+
+
 @pytest.fixture(scope="session")
 def local_optimal_sweep(eq_prior):
     return _timed(
         "local_optimal_sweep",
-        lambda: sweep(
-            SchemeKind.LOCAL_XY, "optimal", eq_prior, EXPONENT_NS,
-            radial_order=RADIAL_ORDER, angular_order=ANGULAR_ORDER,
-        ),
+        lambda: _sweep(SchemeKind.LOCAL_XY, "optimal", eq_prior, EXPONENT_NS),
     )
 
 
@@ -76,10 +79,7 @@ def local_optimal_sweep(eq_prior):
 def local_ml_sweep(eq_prior):
     return _timed(
         "local_ml_sweep",
-        lambda: sweep(
-            SchemeKind.LOCAL_XY, "ml", eq_prior, EXPONENT_NS,
-            radial_order=RADIAL_ORDER, angular_order=ANGULAR_ORDER,
-        ),
+        lambda: _sweep(SchemeKind.LOCAL_XY, "ml", eq_prior, EXPONENT_NS),
     )
 
 
@@ -87,10 +87,7 @@ def local_ml_sweep(eq_prior):
 def tomography_sweep(eq_prior):
     return _timed(
         "tomography_sweep",
-        lambda: sweep(
-            SchemeKind.LOCAL_XY, "tomography", eq_prior, EXPONENT_NS,
-            radial_order=RADIAL_ORDER, angular_order=ANGULAR_ORDER,
-        ),
+        lambda: _sweep(SchemeKind.LOCAL_XY, "tomography", eq_prior, EXPONENT_NS),
     )
 
 
@@ -98,10 +95,7 @@ def tomography_sweep(eq_prior):
 def collective_sweep(full_prior):
     return _timed(
         "collective_sweep",
-        lambda: sweep(
-            SchemeKind.COLLECTIVE, "optimal", full_prior, EXPONENT_NS,
-            radial_order=RADIAL_ORDER, angular_order=ANGULAR_ORDER,
-        ),
+        lambda: _sweep(SchemeKind.COLLECTIVE, "optimal", full_prior, EXPONENT_NS),
     )
 
 
@@ -110,14 +104,8 @@ def even_n_curves(eq_prior):
     """Exact optimal and ML fidelities at every even N <= 20."""
 
     def build():
-        opt = sweep(
-            SchemeKind.LOCAL_XY, "optimal", eq_prior, EVEN_NS,
-            radial_order=RADIAL_ORDER, angular_order=ANGULAR_ORDER,
-        )
-        ml = sweep(
-            SchemeKind.LOCAL_XY, "ml", eq_prior, EVEN_NS,
-            radial_order=RADIAL_ORDER, angular_order=ANGULAR_ORDER,
-        )
+        opt = _sweep(SchemeKind.LOCAL_XY, "optimal", eq_prior, EVEN_NS)
+        ml = _sweep(SchemeKind.LOCAL_XY, "ml", eq_prior, EVEN_NS)
         return opt, ml
 
     return _timed("even_n_curves", build)

@@ -35,7 +35,6 @@ from blochest.evaluator import (
     exact_fidelity,
     local_tables,
     monte_carlo_fidelity,
-    tomography_with_discard,
 )
 from blochest.quadrature import gauss_legendre
 from blochest.schemes import SchemeKind, SchemeSpec, binom_log_pmf_matrix, collective_k_values
@@ -61,7 +60,7 @@ def announce(capsys, text: str) -> None:
 
 def products(sweep_result):
     """N * (1 - F) for every point of an exact sweep."""
-    return [(n, n * (1.0 - rep.fidelity)) for n, rep in sweep_result.points]
+    return [(n, n * (1.0 - rep.fidelity)) for n, rep in sweep_result]
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +174,10 @@ def test_acceptance_5_even_n_curves(capsys, even_n_curves, eq_prior):
     opt, ml = even_n_curves
     baseline = random_guess_fidelity(eq_prior)
     assert baseline == pytest.approx(0.625, abs=1e-9)
-    f_opt = [rep.fidelity for _, rep in opt.points]
-    f_ml = [rep.fidelity for _, rep in ml.points]
-    assert [n for n, _ in opt.points] == list(EVEN_NS)
-    assert [n for n, _ in ml.points] == list(EVEN_NS)
+    f_opt = [rep.fidelity for _, rep in opt]
+    f_ml = [rep.fidelity for _, rep in ml]
+    assert [n for n, _ in opt] == list(EVEN_NS)
+    assert [n for n, _ in ml] == list(EVEN_NS)
     for fo, fm in zip(f_opt, f_ml):
         assert fo >= fm - 1e-12, "optimal guessing must dominate ML pointwise"
     for curve in (f_opt, f_ml):
@@ -223,8 +222,8 @@ def test_acceptance_6_optimal_guess_exponent(capsys, local_optimal_sweep):
 )
 def test_acceptance_6_tomography_exponent_band(capsys, tomography_sweep):
     fit = fit_exponent(tomography_sweep)
-    log_n = np.log([n for n, _ in tomography_sweep.points])
-    log_disc = np.log([rep.discarded_fraction for _, rep in tomography_sweep.points])
+    log_n = np.log([n for n, _ in tomography_sweep])
+    log_disc = np.log([rep.discarded_fraction for _, rep in tomography_sweep])
     disc_exponent = -float(np.polyfit(log_n, log_disc, 1)[0])
     announce(
         capsys,
@@ -243,7 +242,7 @@ def test_acceptance_6_ml_coefficient_report(
 ):
     fit = fit_exponent(local_ml_sweep)
     assert 0.5 < fit.exponent < 1.0
-    n_last, rep_last = local_ml_sweep.points[-1]
+    n_last, rep_last = local_ml_sweep[-1]
     measured = (1.0 - rep_last.fidelity) * n_last**0.75
     ratio = measured / TARGET_XI_ML
     within = abs(ratio - 1.0) <= 0.25
@@ -288,16 +287,13 @@ def test_acceptance_7_exact_vs_monte_carlo(capsys, eq_prior, full_prior):
                 # Every N = 2 outcome is unphysical: both routes must refuse.
                 spec = SchemeSpec(kind, n)
                 with pytest.raises(AllOutcomesDiscardedError):
-                    tomography_with_discard(spec, prior)
+                    exact_fidelity(spec, estimator, prior)
                 with pytest.raises(AllOutcomesDiscardedError):
                     monte_carlo_fidelity(spec, estimator, prior, samples, seed)
                 checked += 1
                 continue
             spec = SchemeSpec(kind, n)
-            if estimator == "tomography":
-                exact = tomography_with_discard(spec, prior)
-            else:
-                exact = exact_fidelity(spec, estimator, prior)
+            exact = exact_fidelity(spec, estimator, prior)
             mc = monte_carlo_fidelity(spec, estimator, prior, samples, seed)
             assert mc.stderr > 0.0
             z = abs(mc.fidelity - exact.fidelity) / mc.stderr
@@ -461,7 +457,7 @@ def test_acceptance_9_adaptive_policies(capsys, eq_prior, even_n_curves):
     n_probe = 20
     greedy = adaptive_local_fidelity(eq_prior, n_probe, "greedy-fidelity", 1000, 2026)
     opt_curve, _ = even_n_curves
-    exact_by_n = {n: rep.fidelity for n, rep in opt_curve.points}
+    exact_by_n = {n: rep.fidelity for n, rep in opt_curve}
     exact = exact_by_n[n_probe]
     gap = greedy.fidelity - exact
     z = abs(gap) / greedy.stderr

@@ -11,6 +11,7 @@ import pytest
 from blochest.asymptotics import (
     AsymptoticConstants,
     DegenerateSweepError,
+    _im_scaled,
     appendix_integrals,
     assemble_xi_o,
     b1_integrand,
@@ -18,7 +19,6 @@ from blochest.asymptotics import (
     b3_integrand,
     constants,
     fit_exponent,
-    im_k_quarter_negative,
 )
 
 mp.mp.dps = 40
@@ -31,9 +31,10 @@ COLLECTIVE_PRINTED = 1.17441
 
 
 def _imk_oracle(x: float) -> float:
+    """e^(-x) Im K_(1/4)(x e^(i pi)), to 40 digits."""
     x = mp.mpf(x)
-    return float(-(mp.sin(mp.pi / 4) * mp.besselk(mp.mpf(1) / 4, x)
-                   + mp.pi * mp.besseli(mp.mpf(1) / 4, x)))
+    return float(-mp.e**-x * (mp.sin(mp.pi / 4) * mp.besselk(mp.mpf(1) / 4, x)
+                              + mp.pi * mp.besseli(mp.mpf(1) / 4, x)))
 
 
 def _f1_oracle(x: float) -> float:
@@ -61,15 +62,15 @@ def _f3_oracle(x: float) -> float:
 class TestImKContinuation:
     def test_strictly_negative_on_log_grid(self):
         for x in np.geomspace(1e-3, 600.0, 50):
-            assert im_k_quarter_negative(float(x)) < 0.0
+            assert _im_scaled(float(x)) < 0.0
 
     @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 30.0, 100.0, 600.0])
     def test_against_oracle(self, x):
-        assert im_k_quarter_negative(x) == pytest.approx(_imk_oracle(x), rel=1e-13)
+        assert _im_scaled(x) == pytest.approx(_imk_oracle(x), rel=1e-13)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            im_k_quarter_negative(0.0)
+            _im_scaled(0.0)
 
 
 class TestTailIntegrands:
@@ -201,7 +202,7 @@ class TestFitExponent:
 
     def test_accepts_report_pairs(self, collective_sweep):
         fit = fit_exponent(collective_sweep)
-        fit2 = fit_exponent([(n, r.fidelity) for n, r in collective_sweep.points])
+        fit2 = fit_exponent([(n, r.fidelity) for n, r in collective_sweep])
         assert fit.exponent == fit2.exponent
 
     def test_too_few_points(self):
@@ -227,7 +228,7 @@ class TestSweepExponents:
         assert 0.95 <= fit.exponent <= 1.05
 
     def test_collective_prefactor_endpoint(self, collective_sweep, the_constants):
-        n, report = collective_sweep.points[-1]
+        n, report = collective_sweep[-1]
         assert n == 1024
         endpoint = n * (1.0 - report.fidelity)
         assert endpoint == pytest.approx(the_constants.collective_coeff, rel=0.05)

@@ -23,7 +23,6 @@ from blochest.evaluator import (
     adaptive_local_fidelity,
     exact_fidelity,
     monte_carlo_fidelity,
-    tomography_with_discard,
 )
 from blochest.schemes import SchemeKind, SchemeSpec
 
@@ -61,6 +60,19 @@ def parse_csv(text):
     return rows
 
 
+def _record_evaluations(monkeypatch) -> list:
+    """Replace every evaluation the CLI can reach with a recorder of its calls."""
+    calls = []
+    for target in (
+        "blochest.cli.exact_fidelity",
+        "blochest.cli.monte_carlo_fidelity",
+        "blochest.evaluator.exact_fidelity",
+        "blochest.evaluator.monte_carlo_fidelity",
+    ):
+        monkeypatch.setattr(target, lambda *a, **k: calls.append(a))
+    return calls
+
+
 @pytest.fixture(scope="module")
 def small_eq_prior():
     return build_prior(PriorKind.EQUATORIAL_BURES, radial_order=32, angular_order=32)
@@ -83,6 +95,13 @@ class TestParseNSpec:
     def test_list_form_from_config_files(self):
         assert parse_n_spec([2, 4]) == (2, 4)
         assert parse_n_spec((3,)) == (3,)
+
+    def test_list_must_strictly_increase(self):
+        from blochest.cli import CliUsageError
+
+        for bad in ([4, 2], [2, 2], [2, 6, 4]):
+            with pytest.raises(CliUsageError, match="strictly increasing"):
+                parse_n_spec(bad)
 
     @pytest.mark.parametrize(
         "bad",
@@ -282,15 +301,24 @@ class TestSweepCommand:
     def test_decreasing_config_list_rejected_before_evaluation(
         self, capsys, tmp_path, monkeypatch
     ):
-        calls = []
-        monkeypatch.setattr(
-            "blochest.evaluator.exact_fidelity", lambda *a, **k: calls.append(a)
-        )
+        calls = _record_evaluations(monkeypatch)
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": [8, 4], "radial_order": 32, "angular_order": 32}))
         code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 2
         assert "strictly increasing" in err
+        assert out == ""
+        assert calls == []
+
+    def test_collective_decreasing_config_list_rejected_before_evaluation(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        calls = _record_evaluations(monkeypatch)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": [8, 4], "scheme": "collective"}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert err == "error: copy numbers must be strictly increasing\n"
         assert out == ""
         assert calls == []
 
@@ -305,8 +333,9 @@ class TestTomographyCommand:
         code, out, err = run_cli(capsys, "tomography", "--n", "4", *SMALL)
         assert code == 0
         (row,) = parse_csv(out)
-        ref = tomography_with_discard(
+        ref = exact_fidelity(
             SchemeSpec(SchemeKind.LOCAL_XY, 4),
+            "tomography",
             small_eq_prior,
             radial_order=32,
             angular_order=32,
@@ -346,9 +375,7 @@ class TestTomographyCommand:
     def test_decreasing_config_list_rejected_before_evaluation(
         self, capsys, tmp_path, monkeypatch, extra
     ):
-        calls = []
-        for target in ("blochest.evaluator.exact_fidelity", "blochest.cli.monte_carlo_fidelity"):
-            monkeypatch.setattr(target, lambda *a, **k: calls.append(a))
+        calls = _record_evaluations(monkeypatch)
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": [8, 4], "radial_order": 16, "angular_order": 16}))
         code, out, err = run_cli(capsys, "tomography", "--config", str(cfg), *extra)
@@ -452,12 +479,16 @@ class TestAdaptiveCommand:
         assert code == 2
         assert "policy" in err
 
-    def test_full_prior_rejected(self, capsys):
-        code, out, err = run_cli(
-            capsys, "adaptive", "--n", "4", "--samples", "100", "--seed", "1",
-            "--prior", "full",
-        )
+    def test_full_prior_rejected(self, capsys, tmp_path):
+        argv = ("adaptive", "--n", "4", "--samples", "100", "--seed", "1")
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--prior", "full"])
+        assert excinfo.value.code == 2
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"prior": "full"}))
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
         assert code == 2
+        assert "unknown config key 'prior'" in err
 
     @pytest.mark.parametrize(
         "flags",
@@ -497,13 +528,13 @@ class TestPairingValidation:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("fidelity", "--n", "4", "--prior", "full"),
-            ("fidelity", "--n", "4", "--scheme", "collective", "--prior", "equatorial"),
+            ("sweep", "--n", "4", "--scheme", "collective", "--estimator", "ml"),
+            ("fidelity", "--n", "4", "--scheme", "collective", "--estimator", "ml", *MC_ROUTE),
             ("fidelity", "--n", "4", "--scheme", "collective", "--estimator", "ml"),
             ("fidelity", "--n", "4", "--scheme", "collective", "--estimator", "tomography"),
             ("fidelity", "--n", "4", "--estimator", "bogus"),
             ("fidelity", "--n", "4", "--scheme", "bogus"),
-            ("fidelity", "--n", "4", "--prior", "bogus"),
+            ("fidelity", "--n", "5", *MC_ROUTE),
             ("fidelity", "--n", "5"),  # the local x/y scheme splits copies evenly
             ("fidelity", "--n", "4", "--scheme", "collective", "--estimator", "tomography", *MC_ROUTE),
             ("sweep", "--n", "4", "--scheme", "collective", "--estimator", "tomography"),
@@ -535,11 +566,41 @@ class TestPairingValidation:
             main([])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("flag", [("--threads", "2"), ("--deterministic",)])
+    @pytest.mark.parametrize(
+        "flag", [("--threads", "2"), ("--deterministic",), ("--prior", "equatorial")]
+    )
     def test_unknown_flag_is_argparse_error(self, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(["fidelity", "--n", "4", *flag, *SMALL])
         assert excinfo.value.code == 2
+
+
+class TestPriorFollowsScheme:
+    """There is no prior setting; the ``prior`` column names the scheme's own."""
+
+    @pytest.mark.parametrize(
+        "argv, prior",
+        [
+            (("fidelity", "--n", "4"), "equatorial"),
+            (("fidelity", "--n", "4", "--estimator", "ml", *MC_ROUTE), "equatorial"),
+            (("sweep", "--n", "2:4:2"), "equatorial"),
+            (("tomography", "--n", "4:6:2"), "equatorial"),
+            (("adaptive", "--n", "4", *MC_ROUTE), "equatorial"),
+            (("adaptive", "--n", "4", "--policy", "greedy-fidelity", *MC_ROUTE), "equatorial"),
+            (("fidelity", "--n", "4", "--scheme", "collective"), "full"),
+            (("fidelity", "--n", "4", "--scheme", "collective", *MC_ROUTE), "full"),
+            (("sweep", "--n", "2:4:2", "--scheme", "collective"), "full"),
+        ],
+    )
+    def test_prior_column(self, capsys, argv, prior):
+        code, out, err = run_cli(capsys, *argv, *SMALL)
+        assert code == 0, err
+        rows = parse_csv(out)
+        assert rows and [r["prior"] for r in rows] == [prior] * len(rows)
+        code, out, err = run_cli(capsys, *argv, *SMALL, "--format", "json")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert [p["prior"] for p in payload.get("points", [payload])] == [prior] * len(rows)
 
 
 # --------------------------------------------------------------------------
@@ -637,7 +698,7 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, "fidelity", "--config", str(cfg))
         assert code == 0
 
-    @pytest.mark.parametrize("key", ["frobnicate", "threads", "deterministic"])
+    @pytest.mark.parametrize("key", ["frobnicate", "threads", "deterministic", "prior"])
     def test_unknown_key_rejected(self, capsys, tmp_path, key):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": 4, key: 1}))

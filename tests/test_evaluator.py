@@ -17,14 +17,11 @@ from blochest.evaluator import (
     EnumerationLimitError,
     FidelityReport,
     Method,
-    SweepResult,
     adaptive_local_fidelity,
     collective_tables,
     exact_fidelity,
     local_tables,
     monte_carlo_fidelity,
-    sweep,
-    tomography_with_discard,
 )
 from blochest.quadrature import QuadratureError
 from blochest.schemes import SchemeKind, SchemeSpec
@@ -178,7 +175,7 @@ class TestExactCollective:
         assert np.all(tables.prob >= 0.0)
 
     def test_error_bound_at_large_n(self, collective_sweep):
-        for n, rep in collective_sweep.points:
+        for n, rep in collective_sweep:
             if n >= 200:
                 assert 1.0 - rep.fidelity <= 1.3 / n
 
@@ -186,12 +183,12 @@ class TestExactCollective:
 class TestTomographyDiscard:
     def test_two_copies_everything_discarded(self, eq_prior):
         with pytest.raises(AllOutcomesDiscardedError) as exc:
-            tomography_with_discard(SchemeSpec(SchemeKind.LOCAL_XY, 2), eq_prior)
+            exact_fidelity(SchemeSpec(SchemeKind.LOCAL_XY, 2), "tomography", eq_prior)
         assert exc.value.discarded_fraction == 1.0
 
     def test_four_copies_values(self, eq_prior):
-        rep = tomography_with_discard(
-            SchemeSpec(SchemeKind.LOCAL_XY, 4), eq_prior,
+        rep = exact_fidelity(
+            SchemeSpec(SchemeKind.LOCAL_XY, 4), "tomography", eq_prior,
             radial_order=128, angular_order=256,
         )
         assert rep.fidelity == pytest.approx(0.7950367647058819, abs=1e-10)
@@ -202,7 +199,7 @@ class TestTomographyDiscard:
         # the reported fraction must equal the probability mass on count
         # pairs whose frequency point leaves the unit disc
         spec = SchemeSpec(SchemeKind.LOCAL_XY, 4)
-        rep = tomography_with_discard(spec, eq_prior_small)
+        rep = exact_fidelity(spec, "tomography", eq_prior_small)
         tables = local_tables(spec, build_prior(PriorKind.EQUATORIAL_BURES, 64, 128))
         n = tables.n_per_axis
         k = np.arange(n + 1)
@@ -215,12 +212,12 @@ class TestTomographyDiscard:
 
     def test_collective_scheme_rejected(self, full_prior):
         with pytest.raises(ValueError, match="local x/y scheme"):
-            tomography_with_discard(SchemeSpec(SchemeKind.COLLECTIVE, 4), full_prior)
+            exact_fidelity(SchemeSpec(SchemeKind.COLLECTIVE, 4), "tomography", full_prior)
 
-    def test_exact_fidelity_delegates(self, eq_prior):
-        a = tomography_with_discard(
-            SchemeSpec(SchemeKind.LOCAL_XY, 4), eq_prior, radial_order=128, angular_order=256
-        )
+    def test_auto_orders_keep_the_given_grid(self, eq_prior):
+        # auto mode verifies the given grid downward against half its
+        # orders, so a stable value is the given grid's own
+        a = exact_fidelity(SchemeSpec(SchemeKind.LOCAL_XY, 4), "tomography", eq_prior)
         b = exact_fidelity(
             SchemeSpec(SchemeKind.LOCAL_XY, 4), "tomography", eq_prior,
             radial_order=128, angular_order=256,
@@ -294,7 +291,7 @@ class TestMonteCarlo:
 
     def test_tomography_discard_tracking(self, eq_prior):
         spec = SchemeSpec(SchemeKind.LOCAL_XY, 6)
-        exact = tomography_with_discard(spec, eq_prior, radial_order=128, angular_order=256)
+        exact = exact_fidelity(spec, "tomography", eq_prior, radial_order=128, angular_order=256)
         mc = monte_carlo_fidelity(spec, "tomography", eq_prior, 60_000, seed=31)
         assert abs(mc.fidelity - exact.fidelity) <= 3.0 * mc.stderr
         d = exact.discarded_fraction
@@ -352,12 +349,12 @@ class TestExplicitOrders:
             spec = SchemeSpec(kind, 4)
             exact_fidelity(spec, "optimal", prior, **orders)
             monte_carlo_fidelity(spec, "optimal", prior, 10, seed=1, **orders)
-        tomography_with_discard(SchemeSpec(SchemeKind.LOCAL_XY, 4), eq_prior, **orders)
+        exact_fidelity(SchemeSpec(SchemeKind.LOCAL_XY, 4), "tomography", eq_prior, **orders)
 
     def test_other_orders_rebuild(self, eq_prior_small):
         p = evaluator._prior_at_orders(eq_prior_small, 16, None)
         assert (p.kind, p.radial_order, p.angular_order) == (
-            PriorKind.EQUATORIAL_BURES, 16, evaluator.DEFAULT_ANGULAR_ORDER
+            PriorKind.EQUATORIAL_BURES, 16, core.DEFAULT_ANGULAR_ORDER
         )
         assert evaluator._prior_at_orders(eq_prior_small, None, None) is eq_prior_small
 
@@ -493,40 +490,8 @@ class TestAdaptivePolicies:
 
 
 class TestSweep:
-    def test_points_match_single_calls(self, eq_prior_small):
-        res = sweep(SchemeKind.LOCAL_XY, "optimal", eq_prior_small, [2, 4, 6],
-                    radial_order=32, angular_order=64)
-        assert isinstance(res, SweepResult)
-        assert [n for n, _ in res.points] == [2, 4, 6]
-        for n, rep in res.points:
-            single = exact_fidelity(
-                SchemeSpec(SchemeKind.LOCAL_XY, n), "optimal", eq_prior_small,
-                radial_order=32, angular_order=64,
-            )
-            assert rep.fidelity == single.fidelity
-
-    def test_ordering_validated(self, eq_prior_small):
-        with pytest.raises(ValueError):
-            sweep(SchemeKind.LOCAL_XY, "optimal", eq_prior_small, [4, 2],
-                  radial_order=32, angular_order=64)
-        with pytest.raises(ValueError):
-            sweep(SchemeKind.LOCAL_XY, "optimal", eq_prior_small, [2, 2],
-                  radial_order=32, angular_order=64)
-
-    def test_ordering_checked_before_any_evaluation(self, full_prior_small, monkeypatch):
-        calls = []
-
-        def recording_exact_fidelity(*args, **kwargs):
-            calls.append(args[0].total_copies)
-            return exact_fidelity(*args, **kwargs)
-
-        monkeypatch.setattr(evaluator, "exact_fidelity", recording_exact_fidelity)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            sweep(SchemeKind.COLLECTIVE, "optimal", full_prior_small, [8, 4])
-        assert calls == []
-
     def test_collective_prefactor_monotone(self, collective_sweep, the_constants):
-        scaled = [n * (1.0 - rep.fidelity) for n, rep in collective_sweep.points]
+        scaled = [n * (1.0 - rep.fidelity) for n, rep in collective_sweep]
         assert all(b > a for a, b in zip(scaled, scaled[1:]))
         assert all(s < the_constants.collective_coeff for s in scaled)
 

@@ -1,7 +1,8 @@
 """Every name the package and its modules export through ``__all__``
 resolves, so a name deleted while its ``__all__`` entry stays fails the
 suite, not the next ``from blochest... import *``.  The package imports
-nothing outside the standard library but numpy."""
+nothing outside the standard library but numpy, at the version
+``pyproject.toml`` declares."""
 
 from __future__ import annotations
 
@@ -9,12 +10,14 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 import sys
 
 import pytest
 
 import blochest
 
+PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
 MODULES = ["blochest"] + sorted(
     f"blochest.{info.name}" for info in pkgutil.iter_modules(blochest.__path__)
 )
@@ -49,8 +52,22 @@ def test_imports_only_numpy_and_the_standard_library():
     assert outside == []
 
 
+def test_numpy_floor_has_vecdot():
+    """The greedy policy calls ``np.vecdot``, which numpy added in 2.0."""
+    tomllib = pytest.importorskip("tomllib")
+    with PYPROJECT.open("rb") as handle:
+        dependencies = tomllib.load(handle)["project"]["dependencies"]
+    [numpy] = [d for d in dependencies if re.match(r"numpy\b", d)]
+    floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)", numpy)
+    assert floor is not None, numpy
+    assert tuple(map(int, floor.groups())) >= (2, 0)
+
+
 # The scalar per-outcome API: the evaluator's count tables and guess rule
 # give every outcome at once, and tests check them against the oracles.
+# Then the wrappers that only forwarded to one evaluation: a sweep is a
+# comprehension over exact_fidelity, tomography with discarding is its
+# "tomography" estimator, and the constants need only the scaled ImK.
 RETIRED = {
     "blochest.core": ["EmbeddedBloch", "embed", "fidelity"],
     "blochest.schemes": [
@@ -61,12 +78,14 @@ RETIRED = {
         "TomographicGuess", "MLGuess", "tomography_estimate", "ml_estimate",
         "optimal_estimate", "random_estimate",
     ],
+    "blochest.evaluator": ["sweep", "SweepResult", "tomography_with_discard"],
+    "blochest.asymptotics": ["im_k_quarter_negative"],
 }
 
 
 def test_retired_names_stay_gone():
     names = {n for group in RETIRED.values() for n in group}
-    assert len(names) == 16
+    assert len(names) == 20
     exported = {n for m in MODULES for n in importlib.import_module(m).__all__}
     assert names & exported == set()
     lingering = [
