@@ -16,14 +16,18 @@ count tables.  The ML and tomography guesses come from one rule per
 outcome (:func:`_count_guesses`), which exact enumeration applies to every
 count pair and Monte Carlo to the sampled ones.  The table engine finds
 which of the reflections x -> -x, y -> -y and x <-> y map the prior onto
-itself, integrates one direction per orbit of the group they generate,
-and unfolds the wedge tables in place, one of those reflections at a
-time, by flipping or transposing them.  The (radial node, direction)
-pairs are binned by their success probabilities into tiles (one tile per
-batch below n = 100 counts per axis), and each tile's matrix products run
-only over the count rows where one of its binomials is within a factor
-1e22 of its largest value.  The work is serial and in
-a fixed order, so results are bit-reproducible.
+itself and integrates one direction per orbit of the group they generate.
+Each flip it finds is folded into the binomial tables: that axis keeps
+only the counts k >= n/2, with b(k) + b(n - k) in place of b(k), and
+b(k) - b(n - k) for the vector component the flip negates.  The matrix
+products then fill one quarter of each table; the swap adds that quarter
+to its transpose, and the flips mirror it into the other rows and
+columns.  The (radial node, direction) pairs are binned by their success
+probabilities into tiles (one tile per batch below n = 100 counts per
+axis), and each tile's matrix products run only over the kept count rows
+where one of its binomials, or its mirror, is within a factor 1e22 of its
+largest value.  The work is serial and in a fixed order, so results are
+bit-reproducible.
 Auto mode checks a local value on the given grid against half its orders
 and doubles the orders only when the two disagree; a collective value is
 taken on twice the given orders and checked against the given grid.  A
@@ -190,8 +194,9 @@ class LocalTables:
     v_y: np.ndarray
 
 
-# Columns (radial node x wedge direction) per batch of GEMMs: bounds each
-# binomial table to (n+1) x _TABLE_CHUNK doubles.
+# Columns (radial node x wedge direction) per batch: a batch forms its two
+# (n+1) x _TABLE_CHUNK log binomial tables, its tiles exponentiate them in
+# place, and one batch's tables are held at a time.
 _TABLE_CHUNK = 1024
 # A tile leaves out the binomial rows whose pmf is at most this fraction of
 # the largest pmf of every column in the tile.
@@ -199,8 +204,8 @@ _SUPPORT_CUT = 1e-22
 
 # The symmetries of the x/y count model are D4, generated by x -> -x,
 # y -> -y and x <-> y.  Each is written (sx, sy, swap): scale (x, y) by
-# the signs, then exchange them when ``swap``.  Listed in :func:`_fold`'s
-# order.
+# the signs, then exchange them when ``swap``.  :func:`local_tables` folds
+# the flips into the binomial tiles and applies the swap after them.
 _REFLECTIONS = ((-1, 1, False), (1, -1, False), (1, 1, True))
 # How far a mapped direction or its weight (relative) may sit from the grid
 # node it lands on; grid round-off is a few ulp.
@@ -235,8 +240,9 @@ def _symmetry_wedge(prior: Prior):
     tried (only round-off could pass it), and their group G is the products
     of their subsets.  Returns (gens, reps, rep_w): the reflections, the
     G-orbit representatives (each orbit's smallest index) and the orbit's
-    angular weight over |G|, so that folding (:func:`_fold`) the
-    representatives' weighted tables gives the full angular sum.
+    angular weight over |G|, so that the sum of the images under G of the
+    representatives' weighted tables (which :func:`local_tables` forms)
+    gives the full angular sum.
     """
     xy = prior.directions[:, :2]
     w = prior.angular_w
@@ -264,18 +270,55 @@ def _tiles_pay(n: int) -> bool:
     return 2.0 * n * math.log(1.0 / _SUPPORT_CUT) < (n + 1) ** 2
 
 
-def _tile_spans(log_pmf: np.ndarray, starts: np.ndarray):
-    """Row span [lo, hi) of each tile: the hull of its columns' supports.
+def _tile_spans(log_pmf: np.ndarray, starts: np.ndarray, flip: bool):
+    """Row spans of each tile: the hull [lo, hi) of its columns' supports, and ``mid``.
 
     ``log_pmf`` is a (n+1, columns) log binomial table whose columns are
     grouped into tiles beginning at ``starts``.  A column's support is the
     rows whose log pmf exceeds the column's largest by more than
-    log(_SUPPORT_CUT); every row outside a tile's span is outside the
-    support of each of its columns.
+    log(_SUPPORT_CUT).  With ``flip`` the axis is folded: only the rows
+    k >= ceil(n/2) are kept, row k stands for rows k and n - k, and rows
+    lo..mid-1 hold every kept row whose mirror n - k is in some column's
+    support.  Without it every row is kept and mid = lo.  Every kept row
+    outside a tile's span is outside the support of each of its columns,
+    and so is the mirror of every kept row from mid on.
     """
     support = log_pmf > log_pmf.max(axis=0) + math.log(_SUPPORT_CUT)
-    support = np.logical_or.reduceat(support, starts, axis=1)
-    return support.argmax(axis=0), support.shape[0] - support[::-1].argmax(axis=0)
+    K = support.shape[0]
+    kept = K // 2 if flip else 0
+    either = np.logical_or.reduceat(support[kept:], starts, axis=1)
+    if flip:
+        mirror = np.logical_or.reduceat(support[::-1][kept:], starts, axis=1)
+    else:
+        mirror = np.zeros_like(either)
+    either |= mirror
+    lo = kept + either.argmax(axis=0)
+    mid = np.where(mirror.any(axis=0), K - mirror[::-1].argmax(axis=0), lo)
+    return lo, K - either[::-1].argmax(axis=0), mid
+
+
+def _tile_pmf(log_pmf: np.ndarray, x0: int, x1: int, mid: int, scale: np.ndarray):
+    """(S, A * scale) over rows x0..x1-1 of a tile's log pmf table.
+
+    S(k) = b(k) + b(n - k) and A(k) = b(k) - b(n - k) on rows x0..mid-1,
+    S = A = b from mid on (:func:`_tile_spans`): the sums of a row and its
+    mirror, for the tables a flip fixes and for the component it negates.
+    ``scale`` multiplies A column by column (the mirror terms from mid on
+    are below the cut, so they are left out).  S is the rows x0..x1-1 of
+    ``log_pmf``, exponentiated in place; the tiles of a batch own disjoint
+    columns.
+    """
+    n = log_pmf.shape[0] - 1
+    k = mid - x0
+    # before the in-place exp: at even n the middle row is its own mirror
+    mirror = np.exp(log_pmf[n - mid + 1 : n - x0 + 1][::-1])
+    s = np.exp(log_pmf[x0:x1], out=log_pmf[x0:x1])
+    a = np.empty_like(s)
+    np.subtract(s[:k], mirror, out=a[:k])
+    s[:k] += mirror
+    a[:k] *= scale
+    np.multiply(s[k:], scale, out=a[k:])
+    return s, a
 
 
 def local_tables(spec: SchemeSpec, prior: Prior) -> LocalTables:
@@ -286,38 +329,53 @@ def local_tables(spec: SchemeSpec, prior: Prior) -> LocalTables:
     reflections map the prior's weighted directions onto themselves is read
     off the prior's arrays (:func:`_symmetry_wedge`), so only one direction
     per orbit of their group G is integrated (the wedge theta in [0, pi/4]
-    for a uniform grid of 8k angles), and the images of the wedge tables
-    under G are summed in place, one reflection at a time (:func:`_fold`):
-    the call holds one set of tables and a K x K temporary.
+    for a uniform grid of 8k angles), and the sum of the wedge tables'
+    images under G is formed as follows.
+
+    * A flip in G folds its axis into the binomial tables: only the rows
+      k >= ceil(n/2) are kept, with S(k) = b(k) + b(n - k) in place of b,
+      and A(k) = b(k) - b(n - k) for the component the flip negates (v_x
+      for x -> -x, v_y for y -> -y).  An axis whose flip is not in G keeps
+      all n + 1 rows, with S = A = b.
+    * The products add into the quarter of the tables the kept rows span;
+      with the swap in G it is square and is added to its transpose (v_x
+      to v_y's), once.
+    * The rows k below ceil(n/2) of a folded axis are then copies of rows
+      n - k, with the flipped component negated.  The tables are therefore
+      exactly mirror-symmetric, v_x (v_y) exactly antisymmetric, with a
+      middle row (column) of zeros at even n, and exactly transposed into
+      each other with the swap.  The call holds one set of tables and a
+      temporary of at most half of one table.
 
     Every (radial node, wedge direction) pair is a column with success
     probabilities q_x = (1 + r_x)/2 and q_y = (1 + r_y)/2, binomial tables
     b_x, b_y over the counts 0..n, and weight w.  The columns are binned
     into about sqrt(n)/2 cells per q axis, one cell below n = 100
     (:func:`_tiles_pay`), and processed in batches of _TABLE_CHUNK; the
-    columns of one cell in one batch form a tile.  A
-    column's pmf falls below _SUPPORT_CUT times its largest value outside
-    about +-10 sqrt(n q (1 - q)) of n q, so each tile multiplies only the
-    rows of b_x and of b_y inside the hull of its columns' supports
-    (:func:`_tile_spans`), one GEMM per table, and adds the result into the
-    matching block of the wedge tables.  A batch's log b_x and log b_y
+    columns of one cell in one batch form a tile.  A column's pmf falls
+    below _SUPPORT_CUT times its largest value outside about
+    +-10 sqrt(n q (1 - q)) of n q, so each tile multiplies only the kept
+    rows of S_x and of S_y (or A) inside the hull of its columns' folded
+    supports (:func:`_tile_spans`), one GEMM per table, and adds the result
+    into the matching block of the tables.  A batch's log b_x and log b_y
     cover all n + 1 rows, each one rank-3 matrix product
     (:func:`~blochest.schemes.binom_log_pmf_matrix`), since the spans are
-    read off them; only the tiles are exponentiated, in place.  The flops
-    fall from columns x (n+1)^2 to about a fifth of that at n = 512 and a
-    tenth at n = 1024.
+    read off them; only the tiles and their mirror rows are exponentiated.
 
-    The dropped mass is bounded as follows.  A tile leaves out entry
-    (k_x, k_y) of a column only when k_x is outside the tile's x span or
-    k_y outside its y span, and every such row has pmf at most
-    _SUPPORT_CUT, since a pmf is at most 1.  The column's dropped mass is
-    then at most w (sum_{k_x out} b_x sum b_y + sum b_x sum_{k_y out} b_y)
-    <= 2 (n+1) _SUPPORT_CUT w.  The weights of the columns times |G| sum
-    to the prior's mass 1, so prob loses at most 2 (n+1) 1e-22, below
-    2.1e-19 at the default enumeration limit (n = 1024), and so do v_t,
-    v_x and v_y, whose factors t, r_x, r_y lie in [-1, 1].  Kept entries are
-    the same products as over the full tables; only the summation order
-    of the GEMMs differs.
+    The dropped mass is bounded as follows.  A tile leaves out a kept row k
+    of a folded axis only when both b(k) and b(n - k) are below the cut for
+    each of its columns, the mirror term b(n - k) of a row it keeps only
+    when that term is, and a row of an unfolded axis only when b(k) is.
+    So every row an image of a column loses, in the unfolded tables, has
+    pmf at most _SUPPORT_CUT, since a pmf is at most 1.  Summed over the
+    |G| images, the column's dropped mass is then at most
+    |G| w (sum_{k_x out} b_x sum b_y + sum b_x sum_{k_y out} b_y)
+    <= 2 (n+1) _SUPPORT_CUT |G| w.  The weights of the columns times |G|
+    sum to the prior's mass 1, so prob loses at most 2 (n+1) 1e-22, below
+    2.1e-19 at the default enumeration limit (n = 1024), and so do v_t, v_x
+    and v_y, whose factors t, r_x, r_y lie in [-1, 1].  Kept entries are
+    the same sums of products as the image sum over full tables; only the
+    summation order differs.
     """
     if spec.kind is not SchemeKind.LOCAL_XY:
         raise ValueError("local_tables expects the local x/y scheme")
@@ -325,6 +383,9 @@ def local_tables(spec: SchemeSpec, prior: Prior) -> LocalTables:
     n = spec.n_per_axis
     K = n + 1
     gens, reps, rep_w = _symmetry_wedge(prior)
+    flip_x, flip_y, swap = (g in gens for g in _REFLECTIONS)
+    # the first kept row of each axis: ceil(n/2) when its flip folds it
+    lo_x, lo_y = (K // 2 if flip else 0 for flip in (flip_x, flip_y))
     n_r = prior.radial_r.size
     r = np.repeat(prior.radial_r, reps.size)
     t = np.repeat(prior.radial_t, reps.size)
@@ -340,57 +401,51 @@ def local_tables(spec: SchemeSpec, prior: Prior) -> LocalTables:
     by_cell = np.argsort(cell, kind="stable")
     cell, qx, qy, t, w, rx, ry = (a[by_cell] for a in (cell, qx, qy, t, w, rx, ry))
 
-    wedge = np.zeros((4, K, K))
+    tables = np.zeros((4, K, K))
     for s in range(0, w.size, _TABLE_CHUNK):
         c = slice(s, s + _TABLE_CHUNK)
         log_bx = binom_log_pmf_matrix(n, qx[c])
         log_by = binom_log_pmf_matrix(n, qy[c])
         starts = np.flatnonzero(np.diff(cell[c], prepend=-1))
         ends = np.append(starts[1:], log_bx.shape[1])
-        spans = zip(starts, ends, *_tile_spans(log_bx, starts), *_tile_spans(log_by, starts))
-        for a, b, x0, x1, y0, y1 in spans:
+        x_spans = _tile_spans(log_bx, starts, flip_x)
+        y_spans = _tile_spans(log_by, starts, flip_y)
+        for a, b, x0, x1, xm, y0, y1, ym in zip(starts, ends, *x_spans, *y_spans):
             j = slice(s + a, s + b)
-            # in place: the tiles of a batch own disjoint columns
-            bx = np.exp(log_bx[x0:x1, a:b], out=log_bx[x0:x1, a:b])
-            wby = np.exp(log_by[y0:y1, a:b], out=log_by[y0:y1, a:b])
-            wby *= w[j]
-            block = wedge[:, x0:x1, y0:y1]
-            block[0] += bx @ wby.T
-            block[1] += bx @ (wby * t[j]).T
-            block[2] += (bx * rx[j]) @ wby.T
-            block[3] += bx @ (wby * ry[j]).T
+            sx, rx_ax = _tile_pmf(log_bx[:, a:b], x0, x1, xm, rx[j])
+            wsy, wry_ay = _tile_pmf(log_by[:, a:b], y0, y1, ym, w[j] * ry[j])
+            wsy *= w[j]
+            block = tables[:, x0:x1, y0:y1]
+            block[0] += sx @ wsy.T
+            block[1] += sx @ (wsy * t[j]).T
+            block[2] += rx_ax @ wsy.T
+            block[3] += sx @ wry_ay.T
+        # the batch's log tables (sx and wsy are views into them) go before
+        # the next batch forms its own, so two batches' never coexist
+        del log_bx, log_by, sx, wsy
 
-    _fold(wedge, gens)
-    prob, v_t, v_x, v_y = wedge
-    return LocalTables(n_per_axis=n, prob=prob, v_t=v_t, v_x=v_x, v_y=v_y)
-
-
-def _fold(tables: np.ndarray, gens) -> None:
-    """Sum the images of the (prob, v_t, v_x, v_y) tables under G, in place.
-
-    G is generated by the reflections ``gens`` (in :data:`_REFLECTIONS`
-    order), so the sum over it is the product of (1 + g) over them: one
-    reflection at a time, each through one K x K temporary.
-    """
     prob, v_t, v_x, v_y = tables
-    tmp = np.empty_like(prob)
-    for sx, _, swap in gens:
-        if swap:
-            for a in (prob, v_t):
-                np.copyto(tmp, a.T)
-                a += tmp
-            np.copyto(tmp, v_x.T)
-            v_x += v_y.T
-            v_y += tmp
-        else:
-            # x -> -x reverses the rows and negates v_x; y -> -y the columns and v_y
-            axis, negated = (0, 2) if sx == -1 else (1, 3)
-            for i, a in enumerate(tables):
-                np.copyto(tmp, np.flip(a, axis))
-                if i == negated:
-                    a -= tmp
-                else:
-                    a += tmp
+    if swap:  # lo_x == lo_y: the swap comes with both flips or with neither
+        quarter = tables[:, lo_x:, lo_y:]
+        tmp = np.empty_like(quarter[0])
+        for table in quarter[:2]:
+            np.copyto(tmp, table.T)
+            table += tmp
+        np.copyto(tmp, quarter[2].T)
+        quarter[2] += quarter[3].T
+        quarter[3] += tmp
+    # Row (column) k < lo of a folded axis is row (column) n - k, with the
+    # flipped component negated; one table at a time, so that no copy of
+    # the whole set is made.
+    if flip_x:
+        for table in tables:
+            table[:lo_x, lo_y:] = table[K - lo_x :, lo_y:][::-1]
+        np.negative(v_x[:lo_x, lo_y:], out=v_x[:lo_x, lo_y:])
+    if flip_y:
+        for table in tables:
+            table[:, :lo_y] = table[:, K - lo_y :][:, ::-1]
+        np.negative(v_y[:, :lo_y], out=v_y[:, :lo_y])
+    return LocalTables(n_per_axis=n, prob=prob, v_t=v_t, v_x=v_x, v_y=v_y)
 
 
 def _to_wedge(n: int, kx: np.ndarray, ky: np.ndarray):

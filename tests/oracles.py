@@ -47,6 +47,12 @@ every column's full (n+1)-row binomial tables, negligible rows included, and
 adds the wedge tables' images under every element of the group into a second
 set of tables (``image_sum`` of ``d4_table_image``).
 
+``local_tables_full_rows`` is the support-tile engine as it was before the
+flips were folded into the binomial tiles: each tile multiplies the binomial
+rows on both sides of n/2, into wedge tables the size of the result, and
+``fold_in_place`` then adds the images of those tables under the group, one
+reflection at a time, each through one (n+1) x (n+1) temporary.
+
 ``binom_log_pmf_matrix_uncached`` is the log binomial table as it was before
 the coefficients were cached and the table became one matrix product:
 2(n + 1) ``math.lgamma`` calls on every call (``log_binom_coefficients_uncached``),
@@ -102,6 +108,7 @@ import math
 import mpmath
 import numpy as np
 
+from blochest import evaluator
 from blochest.core import Prior, build_prior, sample_states, sphere_grid
 from blochest.estimators import DegenerateEstimateError, ml_phi_batch
 from blochest.evaluator import (
@@ -124,6 +131,7 @@ from blochest.quadrature import gauss_legendre
 from blochest.schemes import (
     SchemeKind,
     SchemeSpec,
+    binom_log_pmf_matrix,
     collective_k_values,
     collective_log_weight,
 )
@@ -190,6 +198,92 @@ def local_tables_dense(spec: SchemeSpec, prior: Prior) -> LocalTables:
 
     prob, v_t, v_x, v_y = image_sum(generated_group(gens), wedge)
     return LocalTables(n_per_axis=n, prob=prob, v_t=v_t, v_x=v_x, v_y=v_y)
+
+
+def _full_row_spans(log_pmf: np.ndarray, starts: np.ndarray):
+    """Row span [lo, hi) of each tile over all n + 1 rows: the hull of its columns' supports."""
+    support = log_pmf > log_pmf.max(axis=0) + math.log(evaluator._SUPPORT_CUT)
+    support = np.logical_or.reduceat(support, starts, axis=1)
+    return support.argmax(axis=0), support.shape[0] - support[::-1].argmax(axis=0)
+
+
+def local_tables_full_rows(spec: SchemeSpec, prior: Prior) -> LocalTables:
+    """Wedge tables from full-row support tiles, then summed over G in place.
+
+    The tiles, their cells and batches are the package's; it reads
+    ``evaluator._tiles_pay`` at call time, so a test that forces the tiles
+    forces them here too.
+    """
+    if spec.kind is not SchemeKind.LOCAL_XY:
+        raise ValueError("local_tables expects the local x/y scheme")
+    _require_prior(spec.kind, prior)
+    n = spec.n_per_axis
+    K = n + 1
+    gens, reps, rep_w = _symmetry_wedge(prior)
+    n_r = prior.radial_r.size
+    r = np.repeat(prior.radial_r, reps.size)
+    t = np.repeat(prior.radial_t, reps.size)
+    w = np.outer(prior.radial_w, rep_w).ravel()
+    rx = r * np.tile(prior.directions[reps, 0], n_r)
+    ry = r * np.tile(prior.directions[reps, 1], n_r)
+    qx = 0.5 * (1.0 + rx)
+    qy = 0.5 * (1.0 + ry)
+
+    bins = max(1, math.isqrt(n) // 2) if evaluator._tiles_pay(n) else 1
+    cell = np.minimum(qx * bins, bins - 1).astype(np.intp) * bins
+    cell += np.minimum(qy * bins, bins - 1).astype(np.intp)
+    by_cell = np.argsort(cell, kind="stable")
+    cell, qx, qy, t, w, rx, ry = (a[by_cell] for a in (cell, qx, qy, t, w, rx, ry))
+
+    wedge = np.zeros((4, K, K))
+    for s in range(0, w.size, _TABLE_CHUNK):
+        c = slice(s, s + _TABLE_CHUNK)
+        log_bx = binom_log_pmf_matrix(n, qx[c])
+        log_by = binom_log_pmf_matrix(n, qy[c])
+        starts = np.flatnonzero(np.diff(cell[c], prepend=-1))
+        ends = np.append(starts[1:], log_bx.shape[1])
+        spans = zip(starts, ends, *_full_row_spans(log_bx, starts), *_full_row_spans(log_by, starts))
+        for a, b, x0, x1, y0, y1 in spans:
+            j = slice(s + a, s + b)
+            bx = np.exp(log_bx[x0:x1, a:b])
+            wby = np.exp(log_by[y0:y1, a:b]) * w[j]
+            block = wedge[:, x0:x1, y0:y1]
+            block[0] += bx @ wby.T
+            block[1] += bx @ (wby * t[j]).T
+            block[2] += (bx * rx[j]) @ wby.T
+            block[3] += bx @ (wby * ry[j]).T
+
+    fold_in_place(wedge, gens)
+    prob, v_t, v_x, v_y = wedge
+    return LocalTables(n_per_axis=n, prob=prob, v_t=v_t, v_x=v_x, v_y=v_y)
+
+
+def fold_in_place(tables: np.ndarray, gens) -> None:
+    """Sum the images of the (prob, v_t, v_x, v_y) tables under G, in place.
+
+    G is generated by the reflections ``gens`` (in ``_REFLECTIONS`` order),
+    so the sum over it is the product of (1 + g) over them: one reflection
+    at a time, each through one K x K temporary.
+    """
+    prob, v_t, v_x, v_y = tables
+    tmp = np.empty_like(prob)
+    for sx, _, swap in gens:
+        if swap:
+            for a in (prob, v_t):
+                np.copyto(tmp, a.T)
+                a += tmp
+            np.copyto(tmp, v_x.T)
+            v_x += v_y.T
+            v_y += tmp
+        else:
+            # x -> -x reverses the rows and negates v_x; y -> -y the columns and v_y
+            axis, negated = (0, 2) if sx == -1 else (1, 3)
+            for i, a in enumerate(tables):
+                np.copyto(tmp, np.flip(a, axis))
+                if i == negated:
+                    a -= tmp
+                else:
+                    a += tmp
 
 
 def d4_table_image(g, tables):

@@ -1,5 +1,6 @@
-"""The local table engine against its oracles: the full per-node sum, and the
-dense wedge engine that multiplies every binomial row."""
+"""The local table engine against its oracles: the full per-node sum, the
+dense wedge engine that multiplies every binomial row, and the full-row tile
+engine that folds the finished tables."""
 
 from __future__ import annotations
 
@@ -15,7 +16,14 @@ from blochest import evaluator
 from blochest.core import Prior, PriorKind, build_prior
 from blochest.evaluator import _local_exact_value, _symmetry_wedge, _tile_spans, local_tables
 from blochest.schemes import SchemeKind, SchemeSpec, binom_log_pmf_matrix
-from oracles import generated_group, image_sum, local_tables_dense, local_tables_per_node
+from oracles import (
+    fold_in_place,
+    generated_group,
+    image_sum,
+    local_tables_dense,
+    local_tables_full_rows,
+    local_tables_per_node,
+)
 
 FIELDS = ("prob", "v_t", "v_x", "v_y")
 TABLE_TOL = 1e-14
@@ -92,16 +100,96 @@ REFLECTION_SETS = {
     ],
 )
 def test_in_place_fold_is_the_d4_image_sum(gens, K):
-    """The in-place fold against the sum of the images under the generated group."""
+    """The full-row oracle's in-place fold against the sum of the images under the generated group."""
     group = generated_group(gens)
     assert len(set(group)) == 2 ** len(gens)
     wedge = np.random.default_rng(K).standard_normal((4, K, K))
     images = np.array([image_sum([g], wedge) for g in group])
     folded = wedge.copy()
-    evaluator._fold(folded, gens)
+    fold_in_place(folded, gens)
     # both are sums of the same |G| terms, in another order
     bound = len(group) * np.finfo(float).eps * np.abs(images).sum(axis=0)
     assert np.all(np.abs(folded - images.sum(axis=0)) <= bound)
+
+
+# Angular weights on 16 uniform angles that each reflection set, and no
+# larger one, maps onto themselves.
+REFLECTION_BUMPS = {
+    "none": lambda a: 0.3 * np.cos(a) + 0.2 * np.sin(a),
+    "x": np.sin,
+    "y": np.cos,
+    "swap": lambda a: np.cos(a) + np.sin(a),
+    "xy": lambda a: np.cos(2.0 * a),
+    "": lambda a: 0.0 * a,
+}
+
+
+def _reflection_prior(name, radial, pure=False):
+    """A 16-angle prior fixed by ``REFLECTION_SETS[name]``; ``pure`` adds a radial node at r = 1."""
+    angles = _uniform_angles(16)
+    prior = _hand_built(angles, 1.0 + 0.3 * REFLECTION_BUMPS[name](angles), radial)
+    if pure:
+        # q = 1 (and, off the wedge, q = 0) columns: one 0^0 = 1 entry each
+        prior = dataclasses.replace(
+            prior,
+            radial_r=np.append(prior.radial_r, 1.0),
+            radial_t=np.append(prior.radial_t, 0.0),
+            radial_w=np.append(prior.radial_w, 0.25) / 1.25,
+        )
+    assert _symmetry_wedge(prior)[0] == REFLECTION_SETS[name]
+    return prior
+
+
+@given(
+    name=st.sampled_from(list(REFLECTION_SETS)),
+    n=st.integers(1, 70),
+    radial=st.integers(2, 12),
+    pure=st.booleans(),
+    force_tiles=st.booleans(),
+)
+@example(name="", n=1, radial=2, pure=True, force_tiles=False)  # N = 2
+@example(name="xy", n=2, radial=3, pure=False, force_tiles=True)
+@example(name="", n=64, radial=12, pure=True, force_tiles=True)  # 4 cells per axis
+@example(name="swap", n=33, radial=5, pure=True, force_tiles=True)
+@example(name="x", n=48, radial=7, pure=False, force_tiles=True)
+@example(name="y", n=17, radial=4, pure=True, force_tiles=True)
+@example(name="none", n=50, radial=6, pure=True, force_tiles=True)
+def test_folded_tiles_match_full_rows_and_per_node_sum(name, n, radial, pure, force_tiles):
+    prior = _reflection_prior(name, radial, pure)
+    spec = SchemeSpec(SchemeKind.LOCAL_XY, 2 * n)
+    with pytest.MonkeyPatch.context() as mp:
+        if force_tiles:
+            mp.setattr(evaluator, "_tiles_pay", lambda n: True)
+        fast = local_tables(spec, prior)
+        full_rows = local_tables_full_rows(spec, prior)
+    per_node = local_tables_per_node(spec, prior)
+    for f in FIELDS:
+        assert np.isfinite(getattr(fast, f)).all()
+        assert np.abs(getattr(fast, f) - getattr(full_rows, f)).max() <= TABLE_TOL
+        assert np.abs(getattr(fast, f) - getattr(per_node, f)).max() <= TABLE_TOL
+
+
+@pytest.mark.parametrize("name", list(REFLECTION_SETS))
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 40, 41])
+def test_folded_tables_are_exactly_symmetric(name, n):
+    """Each reflection the prior has holds bit for bit: the folded rows are mirrored copies."""
+    gens = REFLECTION_SETS[name]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "_tiles_pay", lambda n: True)
+        tables = local_tables(SchemeSpec(SchemeKind.LOCAL_XY, 2 * n), _reflection_prior(name, 5, True))
+    prob, v_t, v_x, v_y = (getattr(tables, f) for f in FIELDS)
+    for axis, flip, odd, other in ((0, X_FLIP, v_x, v_y), (1, Y_FLIP, v_y, v_x)):
+        if flip not in gens:
+            continue
+        for a in (prob, v_t, other):
+            assert np.array_equal(a, np.flip(a, axis))
+        assert np.array_equal(odd, -np.flip(odd, axis))
+        if n % 2 == 0:
+            assert not np.take(odd, n // 2, axis=axis).any()
+    if SWAP in gens:
+        assert np.array_equal(prob, prob.T)
+        assert np.array_equal(v_t, v_t.T)
+        assert np.array_equal(v_x, v_y.T)
 
 
 def test_default_wedge_halves_the_mirror_lines():
@@ -271,18 +359,29 @@ def test_tiles_pay_from_the_support_width():
         max_size=40,
     ),
     cuts=st.sets(st.integers(1, 39), max_size=6),
+    flip=st.booleans(),
 )
-def test_tile_spans_skip_only_rows_below_the_cut(n, qs, cuts):
+@example(n=2, qs=[0.5], cuts=set(), flip=True)  # the middle row is its own mirror
+@example(n=40, qs=[0.02, 0.98, 0.5], cuts={1, 2}, flip=True)
+def test_tile_spans_skip_only_rows_below_the_cut(n, qs, cuts, flip):
+    """A folded row k stands for rows k and n - k: it is skipped only when both are below the cut."""
     log_pmf = binom_log_pmf_matrix(n, np.array(qs))
     starts = np.array([0] + sorted(c for c in cuts if c < len(qs)))
-    lo, hi = _tile_spans(log_pmf, starts)
+    lo, hi, mid = _tile_spans(log_pmf, starts, flip)
     floor = log_pmf.max(axis=0) + math.log(evaluator._SUPPORT_CUT)
     ends = np.append(starts[1:], len(qs))
-    rows = np.arange(n + 1)
-    for a, b, x0, x1 in zip(starts, ends, lo, hi):
+    kept = (n + 1) // 2 if flip else 0
+    rows = np.arange(kept, n + 1)
+    for a, b, x0, x1, m1 in zip(starts, ends, lo, hi, mid):
         tile = log_pmf[:, a:b]
+        direct = tile > floor[a:b]
+        mirror = tile[::-1] > floor[a:b] if flip else np.zeros_like(direct)
+        assert kept <= x0 <= m1 <= x1 <= n + 1
         skipped = (rows < x0) | (rows >= x1)
-        # every skipped row is below the cut for every column of the tile
-        assert np.all(tile[skipped] <= floor[a:b])
-        # the span is the hull: its edge rows are in some column's support
-        assert np.any(tile[x0] > floor[a:b]) and np.any(tile[x1 - 1] > floor[a:b])
+        # every skipped kept row has its own and its mirror's pmf below the cut, in every column
+        assert not direct[rows[skipped]].any() and not mirror[rows[skipped]].any()
+        # the span is the hull: each edge row or its mirror is in some column's support
+        assert (direct | mirror)[x0].any() and (direct | mirror)[x1 - 1].any()
+        # mirrors are in the support only before mid, and mid is their hull's end
+        assert not mirror[m1:].any()
+        assert m1 == x0 or mirror[m1 - 1].any()
