@@ -1,5 +1,12 @@
-"""Quadrature primitives: cached Gauss-Legendre rules and an adaptive
+"""Quadrature primitives: Gauss-Legendre rules and an adaptive
 Gauss-Kronrod integrator.
+
+The Gauss-Legendre rules are numpy's (``numpy.polynomial.legendre.leggauss``).
+For the orders 2, 4, 8, ..., 2048 they ship with the package in
+``gauss_legendre.f64``, which ``tools/make_gauss_legendre.py`` writes from
+numpy's own output, so a process reads them instead of repeating numpy's
+dense O(n^3) eigenvalue solve, which takes about a second at n = 2048.
+Other orders are computed by ``leggauss``; every rule is cached.
 
 The adaptive engine pairs the 7-point Gauss rule with its 15-point Kronrod
 extension on each subinterval and bisects the interval with the largest
@@ -15,6 +22,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -27,19 +35,49 @@ __all__ = [
 ]
 
 
+# The stored rules: for each order n in turn, the n/2 positive nodes in
+# increasing order, then their weights, as little-endian float64.  leggauss
+# makes its nodes exactly antisymmetric and its weights exactly symmetric,
+# so mirroring the positive half rebuilds the whole rule bit for bit.
+STORED_ORDERS = tuple(2**k for k in range(1, 12))
+STORED_PATH = Path(__file__).with_name("gauss_legendre.f64")
+_STORED_OFFSETS = dict(zip(STORED_ORDERS, np.cumsum((0,) + STORED_ORDERS[:-1]).tolist()))
+
+
+@lru_cache(maxsize=1)
+def _stored_rules() -> np.ndarray:
+    data = np.fromfile(STORED_PATH, dtype="<f8")
+    if data.size != sum(STORED_ORDERS):
+        raise RuntimeError(
+            f"{STORED_PATH} holds {data.size} values, expected {sum(STORED_ORDERS)}"
+        )
+    return data
+
+
 @lru_cache(maxsize=64)
-def _leggauss_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
+def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    offset = _STORED_OFFSETS.get(n)
+    if offset is None:
+        x, w = np.polynomial.legendre.leggauss(n)
+    else:
+        half = _stored_rules()[offset : offset + n]
+        nodes, weights = half[: n // 2], half[n // 2 :]
+        x = np.concatenate((-nodes[::-1], nodes))
+        w = np.concatenate((weights[::-1], weights))
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1] (cached, read-only)."""
+    """Gauss-Legendre nodes and weights on [-1, 1] (cached, read-only).
+
+    The rule is numpy's ``leggauss(n)``: read from the package's stored
+    rules when ``n`` is one of :data:`STORED_ORDERS`, computed otherwise.
+    """
     if n < 1:
         raise ValueError("rule order must be >= 1")
-    return _leggauss_cached(int(n))
+    return _rule(int(n))
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].

@@ -98,6 +98,12 @@ The cross-check routes share no code with the table engines:
 * ``collective_fidelity_full_grid`` is the collective optimal fidelity by
   brute-force quadrature over a direction grid for m̂ and the prior's full
   product grid.
+
+``gauss_legendre_reference`` is the n-point Gauss-Legendre rule computed
+without numpy's ``leggauss``: Newton's method on the Legendre three-term
+recurrence in ``np.longdouble`` from Tricomi's initial guesses, with the
+weights 2 / ((1 - x^2) P_n'(x)^2).  It does not depend on the LAPACK build,
+and it holds the stored rules to their accuracy.
 """
 
 from __future__ import annotations
@@ -1153,3 +1159,28 @@ def greedy_adaptive_per_axis(
             1.0 + t_states[s:e] * v[:, 0] + vecs[s:e, 0] * v[:, 1] + vecs[s:e, 1] * v[:, 2]
         )
     return f
+
+
+def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    p_prev, p = np.ones_like(x), x.copy()
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, n * (p_prev - x * p) / (1 - x * x)
+
+
+def gauss_legendre_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Non-negative nodes of the n-point rule (n even), increasing, and their weights."""
+    if n % 2:
+        raise ValueError("the reference rule is for even orders")
+    i = np.arange(n // 2, 0, -1, dtype=np.longdouble)
+    x = np.cos(np.pi * (4 * i - 1) / (4 * n + 2))
+    for _ in range(20):
+        p, dp = _legendre_and_derivative(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 4 * np.finfo(np.longdouble).eps:
+            break
+    else:
+        raise RuntimeError(f"Newton's method did not converge at n = {n}")
+    _, dp = _legendre_and_derivative(n, x)
+    return x, 2 / ((1 - x * x) * dp * dp)
