@@ -23,9 +23,12 @@ Two a-priori ensembles are supported, both induced by the fidelity metric:
 Both densities diverge at r = 1.  The substitution r = sin(u) removes the
 endpoint singularity exactly (the radial weights become sin^2(u) du and
 sin(u) du on u in [0, pi/2]), so plain Gauss-Legendre quadrature in u
-converges spectrally.  :func:`radial_rule` returns the resulting radial
-nodes and weights, and :func:`build_prior` the product of that rule with a
-direction grid; all downstream averages are weighted sums over this grid.
+converges spectrally.  :func:`build_prior` returns the product of that
+radial rule with an angular rule; all downstream averages are weighted
+sums over this grid.  The full-ball ensemble is rotationally invariant, and
+every full-ball average the package forms depends on direction only
+through one polar cosine, so its angular rule is a Gauss-Legendre rule in
+that cosine, not a grid over the whole sphere.
 """
 
 from __future__ import annotations
@@ -39,11 +42,8 @@ from .quadrature import gauss_legendre
 
 __all__ = [
     "PriorKind",
-    "RadialRule",
     "Prior",
     "clamp_fidelity",
-    "sphere_grid",
-    "radial_rule",
     "build_prior",
     "random_guess_fidelity",
     "sample_states",
@@ -68,8 +68,13 @@ def clamp_fidelity(value: float) -> float:
 
 
 @dataclass(frozen=True)
-class RadialRule:
-    """The radial half of an ensemble's quadrature grid.
+class Prior:
+    """Quadrature grid for one of the two a-priori ensembles.
+
+    The grid is a product of a radial rule and an angular rule.  Radial
+    weights and angular weights each sum to 1 (the full ball's up to
+    round-off), so the product weights realize a normalized average over
+    the ensemble.
 
     Fields
     ------
@@ -77,15 +82,19 @@ class RadialRule:
     radial_t : (nr,) matching time components sqrt(1 - r^2), computed as
                cos(u) for accuracy near r = 1
     radial_w : (nr,) radial weights, sum 1
+    directions : (na, 3) unit vectors
+    angular_w : (na,) angular weights
     """
 
     kind: PriorKind
     radial_r: np.ndarray
     radial_t: np.ndarray
     radial_w: np.ndarray
+    directions: np.ndarray
+    angular_w: np.ndarray
 
     def __post_init__(self):
-        # every field after ``kind`` is an array, here and in Prior
+        # every field after ``kind`` is an array
         for field in fields(self)[1:]:
             a = np.asarray(getattr(self, field.name), dtype=float)
             a.flags.writeable = False
@@ -96,47 +105,19 @@ class RadialRule:
         """Number of radial quadrature nodes."""
         return int(self.radial_r.size)
 
-
-@dataclass(frozen=True)
-class Prior(RadialRule):
-    """Quadrature grid for one of the two a-priori ensembles.
-
-    The grid is a product of a radial rule and an angular rule.  Radial
-    weights and angular weights each sum to 1, so the product weights
-    realize a normalized average over the ensemble.
-
-    Fields
-    ------
-    radial_r, radial_t, radial_w : the :class:`RadialRule`
-    directions : (na, 3) unit vectors
-    angular_w : (na,) angular weights, sum 1
-    """
-
-    directions: np.ndarray
-    angular_w: np.ndarray
-
     @property
     def angular_order(self) -> int:
-        """The per-dimension angular order (matches build_prior's argument)."""
-        n = int(self.angular_w.size)
-        if self.kind is PriorKind.FULL_BURES:
-            return int(round(n**0.5))
-        return n
-
-    def mean_embedding(self) -> np.ndarray:
-        """The ensemble average of the embedded state, <𝐫> = (<t>, <r⃗>)."""
-        t_mean = float(self.radial_w @ self.radial_t)
-        r_mean = float(self.radial_w @ self.radial_r)
-        dir_mean = self.angular_w @ self.directions
-        return np.concatenate(([t_mean], r_mean * dir_mean))
+        """Number of angular quadrature nodes (matches build_prior's argument)."""
+        return int(self.angular_w.size)
 
     def product_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Materialize the full product grid.
 
         Returns (nodes4, weights): nodes4 is (nr*na, 4) embedded states and
-        weights is the matching (nr*na,) product weights summing to 1.
-        Intended for cross-checks at modest orders; the product can be
-        large for high-order full-ball grids.
+        weights is the matching (nr*na,) product weights.  For the full
+        ball this is the meridian product, so it averages only integrands
+        that depend on direction through the polar cosine alone.
+        Intended for cross-checks at modest orders.
         """
         nr = len(self.radial_r)
         na = len(self.angular_w)
@@ -147,44 +128,6 @@ class Prior(RadialRule):
         return nodes, weights
 
 
-def sphere_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Direction grid on the unit sphere: ``order`` Gauss nodes in cos(theta)
-    times ``order`` uniform azimuths.
-
-    Returns (directions, weights): (order**2, 3) unit vectors, cosine-major,
-    and their weights, which sum to 1.
-    """
-    mu, wmu = gauss_legendre(order)
-    phi = 2.0 * np.pi * np.arange(order) / order
-    sin_th = np.sqrt(1.0 - mu**2)
-    dirs = np.empty((order * order, 3))
-    dirs[:, 0] = np.repeat(sin_th, order) * np.tile(np.cos(phi), order)
-    dirs[:, 1] = np.repeat(sin_th, order) * np.tile(np.sin(phi), order)
-    dirs[:, 2] = np.repeat(mu, order)
-    return dirs, np.repeat(wmu / wmu.sum(), order) / order
-
-
-def radial_rule(kind: PriorKind, radial_order: int = DEFAULT_RADIAL_ORDER) -> RadialRule:
-    """The radial rule of an ensemble: ``radial_order`` Gauss-Legendre nodes
-    in the substituted variable u (r = sin u), with the ensemble's radial
-    weights normalized to unit mass.
-    """
-    if kind not in (PriorKind.FULL_BURES, PriorKind.EQUATORIAL_BURES):
-        raise ValueError(f"unknown prior kind {kind!r}")
-    if radial_order < 2:
-        raise ValueError("quadrature orders must be >= 2")
-    x, w = gauss_legendre(radial_order)
-    u = 0.25 * np.pi * (x + 1.0)  # u in (0, pi/2)
-    r = np.sin(u)
-    t = np.cos(u)
-    if kind is PriorKind.FULL_BURES:
-        wr = w * np.sin(u) ** 2
-    else:
-        wr = w * np.sin(u)
-    wr = wr / wr.sum()  # unit total mass at every order
-    return RadialRule(kind=kind, radial_r=r, radial_t=t, radial_w=wr)
-
-
 def build_prior(
     kind: PriorKind,
     radial_order: int = DEFAULT_RADIAL_ORDER,
@@ -193,31 +136,38 @@ def build_prior(
     """Build the quadrature grid for an ensemble.
 
     ``radial_order`` is the number of Gauss-Legendre nodes in the
-    substituted variable u (r = sin u), the :func:`radial_rule`;
-    ``angular_order`` controls the angular rule: for the equatorial
-    ensemble a uniform grid of that many polar angles (trapezoidal, exact
-    for smooth periodic integrands), for the full ball a product of that
-    many Gauss nodes in cos(theta) with the same number of uniform
-    azimuthal nodes.
+    substituted variable u (r = sin u), with the ensemble's radial weights
+    normalized to unit mass.  ``angular_order`` is the number of
+    directions.  For the equatorial ensemble they are uniform polar angles
+    (trapezoidal, exact for smooth periodic integrands).  For the full
+    ball they are Gauss-Legendre nodes c in the polar cosine, stored as
+    the meridian directions (sqrt(1 - c^2), 0, c) with weights w_c / 2
+    (the uniform sphere measure is dc/2 in c).  That rule averages only
+    integrands that depend on direction through the polar cosine alone,
+    and for them it is the Gauss rule in c; the rotationally invariant
+    ensemble needs no other.
     """
-    rule = radial_rule(kind, radial_order)
-    if angular_order < 2:
+    if kind not in (PriorKind.FULL_BURES, PriorKind.EQUATORIAL_BURES):
+        raise ValueError(f"unknown prior kind {kind!r}")
+    if radial_order < 2 or angular_order < 2:
         raise ValueError("quadrature orders must be >= 2")
+    x, w = gauss_legendre(radial_order)
+    u = 0.25 * np.pi * (x + 1.0)  # u in (0, pi/2)
+    r = np.sin(u)
+    wr = w * r**2 if kind is PriorKind.FULL_BURES else w * r
+    wr = wr / wr.sum()  # unit total mass at every order
 
     if kind is PriorKind.FULL_BURES:
-        dirs, wa = sphere_grid(angular_order)
+        c, gw = gauss_legendre(angular_order)
+        dirs = np.column_stack([np.sqrt(1.0 - c**2), np.zeros(angular_order), c])
+        wa = gw / 2.0
     else:
         theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
         dirs = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(angular_order)])
         wa = np.full(angular_order, 1.0 / angular_order)
 
     return Prior(
-        kind=kind,
-        radial_r=rule.radial_r,
-        radial_t=rule.radial_t,
-        radial_w=rule.radial_w,
-        directions=dirs,
-        angular_w=wa,
+        kind=kind, radial_r=r, radial_t=np.cos(u), radial_w=wr, directions=dirs, angular_w=wa
     )
 
 
@@ -226,14 +176,15 @@ def random_guess_fidelity(prior: Prior) -> float:
 
     The guess is itself drawn from the ensemble, independently of the
     state, so the average is the double ensemble mean
-
-        F = (1 + |<𝐫>|^2) / 2.
+    F = (1 + |<𝐫>|^2) / 2.  Both ensembles are symmetric under
+    r⃗ -> -r⃗, so <r⃗> = 0 and <𝐫> = (<t>, 0): F = (1 + <t>^2) / 2, from
+    the radial rule alone.
 
     For the full-ball ensemble this equals 1/2 + 8/(9 pi^2) ~ 0.590064;
     for the equatorial ensemble it equals 5/8.
     """
-    m = prior.mean_embedding()
-    return clamp_fidelity(0.5 * (1.0 + float(m @ m)))
+    t_mean = float(prior.radial_w @ prior.radial_t)
+    return clamp_fidelity(0.5 * (1.0 + t_mean * t_mean))
 
 
 def sample_states(kind: PriorKind, size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -94,10 +94,13 @@ The cross-check routes share no code with the table engines:
   given local x/y guess tables, forming every direction's outcome
   probabilities explicitly;
 * ``collective_v_norm`` is |V(k, m̂)| by direct 3-D quadrature over the
-  prior's own grid, for the rotational-invariance check;
+  prior's radial rule times ``sphere_grid``, a Gauss x uniform-azimuth
+  grid over the whole sphere, for the rotational-invariance check;
 * ``collective_fidelity_full_grid`` is the collective optimal fidelity by
-  brute-force quadrature over a direction grid for m̂ and the prior's full
-  product grid.
+  brute-force quadrature over a direction grid for m̂ and the prior's radial
+  rule times ``sphere_grid`` (``sphere_product_nodes``).  The package's
+  full-ball prior holds only a polar-cosine rule, so these two routes do
+  not lean on the rotational invariance the package engine assumes.
 
 ``gauss_legendre_reference`` is the n-point Gauss-Legendre rule computed
 without numpy's ``leggauss``: Newton's method on the Legendre three-term
@@ -108,6 +111,7 @@ and it holds the stored rules to their accuracy.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -115,7 +119,7 @@ import mpmath
 import numpy as np
 
 from blochest import evaluator
-from blochest.core import Prior, build_prior, sample_states, sphere_grid
+from blochest.core import Prior, build_prior, sample_states
 from blochest.estimators import DegenerateEstimateError, ml_phi_batch
 from blochest.evaluator import (
     _GREEDY_ANGULAR_ORDER,
@@ -466,21 +470,50 @@ def collective_tables_windowed(total_copies: int, prior, cos_order: int) -> Coll
     )
 
 
+def sphere_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Direction grid on the whole unit sphere: ``order`` Gauss nodes in
+    cos(theta) times ``order`` uniform azimuths.
+
+    Returns (directions, weights): (order**2, 3) unit vectors, cosine-major,
+    and their weights, which sum to 1.
+    """
+    mu, wmu = gauss_legendre(order)
+    phi = 2.0 * np.pi * np.arange(order) / order
+    sin_th = np.sqrt(1.0 - mu**2)
+    dirs = np.empty((order * order, 3))
+    dirs[:, 0] = np.repeat(sin_th, order) * np.tile(np.cos(phi), order)
+    dirs[:, 1] = np.repeat(sin_th, order) * np.tile(np.sin(phi), order)
+    dirs[:, 2] = np.repeat(mu, order)
+    return dirs, np.repeat(wmu / wmu.sum(), order) / order
+
+
+def sphere_product_nodes(prior: Prior) -> tuple[np.ndarray, np.ndarray]:
+    """The full-ball prior's radial rule times ``sphere_grid`` at its angular order.
+
+    Returns (nodes4, weights) in the layout of ``Prior.product_nodes``
+    (radius-major), over every direction of the sphere, not only the
+    prior's meridian.
+    """
+    dirs, wdir = sphere_grid(prior.angular_order)
+    return dataclasses.replace(prior, directions=dirs, angular_w=wdir).product_nodes()
+
+
 def collective_v_norm(total_copies: int, prior: Prior, k: float, direction) -> float:
-    """|V(k, m̂)| by direct 3-D quadrature over the prior's own grid.
+    """|V(k, m̂)| by direct 3-D quadrature over the whole sphere.
 
     The independent route for the rotational-invariance check: no
     reduction, just sum w * 𝐫 * p(k, m̂ | r⃗) over every (radial node,
-    direction) pair of the prior, one radial node at a time.
+    direction) pair of the prior's radial rule and ``sphere_grid`` at the
+    prior's angular order, one radial node at a time.
     """
     _require_prior(SchemeKind.COLLECTIVE, prior)
     d = np.asarray(direction, dtype=float)
     d = d / float(np.sqrt(d @ d))
-    dirs = prior.directions
+    dirs, wdir = sphere_grid(prior.angular_order)
     dots = dirs @ d
     v = np.zeros(4)
     for r, t, wr in zip(prior.radial_r, prior.radial_t, prior.radial_w):
-        wp = wr * prior.angular_w * _collective_density(total_copies, float(k), t, r * dots)
+        wp = wr * wdir * _collective_density(total_copies, float(k), t, r * dots)
         v[0] += t * wp.sum()
         v[1:] += r * (wp @ dirs)
     return float(np.sqrt(v @ v))
@@ -510,12 +543,13 @@ def collective_fidelity_full_grid(
     """Collective optimal fidelity by brute-force 3-D quadrature.
 
     Enumerates a direction grid (Gauss x uniform azimuth) for m̂ and sums
-    (P + |V|)/2 over (k, m̂) against the prior's full product grid — the
+    (P + |V|)/2 over (k, m̂) against the prior's radial rule times the
+    whole-sphere grid at its angular order (``sphere_product_nodes``) — the
     slow independent route that the reduced engine is checked against.
     """
     _require_prior(SchemeKind.COLLECTIVE, prior)
     dirs, wdir = sphere_grid(angular_order)
-    nodes4, weights = prior.product_nodes()
+    nodes4, weights = sphere_product_nodes(prior)
     total = 0.0
     for k in collective_k_values(total_copies):
         for j in range(dirs.shape[0]):

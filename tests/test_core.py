@@ -12,12 +12,11 @@ from blochest.core import (
     PriorKind,
     build_prior,
     clamp_fidelity,
-    radial_rule,
     random_guess_fidelity,
     sample_states,
 )
-from blochest.quadrature import adaptive_quad
-from oracles import sample_full_ball_bisection
+from blochest.quadrature import adaptive_quad, gauss_legendre
+from oracles import sample_full_ball_bisection, sphere_grid, sphere_product_nodes
 
 RANDOM_GUESS_FULL = 0.5 + 8.0 / (9.0 * math.pi**2)
 
@@ -113,19 +112,41 @@ class TestPriors:
     @pytest.mark.parametrize("kind", list(PriorKind))
     @pytest.mark.parametrize("orders", [(2, 2), (37, 6), (256, 8)])
     def test_radial_rule_is_the_priors_radial_half(self, kind, orders):
-        rule = radial_rule(kind, orders[0])
-        prior = build_prior(kind, *orders)
-        assert rule.kind is kind and rule.radial_order == orders[0]
+        # the radial rule does not depend on the angular order
+        ro, ao = orders
+        prior = build_prior(kind, ro, ao)
+        other = build_prior(kind, ro, ao + 3)
+        assert prior.kind is kind and prior.radial_order == ro
         for name in ("radial_r", "radial_t", "radial_w"):
-            a, b = getattr(rule, name), getattr(prior, name)
+            a, b = getattr(other, name), getattr(prior, name)
             assert a.tobytes() == b.tobytes()
             assert not a.flags.writeable
 
     def test_radial_rule_validates(self):
         with pytest.raises(ValueError, match="orders must be >= 2"):
-            radial_rule(PriorKind.FULL_BURES, 1)
+            build_prior(PriorKind.FULL_BURES, 1, 8)
+        with pytest.raises(ValueError, match="orders must be >= 2"):
+            build_prior(PriorKind.EQUATORIAL_BURES, 8, 1)
         with pytest.raises(ValueError, match="unknown prior kind"):
-            radial_rule("full", 8)
+            build_prior("full", 8, 8)
+
+    @pytest.mark.parametrize("orders", [(2, 2), (37, 6), (64, 96), (128, 256), (256, 512)])
+    def test_full_angular_rule_is_the_polar_cosine_rule(self, orders):
+        # one meridian direction per cosine: 256 at the default orders, not 256^2
+        ro, ao = orders
+        prior = build_prior(PriorKind.FULL_BURES, ro, ao)
+        c, gw = gauss_legendre(ao)
+        assert prior.directions.shape == (ao, 3)
+        assert prior.directions[:, 2].tobytes() == c.tobytes()
+        assert prior.angular_w.tobytes() == (gw / 2.0).tobytes()
+        assert np.all(prior.directions[:, 1] == 0.0)
+        assert np.all(prior.directions[:, 0] >= 0.0)
+
+    @pytest.mark.parametrize("kind", list(PriorKind))
+    @pytest.mark.parametrize("orders", [(2, 2), (37, 6), (128, 256)])
+    def test_angular_order_is_the_angular_rule_size(self, kind, orders):
+        prior = build_prior(kind, *orders)
+        assert prior.angular_order == prior.angular_w.size == orders[1]
 
     @pytest.mark.parametrize("kind", list(PriorKind))
     def test_rebuild_reuses_cached_rules(self, kind, monkeypatch):
@@ -174,8 +195,11 @@ class TestRandomGuessFidelity:
 
     def test_equals_double_average_identity(self, full_prior):
         # The baseline is the prior-averaged fidelity of the prior-mean guess:
-        # F_rand = (1 + |<𝐫>|^2) / 2.
-        m = full_prior.mean_embedding()
+        # F_rand = (1 + |<𝐫>|^2) / 2, with <𝐫> over the whole sphere grid.
+        dirs, wdir = sphere_grid(full_prior.angular_order)
+        t_mean = float(full_prior.radial_w @ full_prior.radial_t)
+        r_mean = float(full_prior.radial_w @ full_prior.radial_r)
+        m = np.concatenate(([t_mean], r_mean * (wdir @ dirs)))
         assert random_guess_fidelity(full_prior) == pytest.approx(
             0.5 * (1.0 + float(m @ m)), abs=1e-12
         )
@@ -219,9 +243,10 @@ class TestSampleStates:
 
     def test_full_ball_moments_match_quadrature(self):
         # E[t], E[t^2], E[z^2] and E[x^4] within 4 standard errors of the
-        # prior's own quadrature (4/(3 pi), 1/4, 1/4 and 1/8)
+        # prior's radial rule times the whole sphere grid (4/(3 pi), 1/4,
+        # 1/4 and 1/8)
         t, vecs = sample_states(PriorKind.FULL_BURES, 200_000, np.random.default_rng(12))
-        nodes4, weights = build_prior(PriorKind.FULL_BURES, 64, 64).product_nodes()
+        nodes4, weights = sphere_product_nodes(build_prior(PriorKind.FULL_BURES, 64, 64))
         for drawn, exact in [
             (t, weights @ nodes4[:, 0]),
             (t**2, weights @ nodes4[:, 0] ** 2),

@@ -11,7 +11,7 @@ import pytest
 from scipy.stats import binom as scipy_binom
 
 from blochest import core, evaluator
-from blochest.core import PriorKind, build_prior, radial_rule
+from blochest.core import PriorKind, build_prior
 from blochest.evaluator import (
     AllOutcomesDiscardedError,
     EnumerationLimitError,
@@ -169,8 +169,8 @@ class TestExactCollective:
             for v in vals[1:]:
                 assert v == pytest.approx(vals[0], abs=1e-10)
 
-    def test_tables_sum_to_unit_mass(self, full_prior_small):
-        tables = collective_tables(4, full_prior_small, cos_order=64)
+    def test_tables_sum_to_unit_mass(self):
+        tables = collective_tables(4, build_prior(PriorKind.FULL_BURES, 32, 64))
         assert tables.prob.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(tables.prob >= 0.0)
 
@@ -360,26 +360,20 @@ class TestExplicitOrders:
 
 
 def _record_builds(monkeypatch):
-    """Record the (radial, angular) orders of every prior the evaluator builds."""
+    """Record the (radial, angular) orders of every prior the evaluator builds.
+
+    Each built prior must hold one direction per angular node: for the full
+    ball that is the polar-cosine rule, not a whole-sphere grid.
+    """
     built = []
 
     def recording_build_prior(kind, radial_order, angular_order):
         built.append((radial_order, angular_order))
-        return build_prior(kind, radial_order, angular_order)
+        prior = build_prior(kind, radial_order, angular_order)
+        assert prior.directions.shape == (angular_order, 3)
+        return prior
 
     monkeypatch.setattr(evaluator, "build_prior", recording_build_prior)
-    return built
-
-
-def _record_radial_rules(monkeypatch):
-    """Record the order of every radial rule the evaluator builds."""
-    built = []
-
-    def recording_radial_rule(kind, radial_order):
-        built.append(radial_order)
-        return radial_rule(kind, radial_order)
-
-    monkeypatch.setattr(evaluator, "radial_rule", recording_radial_rule)
     return built
 
 
@@ -432,34 +426,30 @@ class TestAutoRefinement:
     def test_collective_auto_is_the_doubled_grid_value(self, full_prior, monkeypatch):
         spec = SchemeSpec(SchemeKind.COLLECTIVE, 1024)
         built = _record_builds(monkeypatch)
-        rules = _record_radial_rules(monkeypatch)
         auto = exact_fidelity(spec, "optimal", full_prior)
-        assert built == []
-        assert rules == [256]
+        assert built == [(256, 512)]
         doubled = exact_fidelity(spec, "optimal", full_prior, radial_order=256, angular_order=512)
         assert auto.fidelity == doubled.fidelity
 
     @pytest.mark.parametrize(
         "orders, rules_built",
         [
-            ({}, [256]),  # the doubled rung
-            ({"radial_order": 64, "angular_order": 96}, [64, 64]),  # exact, then Monte Carlo
-            ({"radial_order": 128, "angular_order": 64}, []),  # the prior's own radial rule
+            ({}, [(256, 512)]),  # the doubled rung; Monte Carlo reuses the prior
+            ({"radial_order": 64, "angular_order": 96}, [(64, 96)] * 2),  # exact, then MC
+            ({"radial_order": 128, "angular_order": 64}, [(128, 64)] * 2),
         ],
     )
     def test_collective_path_builds_no_direction_grid(
         self, full_prior, orders, rules_built, monkeypatch
     ):
-        def no_grid(*args, **kwargs):
-            raise AssertionError("the collective path built a direction grid")
-
-        monkeypatch.setattr(evaluator, "build_prior", no_grid)
-        monkeypatch.setattr(core, "sphere_grid", no_grid)
-        rules = _record_radial_rules(monkeypatch)
+        """Each rung builds the full prior at its orders, and that prior holds
+        one meridian direction per polar-cosine node (:func:`_record_builds`),
+        not a whole-sphere grid."""
+        built = _record_builds(monkeypatch)
         spec = SchemeSpec(SchemeKind.COLLECTIVE, 257)
         exact_fidelity(spec, "optimal", full_prior, **orders)
         monte_carlo_fidelity(spec, "optimal", full_prior, 10, seed=1, **orders)
-        assert rules == rules_built
+        assert built == rules_built
 
 
 class TestAdaptivePolicies:

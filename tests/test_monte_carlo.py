@@ -230,7 +230,7 @@ class TestCollectiveSampler:
         """Fidelities of the same states from both samplers share a law.
         Over 40 seeds per N the least KS p-value was 0.014."""
         for N, seed in ((1, 0), (2, 1), (3, 2), (2047, 3), (2048, 4)):
-            tables = collective_tables(N, full_prior_small, full_prior_small.angular_order)
+            tables = collective_tables(N, full_prior_small)
             rng = np.random.default_rng(seed)
             t_states, vecs = sample_states(PriorKind.FULL_BURES, 4000, rng)
             f = evaluator._collective_fidelities(rng, tables, t_states, vecs)
@@ -251,7 +251,7 @@ class TestCollectiveSampler:
         axis = np.random.default_rng(5).normal(size=(r.size, 3))
         vecs = r[:, None] * axis / np.linalg.norm(axis, axis=1, keepdims=True)
         t_states = np.sqrt(1.0 - r * r)
-        tables = collective_tables(9, full_prior_small, cos_order=full_prior_small.angular_order)
+        tables = collective_tables(9, full_prior_small)
         rng = np.random.default_rng(6)
         step = r.size if block is None else block
         f = np.concatenate(
@@ -304,7 +304,7 @@ class TestCollectiveSampler:
         """r = 1 makes log((1 - r)/2) = -inf, which is expected, not a warning."""
         vecs = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.3, 0.0, 0.0]])
         t_states = np.sqrt(np.maximum(0.0, 1.0 - np.einsum("ij,ij->i", vecs, vecs)))
-        tables = collective_tables(9, full_prior_small, cos_order=full_prior_small.angular_order)
+        tables = collective_tables(9, full_prior_small)
         f = evaluator._collective_fidelities(np.random.default_rng(1), tables, t_states, vecs)
         assert np.all((f >= 0.0) & (f <= 1.0))
 
@@ -312,7 +312,7 @@ class TestCollectiveSampler:
         """A radius past 1 is clamped: its sample gives the r = 1 value, not NaN."""
         r = np.array([1e-3, 0.3, 1.0 + 2.0**-52, 0.9, 1e-13])
         at_one = np.where(r > 1.0, 1.0, r)
-        tables = collective_tables(9, full_prior_small, cos_order=full_prior_small.angular_order)
+        tables = collective_tables(9, full_prior_small)
         f, g = (
             evaluator._collective_fidelities(
                 np.random.default_rng(8),

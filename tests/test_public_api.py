@@ -68,8 +68,10 @@ def test_numpy_floor_has_vecdot():
 # Then the wrappers that only forwarded to one evaluation: a sweep is a
 # comprehension over exact_fidelity, tomography with discarding is its
 # "tomography" estimator, and the constants need only the scaled ImK.
+# Then the second full-ball grid: the prior's own angular rule is the
+# polar-cosine rule the collective engine integrates on.
 RETIRED = {
-    "blochest.core": ["EmbeddedBloch", "embed", "fidelity"],
+    "blochest.core": ["EmbeddedBloch", "embed", "fidelity", "RadialRule", "radial_rule", "sphere_grid"],
     "blochest.schemes": [
         "LocalOutcome", "CollectiveOutcome", "OutcomeSet", "local_probability",
         "collective_probability", "collective_weight", "enumerate_outcomes",
@@ -85,7 +87,7 @@ RETIRED = {
 
 def test_retired_names_stay_gone():
     names = {n for group in RETIRED.values() for n in group}
-    assert len(names) == 20
+    assert len(names) == 23
     exported = {n for m in MODULES for n in importlib.import_module(m).__all__}
     assert names & exported == set()
     lingering = [

@@ -2,21 +2,18 @@
 
 Usage (from the repository root):
 
-    python3 tools/make_gauss_legendre.py          # write src/blochest/gauss_legendre.f64
-    python3 tools/make_gauss_legendre.py --check  # regenerate and compare byte for byte
+    python3 tools/make_gauss_legendre.py    # write src/blochest/gauss_legendre.f64
 
 For each order n in ``blochest.quadrature.STORED_ORDERS`` the file holds
 the n/2 positive nodes of ``numpy.polynomial.legendre.leggauss(n)`` in
 increasing order, then their weights, as little-endian float64.  The script
 refuses a rule whose nodes are not exactly antisymmetric or whose weights
 are not exactly symmetric, since the package rebuilds the negative half by
-mirroring.  ``--check`` exits 1 when the file differs from what the
-installed numpy computes.
+mirroring.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -35,20 +32,11 @@ def half_rule(n: int) -> np.ndarray:
     return np.concatenate((x[n // 2 :], w[n // 2 :])).astype("<f8")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument(
-        "--check", action="store_true", help="compare the stored file with a fresh computation"
-    )
-    args = parser.parse_args(argv)
+def main() -> int:
     data = b"".join(half_rule(n).tobytes() for n in STORED_ORDERS)
-    if not args.check:
-        STORED_PATH.write_bytes(data)
-        print(f"wrote {len(data)} bytes to {STORED_PATH} (numpy {np.__version__})")
-        return 0
-    same = STORED_PATH.read_bytes() == data
-    print(f"{STORED_PATH} {'matches' if same else 'differs from'} numpy {np.__version__}")
-    return 0 if same else 1
+    STORED_PATH.write_bytes(data)
+    print(f"wrote {len(data)} bytes to {STORED_PATH} (numpy {np.__version__})")
+    return 0
 
 
 if __name__ == "__main__":
