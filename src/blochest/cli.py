@@ -2,13 +2,15 @@
 
 Commands
 --------
-constants    six asymptotic rate constants as a JSON object
-integrals    the three half-line integrals (b1, b2, b3) as JSON
-fidelity     one average-fidelity evaluation (exact, or Monte Carlo with
-             --samples/--seed)
-sweep        exact fidelity over an N range, one CSV row per N
-tomography   keep-only-physical linear inversion with discarded mass
+constants    six asymptotic rate constants, the half-line integrals b1, b2,
+             b3 among them, as a JSON object
+fidelity     one average-fidelity evaluation
+sweep        fidelity over an N range, one CSV row per N
 adaptive     sequential single-copy measurement policies (Monte Carlo)
+
+``fidelity`` and ``sweep`` evaluate exactly, or by Monte Carlo with
+--samples/--seed; ``--estimator tomography`` gives keep-only-physical
+linear inversion with its discarded mass.
 
 Row-producing commands share one CSV schema:
 ``n,scheme,estimator,prior,fidelity,stderr,method,discarded_fraction``
@@ -22,14 +24,14 @@ leaves a partial file.
 
 The prior follows the scheme: local x/y and adaptive runs estimate the
 equatorial ensemble, collective runs the full ball, so there is no prior
-flag; the ``prior`` column reports the one used.
+flag; the ``prior`` column reports the one used.  ``adaptive`` runs the
+local x/y scheme with the optimal guess, so it has no scheme or estimator
+flag.
 
 The command checks only what the library cannot: that a config file holds
 only keys the command has flags for, a single N where one is needed, that
-an N list strictly increases, samples and seed for stochastic runs, that
-sweeps are exact, that ``tomography`` gets no other estimator and
-``adaptive`` no scheme or estimator but local x/y and optimal, and the
-output format.  Scheme, estimator and policy pairings are validated by
+an N list strictly increases, samples and seed for stochastic runs, and
+the output format.  Scheme, estimator and policy pairings are validated by
 :mod:`blochest.evaluator`, whose ``ValueError`` becomes exit status 2.
 
 Exit status: 0 on success, 2 on configuration/usage errors, 3 on
@@ -46,7 +48,7 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields
 
-from .asymptotics import DegenerateSweepError, appendix_integrals, constants
+from .asymptotics import DegenerateSweepError, constants
 from .core import DEFAULT_ANGULAR_ORDER, DEFAULT_RADIAL_ORDER, build_prior
 from .estimators import DegenerateEstimateError
 from .evaluator import (
@@ -66,8 +68,6 @@ CSV_HEADER = "n,scheme,estimator,prior,fidelity,stderr,method,discarded_fraction
 USAGE_EXIT = 2
 NUMERICAL_EXIT = 3
 
-_COMMANDS = ("constants", "fidelity", "sweep", "tomography", "adaptive", "integrals")
-
 
 class CliUsageError(Exception):
     """Configuration problem: reported on stderr, exit status 2."""
@@ -76,7 +76,6 @@ class CliUsageError(Exception):
 # (RunConfig fields, accepted types, description); bool is never accepted
 _FIELD_TYPES = (
     (("radial_order", "angular_order", "samples", "seed", "enumeration_limit"), int, "an integer"),
-    (("abs_tol",), (int, float), "a number"),
     (("scheme", "estimator", "policy", "out", "format"), str, "a string"),
 )
 
@@ -94,7 +93,6 @@ class RunConfig:
     samples: int | None = None
     seed: int | None = None
     policy: str | None = None
-    abs_tol: float = 1e-6
     enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT
     out: str | None = None
     format: str = "csv"
@@ -238,23 +236,25 @@ def _require_seed(config: RunConfig) -> int:
     return config.seed
 
 
-def _run_rows(config: RunConfig, estimator: str) -> None:
+def _run_rows(config: RunConfig) -> None:
     """One row per N: exact, or Monte Carlo with --samples."""
     scheme_kind = _resolve_scheme(config)
+    estimator = config.estimator or "optimal"
     prior = _build_prior_for(config, scheme_kind)
-    options = {
-        "radial_order": config.radial_order,
-        "angular_order": config.angular_order,
-        "enumeration_limit": config.enumeration_limit,
-    }
     rows = []
     for n in config.n:
         spec = SchemeSpec(scheme_kind, n)
         if config.samples is None:
-            report = exact_fidelity(spec, estimator, prior, **options)
+            report = exact_fidelity(
+                spec, estimator, prior,
+                radial_order=config.radial_order,
+                angular_order=config.angular_order,
+                enumeration_limit=config.enumeration_limit,
+            )
         else:
             report = monte_carlo_fidelity(
-                spec, estimator, prior, config.samples, _require_seed(config), **options
+                spec, estimator, prior, config.samples, _require_seed(config),
+                enumeration_limit=config.enumeration_limit,
             )
         rows.append(_report_row(report))
     _emit_rows(config, rows)
@@ -263,34 +263,16 @@ def _run_rows(config: RunConfig, estimator: str) -> None:
 def _run_fidelity(config: RunConfig) -> None:
     if config.n is None or len(config.n) != 1:
         raise CliUsageError("fidelity evaluates a single N; use sweep for ranges")
-    _run_rows(config, config.estimator or "optimal")
+    _run_rows(config)
 
 
 def _run_sweep(config: RunConfig) -> None:
-    if config.samples is not None:
-        raise CliUsageError("sweep is exact; use `fidelity --samples` for Monte Carlo")
     if config.n is None:
         raise CliUsageError("sweep needs an N range (--n start:stop:step)")
-    _run_rows(config, config.estimator or "optimal")
-
-
-def _require_only(config: RunConfig, name: str, value: str) -> None:
-    """Reject a setting that the command fixes to ``value``."""
-    given = getattr(config, name)
-    if given not in (None, value):
-        raise CliUsageError(f"{config.command} runs with {name} {value!r} only, not {given!r}")
-
-
-def _run_tomography(config: RunConfig) -> None:
-    _require_only(config, "estimator", "tomography")
-    if config.n is None:
-        raise CliUsageError("tomography needs --n (single value or range)")
-    _run_rows(config, "tomography")
+    _run_rows(config)
 
 
 def _run_adaptive(config: RunConfig) -> None:
-    _require_only(config, "scheme", SchemeKind.LOCAL_XY.value)
-    _require_only(config, "estimator", "optimal")
     policy = config.policy or "fixed-xy"
     if config.n is None or len(config.n) != 1:
         raise CliUsageError("adaptive evaluates a single N")
@@ -311,25 +293,49 @@ def _run_constants(config: RunConfig) -> None:
     _emit(_json_text(asdict(constants())), config.out)
 
 
-def _run_integrals(config: RunConfig) -> None:
-    if config.format == "csv":
-        raise CliUsageError("integrals emits JSON; drop --format csv")
-    b1, b2, b3 = appendix_integrals(abs_tol=config.abs_tol)
-    _emit(_json_text({"b1": b1, "b2": b2, "b3": b3}), config.out)
+def _add_scheme_flags(sp) -> None:
+    sp.add_argument("--scheme", default=None, help="local-xy or collective")
+    sp.add_argument("--estimator", default=None, help="optimal, ml, or tomography")
+
+
+def _add_run_flags(sp) -> None:
+    sp.add_argument("--n", default=None, help="copy number N, or start:stop:step")
+    sp.add_argument("--radial-order", type=int, default=None)
+    sp.add_argument("--angular-order", type=int, default=None)
+    sp.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
+    sp.add_argument("--seed", type=int, default=None, help="RNG seed (stochastic runs)")
+    sp.add_argument(
+        "--enumeration-limit", type=int, default=None, help="max N for exact enumeration"
+    )
+
+
+def _add_policy_flag(sp) -> None:
+    sp.add_argument("--policy", default=None, help="fixed-xy or greedy-fidelity")
+
+
+# The one command table: name -> (handler, help, flag groups past
+# --config/--out/--format).  The parser, RunConfig and run() all read it.
+_COMMANDS = {
+    "constants": (_run_constants, "asymptotic rate constants and b1, b2, b3 (JSON)", ()),
+    "fidelity": (_run_fidelity, "one fidelity evaluation", (_add_scheme_flags, _add_run_flags)),
+    "sweep": (
+        _run_sweep,
+        "fidelity over an N range, exact or Monte Carlo",
+        (_add_scheme_flags, _add_run_flags),
+    ),
+    "adaptive": (
+        _run_adaptive,
+        "sequential single-copy measurement policies",
+        (_add_run_flags, _add_policy_flag),
+    ),
+}
 
 
 def run(config: RunConfig) -> int:
     """Execute one resolved configuration.  Returns the exit status."""
-    handlers = {
-        "constants": _run_constants,
-        "integrals": _run_integrals,
-        "fidelity": _run_fidelity,
-        "sweep": _run_sweep,
-        "tomography": _run_tomography,
-        "adaptive": _run_adaptive,
-    }
+    handler = _COMMANDS[config.command][0]
     try:
-        handlers[config.command](config)
+        handler(config)
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
@@ -363,33 +369,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Average-fidelity experiments for qubit mixed-state estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, *, with_scheme=True):
+    for name, (_, help_text, flag_groups) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", default=None, help="JSON config file; flags override it")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default=None)
-        if with_scheme:
-            sp.add_argument("--scheme", default=None, help="local-xy or collective")
-            sp.add_argument("--estimator", default=None, help="optimal, ml, or tomography")
-            sp.add_argument("--n", default=None, help="copy number N, or start:stop:step")
-            sp.add_argument("--radial-order", type=int, default=None)
-            sp.add_argument("--angular-order", type=int, default=None)
-            sp.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
-            sp.add_argument("--seed", type=int, default=None, help="RNG seed (stochastic runs)")
-            sp.add_argument(
-                "--enumeration-limit", type=int, default=None, help="max N for exact enumeration"
-            )
-
-    add_common(sub.add_parser("constants", help="asymptotic rate constants (JSON)"), with_scheme=False)
-    pi = sub.add_parser("integrals", help="the three half-line integrals (JSON)")
-    add_common(pi, with_scheme=False)
-    pi.add_argument("--abs-tol", type=float, default=None, help="absolute tolerance (default 1e-6)")
-    add_common(sub.add_parser("fidelity", help="one fidelity evaluation"))
-    add_common(sub.add_parser("sweep", help="exact fidelity over an N range"))
-    add_common(sub.add_parser("tomography", help="keep-only-physical linear inversion"))
-    pa = sub.add_parser("adaptive", help="sequential single-copy measurement policies")
-    add_common(pa)
-    pa.add_argument("--policy", default=None, help="fixed-xy or greedy-fidelity")
+        for add_flags in flag_groups:
+            add_flags(sp)
     return parser
 
 
@@ -433,7 +419,7 @@ def main(argv=None) -> int:
         merged, unread = _merge_config_file(args)
         if merged["n"] is not None:
             merged["n"] = parse_n_spec(merged["n"])
-        default_format = "json" if args.command in ("constants", "integrals") else "csv"
+        default_format = "json" if args.command == "constants" else "csv"
         merged["format"] = merged["format"] or default_format
         # unset values take the RunConfig defaults
         config = RunConfig(

@@ -776,11 +776,12 @@ def _collective_exact_value(tables: CollectiveTables) -> float:
 
 
 def _prior_at_orders(prior: Prior, radial_order, angular_order) -> Prior:
-    """``prior`` at the given quadrature orders.
+    """``prior`` at the given quadrature orders, for :func:`exact_fidelity`.
 
     With both unset that is ``prior`` itself; otherwise an unset order takes
     its default, orders below 2 raise, and the prior is rebuilt unless its
-    grid already has those orders.
+    grid already has those orders.  Explicit orders mean "no refinement";
+    auto mode reaches each rung of its ladder through here too.
     """
     if radial_order is None and angular_order is None:
         return prior
@@ -1034,8 +1035,6 @@ def monte_carlo_fidelity(
     samples: int,
     seed,
     *,
-    radial_order: int | None = None,
-    angular_order: int | None = None,
     enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> FidelityReport:
     """Stochastic estimate of the average fidelity.
@@ -1051,15 +1050,14 @@ def monte_carlo_fidelity(
     count and the first uniform by one table search, the polar cosine from
     the second by inverse CDF.  So the same seed yields a bit-identical
     report.  With a single sample the standard error is reported as 0 (no
-    variance estimate exists), never NaN.  Explicit orders set the
-    quadrature of the tables the optimal estimator is built from (an unset
-    one takes its default); orders below 2 raise for every estimator.
+    variance estimate exists), never NaN.  Monte Carlo never refines: the
+    tables the optimal guess is read from are integrated on ``prior``'s own
+    grid, so a caller picks their orders by the prior it builds.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_estimator(estimator, scheme.kind)
     _require_prior(scheme.kind, prior)
-    prior = _prior_at_orders(prior, radial_order, angular_order)
     if scheme.kind is SchemeKind.LOCAL_XY:
         return _mc_local(scheme, estimator, prior, samples, seed, enumeration_limit)
     return _mc_collective(scheme, prior, samples, seed)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -29,6 +31,7 @@ from blochest.schemes import SchemeKind, SchemeSpec
 SMALL = ("--radial-order", "32", "--angular-order", "32")
 MC_ROUTE = ("--samples", "400", "--seed", "3")
 PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pyproject.toml")
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
 
 def run_cli(capsys, *argv):
@@ -118,7 +121,7 @@ class TestParseNSpec:
 
 
 # --------------------------------------------------------------------------
-# constants / integrals commands
+# constants command
 # --------------------------------------------------------------------------
 
 
@@ -136,21 +139,11 @@ class TestConstantsCommand:
         assert payload["b1"] == ref.b1
         assert payload["b2"] == ref.b2
         assert payload["b3"] == ref.b3
+        # the half-line integrals, bit for bit
+        assert (payload["b1"], payload["b2"], payload["b3"]) == appendix_integrals()
 
     def test_csv_format_rejected(self, capsys):
         code, out, err = run_cli(capsys, "constants", "--format", "csv")
-        assert code == 2
-        assert "error:" in err
-
-    def test_integrals_json_with_abs_tol(self, capsys):
-        code, out, err = run_cli(capsys, "integrals", "--abs-tol", "1e-5")
-        assert code == 0
-        payload = json.loads(out)
-        b1, b2, b3 = appendix_integrals(abs_tol=1e-5)
-        assert payload == {"b1": b1, "b2": b2, "b3": b3}
-
-    def test_integrals_csv_format_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "integrals", "--format", "csv")
         assert code == 2
         assert "error:" in err
 
@@ -202,8 +195,6 @@ class TestFidelityCommand:
             small_eq_prior,
             400,
             7,
-            radial_order=32,
-            angular_order=32,
         )
         assert row["fidelity"] == ref.fidelity
         assert row["stderr"] == ref.stderr
@@ -291,13 +282,6 @@ class TestSweepCommand:
         assert list(payload) == ["points"]
         assert [p["n"] for p in payload["points"]] == [2, 4, 6]
 
-    def test_samples_rejected(self, capsys):
-        code, out, err = run_cli(
-            capsys, "sweep", "--n", "2:6:2", "--samples", "100", "--seed", "1"
-        )
-        assert code == 2
-        assert "sweep is exact" in err
-
     def test_decreasing_config_list_rejected_before_evaluation(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -324,13 +308,16 @@ class TestSweepCommand:
 
 
 # --------------------------------------------------------------------------
-# tomography command
+# tomography with discarding, asked for as an estimator
 # --------------------------------------------------------------------------
 
 
 class TestTomographyCommand:
+    """``sweep``/``fidelity --estimator tomography``: the command line for
+    keep-only-physical linear inversion, exact or Monte Carlo."""
+
     def test_single_row_reports_discarded_mass(self, capsys, small_eq_prior):
-        code, out, err = run_cli(capsys, "tomography", "--n", "4", *SMALL)
+        code, out, err = run_cli(capsys, "fidelity", "--estimator", "tomography", "--n", "4", *SMALL)
         assert code == 0
         (row,) = parse_csv(out)
         ref = exact_fidelity(
@@ -346,7 +333,7 @@ class TestTomographyCommand:
         assert row["discarded_fraction"] is not None
 
     def test_range_produces_one_row_per_n(self, capsys):
-        code, out, err = run_cli(capsys, "tomography", "--n", "4:8:2", *SMALL)
+        code, out, err = run_cli(capsys, "sweep", "--estimator", "tomography", "--n", "4:8:2", *SMALL)
         assert code == 0
         rows = parse_csv(out)
         assert [r["n"] for r in rows] == [4, 6, 8]
@@ -354,22 +341,19 @@ class TestTomographyCommand:
 
     def test_monte_carlo_route_matches_library(self, capsys, small_eq_prior):
         code, out, err = run_cli(
-            capsys, "tomography", "--n", "6", "--samples", "400", "--seed", "3", *SMALL
+            capsys, "sweep", "--estimator", "tomography", "--n", "6:10:4",
+            "--samples", "400", "--seed", "3", *SMALL,
         )
         assert code == 0
-        (row,) = parse_csv(out)
-        ref = monte_carlo_fidelity(
-            SchemeSpec(SchemeKind.LOCAL_XY, 6),
-            "tomography",
-            small_eq_prior,
-            400,
-            3,
-            radial_order=32,
-            angular_order=32,
-        )
-        assert row["fidelity"] == ref.fidelity
-        assert row["stderr"] == ref.stderr
-        assert row["discarded_fraction"] == ref.discarded_fraction
+        rows = parse_csv(out)
+        assert [r["n"] for r in rows] == [6, 10]
+        for row in rows:
+            ref = monte_carlo_fidelity(
+                SchemeSpec(SchemeKind.LOCAL_XY, row["n"]), "tomography", small_eq_prior, 400, 3
+            )
+            assert row["fidelity"] == ref.fidelity
+            assert row["stderr"] == ref.stderr
+            assert row["discarded_fraction"] == ref.discarded_fraction
 
     @pytest.mark.parametrize("extra", [(), ("--samples", "100", "--seed", "1")])
     def test_decreasing_config_list_rejected_before_evaluation(
@@ -377,58 +361,54 @@ class TestTomographyCommand:
     ):
         calls = _record_evaluations(monkeypatch)
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"n": [8, 4], "radial_order": 16, "angular_order": 16}))
-        code, out, err = run_cli(capsys, "tomography", "--config", str(cfg), *extra)
+        cfg.write_text(json.dumps(
+            {"n": [8, 4], "estimator": "tomography", "radial_order": 16, "angular_order": 16}
+        ))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), *extra)
         assert code == 2
         assert "strictly increasing" in err
         assert out == ""
         assert calls == []
 
     def test_two_copies_is_a_numerical_failure(self, capsys):
-        code, out, err = run_cli(capsys, "tomography", "--n", "2", *SMALL)
+        code, out, err = run_cli(capsys, "sweep", "--estimator", "tomography", "--n", "2", *SMALL)
         assert code == 3
         assert "numerical failure" in err
 
     def test_collective_scheme_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "tomography", "--scheme", "collective", "--n", "4")
+        code, out, err = run_cli(
+            capsys, "sweep", "--estimator", "tomography", "--scheme", "collective", "--n", "4"
+        )
         assert code == 2
 
-    @pytest.mark.parametrize("estimator", ["ml", "optimal", "bogus"])
-    def test_other_estimator_rejected(self, capsys, estimator):
-        code, out, err = run_cli(capsys, "tomography", "--estimator", estimator, "--n", "8")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-
-    def test_own_estimator_accepted(self, capsys):
-        code, out, err = run_cli(capsys, "tomography", "--estimator", "tomography", "--n", "6", *SMALL)
+    def test_own_estimator_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"estimator": "tomography"}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--n", "6", *SMALL)
         assert code == 0, err
         (row,) = parse_csv(out)
         assert row["estimator"] == "tomography"
 
 
 class TestSharedRowRunner:
-    """fidelity, sweep and tomography print the same rows for the same evaluation."""
+    """fidelity and sweep print the same rows for the same evaluation."""
 
     @pytest.mark.parametrize(
-        "estimator, route, commands",
-        [
-            ("tomography", (), ("fidelity", "sweep", "tomography")),
-            ("tomography", MC_ROUTE, ("fidelity", "tomography")),
-            ("ml", (), ("fidelity", "sweep")),
-        ],
+        "estimator, route",
+        [("tomography", ()), ("tomography", MC_ROUTE), ("ml", ())],
         ids=["tomography-exact", "tomography-monte-carlo", "ml-exact"],
     )
-    def test_commands_print_identical_csv(self, capsys, estimator, route, commands):
+    def test_commands_print_identical_csv(self, capsys, estimator, route):
         outputs = []
-        for command in commands:
-            chosen = () if command == "tomography" else ("--estimator", estimator)
-            code, out, err = run_cli(capsys, command, *chosen, "--n", "6", *route, *SMALL)
+        for command in ("fidelity", "sweep"):
+            code, out, err = run_cli(
+                capsys, command, "--estimator", estimator, "--n", "6", *route, *SMALL
+            )
             assert code == 0, err
             outputs.append(out)
         (row,) = parse_csv(outputs[0])
         assert row["estimator"] == estimator
-        assert all(out == outputs[0] for out in outputs)
+        assert outputs[1] == outputs[0]
 
 
 # --------------------------------------------------------------------------
@@ -500,23 +480,11 @@ class TestAdaptiveCommand:
         ],
         ids=["collective", "ml", "collective-ml", "tomography"],
     )
-    def test_other_scheme_or_estimator_rejected(self, capsys, flags):
-        code, out, err = run_cli(
-            capsys, "adaptive", *flags, "--n", "4", "--samples", "5", "--seed", "1",
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-
-    def test_its_own_scheme_and_estimator_accepted(self, capsys):
-        argv = ("adaptive", "--n", "4", "--samples", "50", "--seed", "9", *SMALL)
-        code, plain, err = run_cli(capsys, *argv)
-        assert code == 0, err
-        code, named, err = run_cli(
-            capsys, *argv, "--scheme", "local-xy", "--estimator", "optimal"
-        )
-        assert code == 0, err
-        assert named == plain
+    def test_other_scheme_or_estimator_rejected(self, flags):
+        # adaptive has no scheme or estimator flag
+        with pytest.raises(SystemExit) as excinfo:
+            main(["adaptive", *flags, "--n", "4", "--samples", "5", "--seed", "1"])
+        assert excinfo.value.code == 2
 
 
 # --------------------------------------------------------------------------
@@ -538,7 +506,7 @@ class TestPairingValidation:
             ("fidelity", "--n", "5"),  # the local x/y scheme splits copies evenly
             ("fidelity", "--n", "4", "--scheme", "collective", "--estimator", "tomography", *MC_ROUTE),
             ("sweep", "--n", "4", "--scheme", "collective", "--estimator", "tomography"),
-            ("tomography", "--n", "4", "--scheme", "collective", *MC_ROUTE),
+            ("sweep", "--n", "4:8:4", "--scheme", "collective", "--estimator", "tomography", *MC_ROUTE),
         ],
     )
     def test_invalid_pairings_exit_2(self, capsys, argv):
@@ -567,6 +535,26 @@ class TestPairingValidation:
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tomography", "--n", "4"),
+            ("integrals",),
+            ("constants", "--abs-tol", "1e-5"),
+            ("adaptive", "--n", "4", *MC_ROUTE, "--scheme", "local-xy"),
+            ("adaptive", "--n", "4", *MC_ROUTE, "--estimator", "optimal"),
+        ],
+        ids=["tomography", "integrals", "constants-abs-tol", "adaptive-scheme", "adaptive-estimator"],
+    )
+    def test_retired_command_or_flag_is_argparse_error(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+
+    def test_help_lists_the_four_commands(self):
+        usage = _build_parser().format_usage()
+        assert usage == "usage: blochest [-h] {constants,fidelity,sweep,adaptive} ...\n"
+
+    @pytest.mark.parametrize(
         "flag", [("--threads", "2"), ("--deterministic",), ("--prior", "equatorial")]
     )
     def test_unknown_flag_is_argparse_error(self, flag):
@@ -584,7 +572,7 @@ class TestPriorFollowsScheme:
             (("fidelity", "--n", "4"), "equatorial"),
             (("fidelity", "--n", "4", "--estimator", "ml", *MC_ROUTE), "equatorial"),
             (("sweep", "--n", "2:4:2"), "equatorial"),
-            (("tomography", "--n", "4:6:2"), "equatorial"),
+            (("sweep", "--estimator", "tomography", "--n", "4:6:2"), "equatorial"),
             (("adaptive", "--n", "4", *MC_ROUTE), "equatorial"),
             (("adaptive", "--n", "4", "--policy", "greedy-fidelity", *MC_ROUTE), "equatorial"),
             (("fidelity", "--n", "4", "--scheme", "collective"), "full"),
@@ -698,7 +686,7 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, "fidelity", "--config", str(cfg))
         assert code == 0
 
-    @pytest.mark.parametrize("key", ["frobnicate", "threads", "deterministic", "prior"])
+    @pytest.mark.parametrize("key", ["frobnicate", "threads", "deterministic", "prior", "abs_tol"])
     def test_unknown_key_rejected(self, capsys, tmp_path, key):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": 4, key: 1}))
@@ -736,7 +724,6 @@ class TestConfigFile:
         ref = monte_carlo_fidelity(
             SchemeSpec(SchemeKind.LOCAL_XY, 4), "optimal",
             build_prior(PriorKind.EQUATORIAL_BURES, 32, 32), 400, 0,
-            radial_order=32, angular_order=32,
         )
         assert (row["fidelity"], row["stderr"]) == (ref.fidelity, ref.stderr)
 
@@ -748,7 +735,7 @@ class TestConfigFile:
             ("samples", 10.7),
             ("seed", "abc"),
             ("enumeration_limit", 1e3),
-            ("abs_tol", "1e-6"),
+            ("policy", 5),
             ("estimator", 3),
             ("format", ["csv"]),
             ("out", 7),
@@ -765,10 +752,11 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "argv, values",
         [
-            (("fidelity", "--n", "4"), {"policy": "greedy-fidelity", "abs_tol": 0.5}),
-            (("integrals",), {"estimator": "ml", "n": 7, "samples": 3}),
+            (("fidelity", "--n", "4"), {"policy": "greedy-fidelity"}),
+            (("constants",), {"estimator": "ml", "n": 7, "samples": 3}),
+            (("adaptive", "--n", "4", *MC_ROUTE), {"scheme": "local-xy", "estimator": "optimal"}),
         ],
-        ids=["fidelity", "integrals"],
+        ids=["fidelity", "constants", "adaptive"],
     )
     def test_key_the_command_does_not_read_rejected(self, capsys, tmp_path, monkeypatch, argv, values):
         runs = []
@@ -824,6 +812,38 @@ class TestParserReuse:
             assert excinfo.value.code == 2
         code, out, _ = run_cli(capsys, "fidelity", "--n", "4", *SMALL)
         assert code == 0 and len(parse_csv(out)) == 1
+
+
+# --------------------------------------------------------------------------
+# the README's CLI block
+# --------------------------------------------------------------------------
+
+
+def _readme_cli_lines() -> list:
+    """The ``blochest`` lines of the ```bash block under README's "CLI" line."""
+    with open(README) as handle:
+        text = handle.read()
+    block = re.search(r"^CLI\b.*?^```bash\n(.*?)^```", text, re.S | re.M).group(1)
+    return [
+        shlex.split(line, comments=True)
+        for line in block.splitlines()
+        if line.startswith("blochest ")
+    ]
+
+
+class TestReadmeCliBlock:
+    """Every command line the README shows runs, so a retired command cannot stay there."""
+
+    def test_every_line_runs(self, capsys, tmp_path):
+        lines = _readme_cli_lines()
+        assert len(lines) >= 5
+        for i, argv in enumerate(lines):
+            target = tmp_path / f"line-{i}.out"
+            # a later --out overrides the line's own
+            code, out, err = run_cli(capsys, *argv[1:], "--out", str(target))
+            assert code == 0, (argv, err)
+            assert out == ""
+            assert target.stat().st_size > 0
 
 
 # --------------------------------------------------------------------------

@@ -103,12 +103,6 @@ class TestPriors:
         eq = build_prior(PriorKind.EQUATORIAL_BURES, 8, 12)
         assert np.all(eq.directions[:, 2] == 0.0)
 
-    def test_orders_validated(self):
-        with pytest.raises(ValueError):
-            build_prior(PriorKind.FULL_BURES, 1, 8)
-        with pytest.raises(ValueError):
-            build_prior(PriorKind.FULL_BURES, 8, 1)
-
     @pytest.mark.parametrize("kind", list(PriorKind))
     @pytest.mark.parametrize("orders", [(2, 2), (37, 6), (256, 8)])
     def test_radial_rule_is_the_priors_radial_half(self, kind, orders):
@@ -127,6 +121,8 @@ class TestPriors:
             build_prior(PriorKind.FULL_BURES, 1, 8)
         with pytest.raises(ValueError, match="orders must be >= 2"):
             build_prior(PriorKind.EQUATORIAL_BURES, 8, 1)
+        with pytest.raises(ValueError, match="orders must be >= 2"):
+            build_prior(PriorKind.FULL_BURES, 8, 1)
         with pytest.raises(ValueError, match="unknown prior kind"):
             build_prior("full", 8, 8)
 

@@ -336,8 +336,6 @@ class TestExplicitOrders:
         spec = SchemeSpec(kind, 4)
         with pytest.raises(ValueError, match="orders must be >= 2"):
             exact_fidelity(spec, estimator, prior, **orders)
-        with pytest.raises(ValueError, match="orders must be >= 2"):
-            monte_carlo_fidelity(spec, estimator, prior, 10, seed=1, **orders)
 
     def test_matching_orders_reuse_the_given_prior(self, eq_prior, full_prior, monkeypatch):
         def rebuild(*args, **kwargs):
@@ -348,7 +346,7 @@ class TestExplicitOrders:
         for kind, prior in ((SchemeKind.LOCAL_XY, eq_prior), (SchemeKind.COLLECTIVE, full_prior)):
             spec = SchemeSpec(kind, 4)
             exact_fidelity(spec, "optimal", prior, **orders)
-            monte_carlo_fidelity(spec, "optimal", prior, 10, seed=1, **orders)
+            monte_carlo_fidelity(spec, "optimal", prior, 10, seed=1)
         exact_fidelity(SchemeSpec(SchemeKind.LOCAL_XY, 4), "tomography", eq_prior, **orders)
 
     def test_other_orders_rebuild(self, eq_prior_small):
@@ -434,9 +432,9 @@ class TestAutoRefinement:
     @pytest.mark.parametrize(
         "orders, rules_built",
         [
-            ({}, [(256, 512)]),  # the doubled rung; Monte Carlo reuses the prior
-            ({"radial_order": 64, "angular_order": 96}, [(64, 96)] * 2),  # exact, then MC
-            ({"radial_order": 128, "angular_order": 64}, [(128, 64)] * 2),
+            ({}, [(256, 512)]),  # the doubled rung
+            ({"radial_order": 64, "angular_order": 96}, [(64, 96)]),
+            ({"radial_order": 128, "angular_order": 64}, [(128, 64)]),
         ],
     )
     def test_collective_path_builds_no_direction_grid(
@@ -448,7 +446,8 @@ class TestAutoRefinement:
         built = _record_builds(monkeypatch)
         spec = SchemeSpec(SchemeKind.COLLECTIVE, 257)
         exact_fidelity(spec, "optimal", full_prior, **orders)
-        monte_carlo_fidelity(spec, "optimal", full_prior, 10, seed=1, **orders)
+        # Monte Carlo builds nothing: its grid is the prior it is given
+        monte_carlo_fidelity(spec, "optimal", full_prior, 10, seed=1)
         assert built == rules_built
 
 

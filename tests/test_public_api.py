@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -95,3 +96,13 @@ def test_retired_names_stay_gone():
         if hasattr(importlib.import_module(m), n) or hasattr(blochest, n)
     ]
     assert lingering == []
+
+
+def test_monte_carlo_takes_its_grid_from_the_prior():
+    """Monte Carlo never refines, so it has no quadrature-order options."""
+    from blochest.evaluator import monte_carlo_fidelity
+
+    params = inspect.signature(monte_carlo_fidelity).parameters
+    assert not {"radial_order", "angular_order"} & set(params)
+    keyword_only = [p.name for p in params.values() if p.kind is p.KEYWORD_ONLY]
+    assert keyword_only == ["enumeration_limit"]
