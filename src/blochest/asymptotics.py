@@ -10,9 +10,10 @@ this package are
 xi_ml is a closed form in Gamma(1/4); xi_o is assembled from three
 half-line integrals b1, b2, b3 whose integrands combine exp(x) with the
 imaginary part of K_(1/4) continued to negative argument and with
-complementary-error-function tails.  Gamma and erfc come from ``math``,
-the modified Bessel functions from :mod:`blochest.special`, and the
-adaptive integrator from :mod:`blochest.quadrature`.
+complementary-error-function tails; they are elementwise array functions.
+Gamma and erfc come from ``math``, the scaled modified Bessel functions from
+:mod:`blochest.special`, and the adaptive integrator from
+:mod:`blochest.quadrature`.
 
 :func:`fit_exponent` extracts (exponent, coefficient) pairs from measured
 fidelity sweeps so the laws above can be checked against direct numerics.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import integrate_half_line
-from .special import bessel_i, bessel_i_tail, bessel_k
+from .special import bessel_i, bessel_i_tail, bessel_k, join_branches
 
 __all__ = [
     "AsymptoticConstants",
@@ -40,9 +41,6 @@ __all__ = [
     "constants",
     "fit_exponent",
 ]
-
-_SIN_QUARTER_PI = math.sin(0.25 * math.pi)
-
 
 class DegenerateSweepError(ValueError):
     """Raised when a sweep cannot support a decay-law fit."""
@@ -90,74 +88,78 @@ class ExponentFit:
             raise ValueError("residual must be nonnegative")
 
 
-def _im_scaled(x: float) -> float:
-    """e^(-x) Im K_(1/4)(x e^(i pi)) for x > 0, finite at every such x.
+def _im_scaled(x) -> np.ndarray:
+    """e^(-x) Im K_(1/4)(x e^(i pi)), elementwise for x > 0.
 
     K_nu(x e^(i pi)) = e^(-i nu pi) K_nu(x) - i pi I_nu(x) on the principal
-    branch, so the imaginary part is -sin(pi/4) K_(1/4)(x) - pi I_(1/4)(x):
-    strictly negative, and growing like -pi e^x / sqrt(2 pi x).
+    branch, and K_nu = (pi/2) (I_(-nu) - I_nu) / sin(nu pi), so the
+    imaginary part is -(pi/2) (I_(-1/4)(x) + I_(1/4)(x)): no K, strictly
+    negative, and growing like -pi e^x / sqrt(2 pi x).
     """
-    return -(
-        _SIN_QUARTER_PI * math.exp(-2.0 * x) * bessel_k(0.25, x, scaled=True)
-        + math.pi * bessel_i(0.25, x, scaled=True)
-    )
+    return -0.5 * math.pi * (bessel_i(-0.25, x) + bessel_i(0.25, x))
 
 
-# Beyond this point the K-type contribution to ImK has underflowed exactly
-# (e^(-2x) = 0 in double precision long before x = 500), so the combined
-# integrand reduces to the I-only cancellation form: S = bessel_i_tail(1/4, x)
-# is the piece that survives the counterterm cancellation, and evaluating
-# it directly keeps the integrand accurate long after the naive difference
-# of the two O(x^(-1/4)) pieces has sunk into round-off.
+# Past x = 50, bessel_i reads I_(-1/4) and I_(1/4) from one asymptotic
+# series (their difference, a multiple of e^(-2x) K, is below double
+# precision), so ImK = -pi (1 + S)/sqrt(2 pi x), S = bessel_i_tail(1/4, x),
+# and the b1 integrand is sqrt(2/pi) x^(-1/4) S/(1+S).  Beyond this point it
+# is evaluated in that form, which stays accurate long after the naive
+# difference of the two O(x^(-1/4)) pieces has sunk into round-off.
 _B1_TAIL_SWITCH = 500.0
 
-
-def _b1_scalar(x: float) -> float:
-    # e^x / (x^(3/4) ImK) + sqrt(2)/(sqrt(pi) x^(1/4)); the two pieces
-    # diverge separately as x -> inf and must be combined before
-    # integrating.  Written with the scaled ImK so e^x never materializes.
-    if x >= _B1_TAIL_SWITCH:
-        # combined form after cancellation: sqrt(2/pi) x^(-1/4) S/(1+S)
-        s = bessel_i_tail(0.25, x)
-        return math.sqrt(2.0 / math.pi) * x**-0.25 * s / (1.0 + s)
-    ims = _im_scaled(x)
-    return 1.0 / (x**0.75 * ims) + math.sqrt(2.0) / (math.sqrt(math.pi) * x**0.25)
+_erfc = np.vectorize(math.erfc, otypes=[float])  # numpy has no erfc
 
 
-def _b2_scalar(x: float) -> float:
-    # e^x (erfc(sqrt(2x)) - 4) erfc(sqrt(2x)) / (x^(3/4) ImK); the erfc
-    # factor decays like e^(-2x), so one plain erfc value is safe and the
-    # whole integrand dies exponentially.
-    e = math.erfc(math.sqrt(2.0 * x))
-    if e == 0.0:
-        return 0.0
-    return (e - 4.0) * e / (x**0.75 * _im_scaled(x))
+def b1_integrand(x) -> np.ndarray:
+    """e^x / (x^(3/4) ImK) + sqrt(2)/(sqrt(pi) x^(1/4)), elementwise; 0 at x <= 0.
+
+    The two pieces diverge separately as x -> inf and must be combined
+    before integrating; written with the scaled ImK so e^x never
+    materializes.
+    """
+    x = np.asarray(x, dtype=float)
+    positive = x > 0.0
+    head = np.where(positive, x, 1.0)
+    values = join_branches(head < _B1_TAIL_SWITCH, head, _B1_TAIL_SWITCH, _b1_direct, _b1_combined)
+    return np.where(positive, values, 0.0)
 
 
-def _b3_scalar(x: float) -> float:
-    # e^x erfc(sqrt(2x))^2 / (x^(3/4) K_(1/4)(x)) = E^2 / (x^(3/4) e^x K)
-    # with E = e^x erfc(sqrt(2x)); decays like e^(-2x).  erfc underflows
-    # (from x ~ 370) long before e^x overflows (x ~ 710), so E is formed
-    # only while erfc is nonzero.
-    e = math.erfc(math.sqrt(2.0 * x))
-    if e == 0.0:
-        return 0.0
-    E = math.exp(x) * e
-    return E * E / (x**0.75 * bessel_k(0.25, x, scaled=True))
+def _b1_direct(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (x**0.75 * _im_scaled(x)) + math.sqrt(2.0) / (math.sqrt(math.pi) * x**0.25)
 
 
-def _vectorize(scalar_fn):
-    def wrapped(x: np.ndarray) -> np.ndarray:
-        flat = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.fromiter((scalar_fn(v) if v > 0.0 else 0.0 for v in flat), dtype=float, count=flat.size)
-        return out.reshape(np.shape(x))
-
-    return wrapped
+def _b1_combined(x: np.ndarray) -> np.ndarray:
+    s = bessel_i_tail(0.25, x)
+    return math.sqrt(2.0 / math.pi) * x**-0.25 * s / (1.0 + s)
 
 
-b1_integrand = _vectorize(_b1_scalar)
-b2_integrand = _vectorize(_b2_scalar)
-b3_integrand = _vectorize(_b3_scalar)
+def _erfc_integrand(x, form) -> np.ndarray:
+    # form(e, x) with e = erfc(sqrt(2x)) where e is nonzero at x > 0, else 0
+    x = np.asarray(x, dtype=float)
+    e = _erfc(np.sqrt(2.0 * np.maximum(x, 0.0)))
+    live = (x > 0.0) & (e > 0.0)
+    return np.where(live, form(e, np.where(live, x, 1.0)), 0.0)
+
+
+def b2_integrand(x) -> np.ndarray:
+    """e^x (erfc(sqrt(2x)) - 4) erfc(sqrt(2x)) / (x^(3/4) ImK), elementwise.
+
+    The erfc factor decays like e^(-2x), so one plain erfc value is safe
+    and the whole integrand dies exponentially: 0 where erfc underflows,
+    and at x <= 0.
+    """
+    return _erfc_integrand(x, lambda e, x: (e - 4.0) * e / (x**0.75 * _im_scaled(x)))
+
+
+def b3_integrand(x) -> np.ndarray:
+    """e^x erfc(sqrt(2x))^2 / (x^(3/4) K_(1/4)(x)), elementwise.
+
+    Formed as E^2 / (x^(3/4) e^x K) with E = e^x erfc(sqrt(2x)); decays
+    like e^(-2x).  erfc underflows (from x ~ 370) long before e^x
+    overflows (x ~ 710), so E is formed only while erfc is nonzero; the
+    integrand is 0 beyond, and at x <= 0.
+    """
+    return _erfc_integrand(x, lambda e, x: np.square(np.exp(x) * e) / (x**0.75 * bessel_k(0.25, x)))
 
 
 # Split point for b1: quadrature below, analytic series tail above.

@@ -48,9 +48,8 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields
 
-from .asymptotics import DegenerateSweepError, constants
+from .asymptotics import constants
 from .core import DEFAULT_ANGULAR_ORDER, DEFAULT_RADIAL_ORDER, build_prior
-from .estimators import DegenerateEstimateError
 from .evaluator import (
     SCHEME_PRIOR_KINDS,
     AllOutcomesDiscardedError,
@@ -339,13 +338,7 @@ def run(config: RunConfig) -> int:
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (
-        QuadratureError,
-        AllOutcomesDiscardedError,
-        DegenerateEstimateError,
-        DegenerateSweepError,
-        OverflowError,
-    ) as exc:
+    except (QuadratureError, AllOutcomesDiscardedError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
     except ValueError as exc:

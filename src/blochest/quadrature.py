@@ -10,10 +10,12 @@ Other orders are computed by ``leggauss``; every rule is cached.
 
 The adaptive engine pairs the 7-point Gauss rule with its 15-point Kronrod
 extension on each subinterval and bisects the interval with the largest
-error estimate until the global estimate meets the tolerance.  Integrable
-endpoint singularities (x^(-1/2)-type) are handled by the subdivision
-itself, which grades the mesh geometrically toward the endpoint; callers
-integrating over (0, inf) first map to (0, 1) via x = t/(1 - t).
+error estimate until the global estimate meets the tolerance; the starting
+panels share one integrand call, and so do both halves of a bisection.
+Integrable endpoint singularities (x^(-1/2)-type) are handled by the
+subdivision itself, which grades the mesh geometrically toward the
+endpoint; callers integrating over (0, inf) first map to (0, 1) via
+x = t/(1 - t).
 """
 
 from __future__ import annotations
@@ -140,22 +142,25 @@ class QuadResult:
     intervals: int
 
 
-def _eval_panel(f, a: float, b: float) -> tuple[float, float]:
-    """Kronrod value and error estimate for f over [a, b]."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = c + h * _XGK
-    y = np.asarray(f(x), dtype=float)
-    resk = h * float(_WGK @ y)
-    resg = h * float(_WG @ y)
-    # scale the raw Gauss/Kronrod difference the way robust adaptive
-    # integrators do, so the estimate stays meaningful near singularities
-    mean = resk / (b - a)
-    resasc = h * float(_WGK @ np.abs(y - mean))
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return resk, err
+_WEIGHTS = np.stack((_WGK, _WG), axis=1)  # one matrix product sums both rules
+
+
+def _eval_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[list[float], list[float]]:
+    """Kronrod values and error estimates for f over the panels [lo_i, hi_i], in one call of f."""
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    y = np.asarray(f((c[:, None] + h[:, None] * _XGK).ravel()), dtype=float).reshape(-1, 15)
+    resk, resg = (y @ _WEIGHTS).T * h
+    resasc = h * (np.abs(y - (resk / (hi - lo))[:, None]) @ _WGK)
+    errs = []
+    for k, g, asc in zip(resk.tolist(), resg.tolist(), resasc.tolist()):
+        # scale the raw Gauss/Kronrod difference the way robust adaptive
+        # integrators do, so the estimate stays meaningful near singularities
+        err = abs(k - g)
+        if asc != 0.0 and err != 0.0:
+            err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
+        errs.append(err)
+    return resk.tolist(), errs
 
 
 def adaptive_quad(
@@ -169,7 +174,8 @@ def adaptive_quad(
 ) -> QuadResult:
     """Adaptively integrate the vectorized callable ``f`` over [a, b].
 
-    ``f`` must map a numpy array of abscissae to an array of values.
+    ``f`` must map a numpy array of abscissae to an array of values,
+    elementwise, as one call evaluates the nodes of several panels.
     ``initial_splits`` seeds interior breakpoints (a graded starting mesh
     for integrands with known endpoint structure).  Raises
     :class:`QuadratureError` if the subdivision limit is exhausted before
@@ -178,17 +184,16 @@ def adaptive_quad(
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"integration interval must satisfy a < b, got [{a}, {b}]")
     points = [a, *[p for p in initial_splits if a < p < b], b]
+    vals, errs = _eval_panels(f, np.array(points[:-1]), np.array(points[1:]))
     heap: list[tuple[float, int, float, float, float, float]] = []
-    counter = 0
     stuck = 0
     total = 0.0
     total_err = 0.0
-    for lo, hi in zip(points[:-1], points[1:]):
-        val, err = _eval_panel(f, lo, hi)
+    for lo, hi, val, err in zip(points[:-1], points[1:], vals, errs):
         total += val
         total_err += err
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
+        heapq.heappush(heap, (-err, len(heap), lo, hi, val, err))
+    counter = len(heap)
 
     while total_err > abs_tol:
         if counter >= limit:
@@ -206,8 +211,7 @@ def adaptive_quad(
             # the totals but it cannot be refined further
             stuck += 1
             continue
-        v1, e1 = _eval_panel(f, lo, mid)
-        v2, e2 = _eval_panel(f, mid, hi)
+        (v1, v2), (e1, e2) = _eval_panels(f, np.array([lo, mid]), np.array([mid, hi]))
         total += (v1 + v2) - val
         total_err += (e1 + e2) - err
         heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
@@ -239,11 +243,10 @@ def integrate_half_line(
 
     def g(t: np.ndarray) -> np.ndarray:
         one_m = 1.0 - t
-        ok = one_m > 0.0
-        x = np.divide(t, one_m, out=np.zeros_like(one_m), where=ok)
-        vals = np.asarray(f(x), dtype=float)
-        jac = np.divide(1.0, one_m * one_m, out=np.zeros_like(one_m), where=ok)
-        return np.where(ok, vals * jac, 0.0)
+        ok = one_m > 0.0  # a node that rounds to t = 1 maps to x = 0 and counts 0
+        safe = np.where(ok, one_m, 1.0)
+        vals = np.asarray(f(np.where(ok, t, 0.0) / safe), dtype=float)
+        return np.where(ok, vals * (1.0 / (safe * safe)), 0.0)
 
     upper = 1.0 if x_max is None else x_max / (1.0 + x_max)
     splits = (1e-8, 1e-5, 1e-3, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 0.99999)

@@ -107,6 +107,15 @@ without numpy's ``leggauss``: Newton's method on the Legendre three-term
 recurrence in ``np.longdouble`` from Tricomi's initial guesses, with the
 weights 2 / ((1 - x^2) P_n'(x)^2).  It does not depend on the LAPACK build,
 and it holds the stored rules to their accuracy.
+
+``assert_batch_independent`` checks that an array function of the
+abscissae acts elementwise: each element of one call on many abscissae
+equals, bit for bit, the call on that abscissa alone.  The adaptive
+integrator evaluates many panels in one call, and this invariant keeps its
+subdivision the one that per-panel calls would make.  ``batch_abscissae``
+draws such arrays on a log scale over [1e-12, 1e8], mixed with the branch
+switches of the Bessel functions and the b1 integrand (x = 2, 50, 500) and
+x = 0, each with its float neighbours (``float_neighbours``).
 """
 
 from __future__ import annotations
@@ -117,6 +126,7 @@ import math
 
 import mpmath
 import numpy as np
+from hypothesis import strategies as st
 
 from blochest import evaluator
 from blochest.core import Prior, build_prior, sample_states
@@ -1218,3 +1228,28 @@ def gauss_legendre_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
         raise RuntimeError(f"Newton's method did not converge at n = {n}")
     _, dp = _legendre_and_derivative(n, x)
     return x, 2 / ((1 - x * x) * dp * dp)
+
+
+def float_neighbours(x: float) -> list[float]:
+    """x and the floats on either side of it."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+EDGE_POINTS = [v for x in (0.0, 2.0, 50.0, 500.0) for v in float_neighbours(x)]
+
+batch_abscissae = st.lists(
+    st.one_of(
+        st.floats(min_value=-12.0, max_value=8.0).map(lambda e: 10.0**e),
+        st.sampled_from(EDGE_POINTS),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def assert_batch_independent(f, xs) -> None:
+    """Every element of f(xs) equals the one-element call on it, bit for bit."""
+    batch = np.asarray(f(np.array(xs)))
+    singles = np.concatenate([np.asarray(f(np.array([x]))) for x in xs])
+    assert batch.shape == (len(xs),)
+    np.testing.assert_array_equal(batch.view(np.uint64), singles.view(np.uint64))

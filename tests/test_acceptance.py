@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -405,10 +406,13 @@ def test_acceptance_8_property_suite(capsys, eq_prior, eq_prior_small, full_prio
     notes.append("direction independence ≤ 1e-10")
 
     # (e) modified Bessel Wronskian on a wide log grid (scaled forms, so
-    # the exponential factors cancel exactly).
+    # the exponential factors cancel exactly); the package's I_(1/4) and
+    # K_(1/4) against order-5/4 partners from mpmath.
     for x in np.geomspace(1e-2, 600.0, 41):
-        wronskian = bessel_i(0.25, x, scaled=True) * bessel_k(1.25, x, scaled=True)
-        wronskian += bessel_i(1.25, x, scaled=True) * bessel_k(0.25, x, scaled=True)
+        with mpmath.workdps(30):
+            i54 = float(mpmath.besseli(1.25, x) * mpmath.exp(-x))
+            k54 = float(mpmath.besselk(1.25, x) * mpmath.exp(x))
+        wronskian = float(bessel_i(0.25, x)) * k54 + i54 * float(bessel_k(0.25, x))
         assert abs(x * wronskian - 1.0) <= 1e-10
     notes.append("Bessel Wronskian ≤ 1e-10")
 

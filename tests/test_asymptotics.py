@@ -7,8 +7,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
 
 from blochest.asymptotics import (
+    _APPENDIX_LIMIT,
+    _B1_CUT,
     AsymptoticConstants,
     DegenerateSweepError,
     _im_scaled,
@@ -20,6 +23,8 @@ from blochest.asymptotics import (
     constants,
     fit_exponent,
 )
+from blochest.quadrature import integrate_half_line
+from oracles import assert_batch_independent, batch_abscissae, float_neighbours
 
 mp.mp.dps = 40
 
@@ -61,12 +66,11 @@ def _f3_oracle(x: float) -> float:
 
 class TestImKContinuation:
     def test_strictly_negative_on_log_grid(self):
-        for x in np.geomspace(1e-3, 600.0, 50):
-            assert _im_scaled(float(x)) < 0.0
+        assert np.all(_im_scaled(np.geomspace(1e-3, 600.0, 50)) < 0.0)
 
-    @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 30.0, 100.0, 600.0])
+    @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 30.0, *float_neighbours(50.0), 100.0, 600.0])
     def test_against_oracle(self, x):
-        assert _im_scaled(x) == pytest.approx(_imk_oracle(x), rel=1e-13)
+        assert float(_im_scaled(x)) == pytest.approx(_imk_oracle(x), rel=1e-13)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -74,13 +78,20 @@ class TestImKContinuation:
 
 
 class TestTailIntegrands:
-    @pytest.mark.parametrize("x", [0.5, 5.0, 30.0, 200.0, 499.0, 501.0, 5000.0, 1e8])
+    @pytest.mark.parametrize(
+        "x",
+        [0.5, 5.0, 30.0, *float_neighbours(50.0), 200.0, 499.0, *float_neighbours(500.0), 501.0, 5000.0, 1e8],
+    )
     def test_first_integrand_against_oracle(self, x):
-        # spans both evaluation branches; the crossover sits at x = 500
+        # spans both evaluation branches, the crossover at x = 500, and the
+        # switch of ImK's Bessel functions to their asymptotic series at 50
         assert float(b1_integrand(x)) == pytest.approx(_f1_oracle(x), rel=1e-11)
 
-    @pytest.mark.parametrize("x", [0.3, 2.0, 3.0, 10.0, 40.0])
+    @pytest.mark.parametrize(
+        "x", [0.3, *float_neighbours(2.0), 3.0, 10.0, 40.0, *float_neighbours(50.0)]
+    )
     def test_other_integrands_against_oracle(self, x):
+        # b3's K_(1/4) switches branch at x = 2, b2's ImK at x = 50
         assert float(b2_integrand(x)) == pytest.approx(_f2_oracle(x), rel=1e-11)
         assert float(b3_integrand(x)) == pytest.approx(_f3_oracle(x), rel=1e-11)
 
@@ -119,7 +130,41 @@ class TestTailIntegrands:
         assert vals[0] == float(b1_integrand(0.5))
 
 
+class TestIntegrandBatchIndependence:
+    """An integrand's value at an abscissa does not depend on the rest of the array."""
+
+    @given(batch_abscissae)
+    def test_first_integrand(self, xs):
+        assert_batch_independent(b1_integrand, xs)
+
+    @given(batch_abscissae)
+    def test_second_integrand(self, xs):
+        assert_batch_independent(b2_integrand, xs)
+
+    @given(batch_abscissae)
+    def test_third_integrand(self, xs):
+        assert_batch_independent(b3_integrand, xs)
+
+
 class TestAppendixIntegrals:
+    @pytest.mark.parametrize(
+        "integrand, options, intervals, value",
+        [
+            (b1_integrand, {"abs_tol": 0.5e-6, "x_max": _B1_CUT}, 55, 0.187779327300988),
+            (b2_integrand, {"abs_tol": 1e-6}, 47, 1.6145085356491364),
+            (b3_integrand, {"abs_tol": 1e-6}, 41, 0.3140035973859046),
+        ],
+        ids=["b1-head", "b2", "b3"],
+    )
+    def test_subdivision_replayed(self, integrand, options, intervals, value):
+        # appendix_integrals' default settings (abs_tol = 1e-6, half of it for
+        # b1's head).  Evaluating panels in batches keeps the subdivision, and
+        # so the values, that per-panel evaluation gave: b1's head carries an
+        # 8e-9 quadrature error, which the reference values pin.
+        result = integrate_half_line(integrand, limit=_APPENDIX_LIMIT, **options)
+        assert result.intervals == intervals
+        assert abs(result.value - value) <= 1e-14
+
     def test_printed_anchors(self, the_constants):
         c = the_constants
         assert c.b1 == pytest.approx(B1_PRINTED, abs=1e-4)
