@@ -23,14 +23,16 @@ b(k) - b(n - k) for the vector component the flip negates.  The matrix
 products then fill one quarter of each table; the swap adds that quarter
 to its transpose, and the flips mirror it into the other rows and
 columns.  The (radial node, direction) pairs are binned by their success
-probabilities into tiles (one tile per batch below n = 100 counts per
+probabilities into tiles (one tile per batch up to n = 263 counts per
 axis), and each tile's matrix products run only over the kept count rows
 where one of its binomials, or its mirror, is within a factor 1e22 of its
 largest value.  The work is serial and in a fixed order, so results are
 bit-reproducible.
 Auto mode checks a local value on the given grid against half its orders
-and doubles the orders only when the two disagree; a collective value is
-taken on twice the given orders and checked against the given grid.
+and doubles the orders only when the two disagree.  A collective value is
+taken on twice the given orders and checked against the exact value of the
+full ball, which is a sum of Beta functions (:func:`_beta_tables`, O(N) and
+no grid); the orders are doubled again only when the two disagree.
 The collective engine exploits rotational invariance of the full-ball
 ensemble: |V(k, m̂)| does not depend on m̂, so the direction integral
 collapses and a 2-D (radius x polar-cosine) grid suffices.  That grid is
@@ -257,14 +259,20 @@ def _symmetry_wedge(prior: Prior):
 
 
 def _tiles_pay(n: int) -> bool:
-    """Whether a tile can be narrower than the table at n counts per axis.
+    """Whether more than one tile per batch pays at n counts per axis.
 
-    A column with q = 1/2 has about sqrt(2 n ln(1/cut)) rows of support;
-    while that spans the n + 1 rows, so does every tile holding such a
-    column, and more than one cell per batch would only add bookkeeping
-    (n < 100 with the 1e-22 cut, where the measured break-even lies).
+    A folded axis keeps its n/2 rows k >= n/2.  A column with q = 1/2
+    reaches d = sqrt(n ln(1/cut)/2) of them, and the tile holding it spans
+    its cell's q range too, n/bins or about 2 sqrt(n) rows more, so the
+    tile at q = 1/2 on both axes multiplies about ((d + 2 sqrt(n))/(n/2))^2
+    of the products of one tile per batch.  Tiles pay only once that is
+    below 3/4: n > (16/3)(sqrt(ln(1/cut)/2) + 2)^2, from n = 264 with the
+    1e-22 cut.  That is where the measured break-even lies: over the two
+    grids of local auto mode, 64 x 128 and 128 x 256, one tile was the
+    faster at n = 128...224, the two tied at n = 256, and the tiles were
+    the faster from n = 288 on.
     """
-    return 2.0 * n * math.log(1.0 / _SUPPORT_CUT) < (n + 1) ** 2
+    return 3.0 * n > 16.0 * (math.sqrt(0.5 * math.log(1.0 / _SUPPORT_CUT)) + 2.0) ** 2
 
 
 def _tile_spans(log_pmf: np.ndarray, starts: np.ndarray, flip: bool):
@@ -347,7 +355,7 @@ def local_tables(spec: SchemeSpec, prior: Prior) -> LocalTables:
     Every (radial node, wedge direction) pair is a column with success
     probabilities q_x = (1 + r_x)/2 and q_y = (1 + r_y)/2, binomial tables
     b_x, b_y over the counts 0..n, and weight w.  The columns are binned
-    into about sqrt(n)/2 cells per q axis, one cell below n = 100
+    into about sqrt(n)/2 cells per q axis, one cell up to n = 263
     (:func:`_tiles_pay`), and processed in batches of _TABLE_CHUNK; the
     columns of one cell in one batch form a tile.  A column's pmf falls
     below _SUPPORT_CUT times its largest value outside about
@@ -771,6 +779,102 @@ def _collective_exact_value(tables: CollectiveTables) -> float:
     return 0.5 * float(tables.prob.sum() + norm.sum())
 
 
+# ell(x) = log(Gamma(x + 1/2)/(Gamma(x) sqrt(x))) ~ sum_j _ELL_SERIES[j] x^-(2j + 1),
+# the coefficients (-1)^n (2^(1-n) - 2) B_n/(n (n - 1)) for even n = 2..10.
+# From x = 24 on the first term left out, 691/(180224 x^11), is below
+# 3e-18; smaller arguments are shifted up to there.
+_ELL_SERIES = (-1.0 / 8.0, 1.0 / 192.0, -1.0 / 640.0, 17.0 / 14336.0, -31.0 / 18432.0)
+_ELL_SERIES_FROM = 24.0
+
+
+def _ell(x: np.ndarray) -> np.ndarray:
+    """ell(x) = log(Gamma(x + 1/2)/(Gamma(x) sqrt(x))) for x > 0, elementwise.
+
+    An argument below _ELL_SERIES_FROM is shifted up by s unit steps to
+    x + s >= _ELL_SERIES_FROM, with
+    ell(x) = ell(x + 1) + log1p(-1/(2x + 1)^2)/2: the series is summed at
+    x + s, and the s shift terms, summed smallest first, are added to it.
+    """
+    steps = np.maximum(np.ceil(_ELL_SERIES_FROM - x), 0.0)
+    y = x + steps
+    inv_sq = 1.0 / (y * y)
+    out = np.full_like(y, _ELL_SERIES[-1])
+    for c in _ELL_SERIES[-2::-1]:
+        out *= inv_sq
+        out += c
+    out /= y
+    shifted = np.flatnonzero(steps)
+    if shifted.size:
+        # column j holds the term at x + j, the columns from the last one down
+        j = np.arange(int(_ELL_SERIES_FROM))[::-1]
+        z = 2.0 * (x[shifted, None] + j) + 1.0
+        terms = 0.5 * np.log1p(-1.0 / (z * z))
+        terms[j >= steps[shifted, None]] = 0.0
+        out[shifted] += np.cumsum(terms, axis=1)[:, -1]
+    return out
+
+
+def _beta_loss(total_copies: int, k: np.ndarray) -> np.ndarray:
+    """1 - g_k^2 for spin labels k of N copies, g_k = |V_k|/prob[k] on the full Bures ball.
+
+    With a = N/2 + k + 3/2 and b = N/2 - k + 1/2 (a + b = N + 2,
+    a - b = 2k + 1) the Beta forms of :func:`_beta_tables` give
+    g_t = 2 sqrt(a b) e^(ell(a) + ell(b))/(N + 3) and g_par = 2k/(N + 3),
+    so that, with no cancellation,
+
+        1 - g_k^2 = [2N + 4k + 6 - ((N + 2)^2 - (2k + 1)^2) E_k]/(N + 3)^2,
+
+    E_k = expm1(2 ell(a) + 2 ell(b)) < 0 (:func:`_ell`).
+    """
+    n = float(total_copies)
+    a = n / 2.0 + k + 1.5
+    b = n / 2.0 - k + 0.5
+    e = np.expm1(2.0 * (_ell(a) + _ell(b)))
+    four_ab = (n + 2.0) ** 2 - np.square(2.0 * k + 1.0)
+    return (2.0 * n + 4.0 * k + 6.0 - four_ab * e) / (n + 3.0) ** 2
+
+
+def _beta_tables(total_copies: int) -> CollectiveTables:
+    """The collective tables of the full Bures ball in closed form: no grid, O(N).
+
+    The full ball's radial density is (4/pi) r^2/sqrt(1 - r^2).  With
+    x = (1 + r)/2, so that (1 - r^2)/4 = x (1 - x), a label's integrals
+    are Beta integrals; with c_k = C(N, N/2 + k) (2k + 1)^2/(N/2 + k + 1),
+
+        prob[k] = (4/pi) c_k B(N/2 + k + 3/2, N/2 - k + 1/2)/(N + 2),
+        v_t[k] = (8/pi) c_k B(N/2 + k + 2, N/2 - k + 1)/(N + 3),
+        v_par[k] = prob[k] 2k/(N + 3).
+
+    The masses need no log Gamma: with m = N/2 + k,
+    prob[k + 1]/prob[k] = (1 + (2k + 2)/((m + 2)(2N - 2m - 1)))
+    ((2k + 3)/(2k + 1))^2 > 1, so a running sum of the log ratios from the
+    top label down, exponentiated and normalised (the masses sum to 1
+    exactly), gives them.  v_t is prob[k] g_t with
+    g_t^2 = (1 - g_par^2) - (1 - g_k^2): the first term is
+    (N + 3 - 2k)(N + 3 + 2k)/(N + 3)^2, a product of integers, and the
+    second comes from :func:`_beta_loss`.
+    """
+    n = float(total_copies)
+    k = collective_k_values(total_copies)
+    m = n / 2.0 + k
+    step = np.log1p((2.0 * k[:-1] + 2.0) / ((m[:-1] + 2.0) * (2.0 * n - 2.0 * m[:-1] - 1.0)))
+    step += 2.0 * np.log1p(2.0 / (2.0 * k[:-1] + 1.0))
+    # log(prob[top]/prob[k]), summed from the top label, where the mass is
+    log_drop = np.zeros(k.size)
+    np.cumsum(step[::-1], out=log_drop[-2::-1])
+    prob = np.exp(-log_drop)
+    prob /= prob.sum()
+    g_t_sq = (n + 3.0 - 2.0 * k) * (n + 3.0 + 2.0 * k) / (n + 3.0) ** 2
+    g_t_sq -= _beta_loss(total_copies, k)
+    return CollectiveTables(
+        total_copies=total_copies,
+        k_values=k,
+        prob=prob,
+        v_t=prob * np.sqrt(g_t_sq),
+        v_par=prob * (2.0 * k / (n + 3.0)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # exact evaluation entry points
 
@@ -794,13 +898,12 @@ def _prior_at_orders(prior: Prior, radial_order, angular_order) -> Prior:
     return build_prior(prior.kind, ro, ao)
 
 
-def _stabilized_report(prior: Prior, radial_order, angular_order, evaluate, *, verify_down: bool):
-    """Run ``evaluate`` on the prior at explicit orders, or auto-refine.
+def _stabilized_report(prior: Prior, radial_order, angular_order, evaluate):
+    """Run a local ``evaluate`` on the prior at explicit orders, or auto-refine.
 
     ``evaluate`` takes the prior at one set of orders
     (:func:`_prior_at_orders`), which is built only when its orders differ
-    from the given prior's; for the full ball that costs
-    O(radial + angular order).
+    from the given prior's.
 
     With explicit orders (an unset one takes its default, and orders below
     2 raise) ``evaluate`` runs once.
@@ -808,19 +911,17 @@ def _stabilized_report(prior: Prior, radial_order, angular_order, evaluate, *, v
     Auto mode climbs a ladder of orders, the given prior's and its orders
     doubled up to _MAX_DOUBLINGS times, and returns the result at the finer
     orders of the first consecutive pair whose fidelities differ by less
-    than FIDELITY_STABLE_TOL.  With ``verify_down`` the ladder starts one
-    rung lower, at half the given orders (rounded down), when both are at
-    least 4: a stable value is then the given grid's own, checked against
-    the half grid, and the finer orders are tried only when that check
-    fails.  Either way the finest orders probed are 8 times the given ones.
-    The collective scheme does not verify down: at N = 1024 its value on
-    the default 128 x 256 grid is 1.3e-12 below the 256 x 512 one.
+    than FIDELITY_STABLE_TOL.  The ladder starts one rung lower, at half the
+    given orders (rounded down), when both are at least 4: a stable value is
+    then the given grid's own, checked against the half grid, and the finer
+    orders are tried only when that check fails.  Either way the finest
+    orders probed are 8 times the given ones.
     """
     if radial_order is not None or angular_order is not None:
         return evaluate(_prior_at_orders(prior, radial_order, angular_order))
     ro, ao = prior.radial_order, prior.angular_order
     ladder = [(ro << i, ao << i) for i in range(_MAX_DOUBLINGS + 1)]
-    if verify_down and min(ro, ao) >= 4:
+    if min(ro, ao) >= 4:
         ladder.insert(0, (ro // 2, ao // 2))
     prev = evaluate(_prior_at_orders(prior, *ladder[0]))
     for orders in ladder[1:]:
@@ -831,6 +932,36 @@ def _stabilized_report(prior: Prior, radial_order, angular_order, evaluate, *, v
         prev = cur
     raise QuadratureError(
         "fidelity did not stabilize under quadrature-order doubling", cur[0], delta
+    )
+
+
+def _collective_value(total_copies: int, prior: Prior, radial_order, angular_order) -> float:
+    """The collective F on the full-ball grid at explicit orders, or checked in auto mode.
+
+    With explicit orders (as for :func:`_stabilized_report`) the grid at
+    those orders is integrated once.  Auto mode integrates the grid at the
+    given prior's orders doubled, and doubled again up to _MAX_DOUBLINGS
+    times, and returns the first value within FIDELITY_STABLE_TOL of the
+    exact value of :func:`_beta_tables`; past 8 times the given orders it
+    raises :class:`QuadratureError` with the last distance from it.
+    """
+
+    def on_grid(rung: Prior) -> float:
+        return _collective_exact_value(collective_tables(total_copies, rung))
+
+    if radial_order is not None or angular_order is not None:
+        return on_grid(_prior_at_orders(prior, radial_order, angular_order))
+    exact = _collective_exact_value(_beta_tables(total_copies))
+    ro, ao = prior.radial_order, prior.angular_order
+    for i in range(1, _MAX_DOUBLINGS + 1):
+        value = on_grid(_prior_at_orders(prior, ro << i, ao << i))
+        distance = abs(value - exact)
+        if distance < FIDELITY_STABLE_TOL:
+            return value
+    raise QuadratureError(
+        "collective fidelity did not reach its exact value under quadrature-order doubling",
+        value,
+        distance,
     )
 
 
@@ -845,12 +976,14 @@ def exact_fidelity(
 ) -> FidelityReport:
     """Exact average fidelity by outcome enumeration and prior quadrature.
 
-    With no explicit orders the quadrature is checked for stability to
-    1e-8 (:func:`_stabilized_report`).  A local value is the given grid's
-    own, verified against half its orders; only when that check fails are
-    the orders doubled.  A collective value is that of the given grid's
-    orders doubled, verified against the given grid.  ``estimator`` is one
-    of "optimal", "ml", "tomography"; the last two need the local scheme.
+    With no explicit orders the quadrature is checked to 1e-8.  A local
+    value is the given grid's own, verified against half its orders; only
+    when that check fails are the orders doubled
+    (:func:`_stabilized_report`).  A collective value is that of the given
+    grid's orders doubled, verified against the exact value of the Beta
+    forms (:func:`_beta_tables`); only when that check fails are the orders
+    doubled again (:func:`_collective_value`).  ``estimator`` is one of
+    "optimal", "ml", "tomography"; the last two need the local scheme.
 
     Tomography is linear inversion that keeps only the outcomes whose
     point is physical: F = [sum_{x: R<=1} integral dρ f p] /
@@ -880,15 +1013,10 @@ def exact_fidelity(
                 return _local_exact_value(tables, guesses), None
             return _kept_exact_value(tables, guesses, kept)
 
+        value, discarded = _stabilized_report(prior, radial_order, angular_order, evaluate)
     else:
-
-        def evaluate(rung: Prior):
-            return _collective_exact_value(collective_tables(scheme.total_copies, rung)), None
-
-    value, discarded = _stabilized_report(
-        prior, radial_order, angular_order, evaluate,
-        verify_down=scheme.kind is SchemeKind.LOCAL_XY,
-    )
+        value = _collective_value(scheme.total_copies, prior, radial_order, angular_order)
+        discarded = None
     return FidelityReport(
         scheme=scheme,
         estimator=estimator,

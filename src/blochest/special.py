@@ -115,9 +115,11 @@ def _k_trapezoid(nu: float, x: np.ndarray) -> np.ndarray:
     # e^x K_nu(x) = int_0^inf e^{-x (cosh t - 1)} cosh(nu t) dt.
     # The integrand is smooth and decays doubly exponentially, so the
     # trapezoidal rule converges exponentially fast in the step size.
+    # cosh t - 1 = 2 sinh^2(t/2), which keeps its digits at the small steps
+    # t ~ sqrt(0.58/x) of large x, where cosh t - 1 would cancel
     h = np.minimum(0.25, np.sqrt(0.58 / x))
     t = h[..., None] * _K_STEPS
-    nodes = np.exp(-x[..., None] * (np.cosh(t) - 1.0)) * np.cosh(nu * t)
+    nodes = np.exp(-2.0 * x[..., None] * np.square(np.sinh(0.5 * t))) * np.cosh(nu * t)
     return (0.5 + nodes.sum(axis=-1)) * h  # t = 0: integrand 1, half weight
 
 

@@ -102,6 +102,15 @@ The cross-check routes share no code with the table engines:
   full-ball prior holds only a polar-cosine rule, so these two routes do
   not lean on the rotational invariance the package engine assumes.
 
+``collective_label_quadrature`` is one spin label's prob, v_t and v_par by
+mpmath Gauss-Legendre quadrature of the defining double integral over the
+full Bures ball, in (u, c) with r = sin u; ``collective_beta_label`` is the
+same label from the closed Beta forms, with mpmath's Beta function.
+``collective_beta_sums`` is every label at 40 digits: the top label from
+``collective_beta_label``, the others by the exact label-to-label ratios of
+the Beta forms, in products, not the package's log sums.  None of them
+uses the float form's series, ``expm1`` or normalisation.
+
 ``gauss_legendre_reference`` is the n-point Gauss-Legendre rule computed
 without numpy's ``leggauss``: Newton's method on the Legendre three-term
 recurrence in ``np.longdouble`` from Tricomi's initial guesses, with the
@@ -571,6 +580,83 @@ def collective_fidelity_full_grid(
             v = wp @ nodes4
             total += wdir[j] * (mass + float(np.sqrt(v @ v)))
     return 0.5 * total
+
+
+def collective_beta_label(total_copies: int, k, dps: int = 40):
+    """(prob, v_t, v_par) of spin label k on the full Bures ball from the Beta forms, at ``dps`` digits.
+
+    With c_k = C(N, N/2 + k) (2k + 1)^2/(N/2 + k + 1):
+    prob = (4/pi) c_k B(N/2 + k + 3/2, N/2 - k + 1/2)/(N + 2),
+    v_t = (8/pi) c_k B(N/2 + k + 2, N/2 - k + 1)/(N + 3) and
+    v_par = prob 2k/(N + 3), each Beta function mpmath's own.
+    """
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        n, k = mpmath.mpf(total_copies), mpmath.mpf(k)
+        half = mpmath.mpf(1) / 2
+        ck = mpmath.binomial(n, n / 2 + k) * (2 * k + 1) ** 2 / (n / 2 + k + 1)
+        prob = 4 / mp.pi * ck * mpmath.beta(n / 2 + k + 3 * half, n / 2 - k + half) / (n + 2)
+        v_t = 8 / mp.pi * ck * mpmath.beta(n / 2 + k + 2, n / 2 - k + 1) / (n + 3)
+        return prob, v_t, prob * 2 * k / (n + 3)
+
+
+def collective_label_quadrature(total_copies: int, k, dps: int = 20):
+    """(prob, v_t, v_par) of spin label k by mpmath quadrature of the defining double integral.
+
+    The label's integrals over the full Bures ball of
+    p(k, m̂ | r⃗) = c_k ((1 - r^2)/4)^(N/2 - k) ((1 + r c)/2)^(2k), with c
+    the polar cosine of the state against m̂, weighted by 1, t and r c: in
+    r = sin u the radial density (4/pi) r^2/sqrt(1 - r^2) dr is
+    (4/pi) sin^2 u du, and c is uniform, dc/2 on [-1, 1].  Gauss-Legendre
+    in (u, c); no Beta function is used.
+    """
+    with mpmath.workdps(dps):
+        n, k = mpmath.mpf(total_copies), mpmath.mpf(k)
+        ck = mpmath.binomial(n, n / 2 + k) * (2 * k + 1) ** 2 / (n / 2 + k + 1)
+
+        def density(u, c):
+            r, t = mpmath.sin(u), mpmath.cos(u)
+            return 2 / mpmath.pi * r * r * ck * (t * t / 4) ** (n / 2 - k) * ((1 + r * c) / 2) ** (2 * k)
+
+        box = ([0, mpmath.pi / 2], [-1, 1])
+        weights = (
+            lambda u, c: 1,
+            lambda u, c: mpmath.cos(u),
+            lambda u, c: mpmath.sin(u) * c,
+        )
+        return tuple(
+            mpmath.quad(lambda u, c, f=f: density(u, c) * f(u, c), *box, method="gauss-legendre")
+            for f in weights
+        )
+
+
+def collective_beta_sums(total_copies: int, dps: int = 40):
+    """The full-ball collective tables from the Beta forms at ``dps`` digits, and F.
+
+    The top label's prob and v_t are ``collective_beta_label``'s; each lower
+    label's follow from the exact ratios of the Beta forms, with m = N/2 + k:
+    prob[k + 1]/prob[k] = (N - m)(2k + 3)^2 (2m + 3)/((m + 2)(2k + 1)^2 (2N - 2m - 1))
+    and v_t[k + 1]/v_t[k] = (2k + 3)^2/(2k + 1)^2.  Returns (prob, v_t,
+    v_par) as lists of mpf over ``collective_k_values``, F = (sum prob +
+    sum |V|)/2 and 1 - F, both unrounded.
+    """
+    with mpmath.workdps(dps):
+        n = total_copies
+        ks = [mpmath.mpf(k) for k in collective_k_values(n)]
+        prob, v_t = [None] * len(ks), [None] * len(ks)
+        prob[-1], v_t[-1], _ = collective_beta_label(n, ks[-1], dps)
+        for i in range(len(ks) - 2, -1, -1):
+            k = ks[i]
+            m = mpmath.mpf(n) / 2 + k
+            ratio = (n - m) * (2 * k + 3) ** 2 * (2 * m + 3) / (
+                (m + 2) * (2 * k + 1) ** 2 * (2 * n - 2 * m - 1)
+            )
+            prob[i] = prob[i + 1] / ratio
+            v_t[i] = v_t[i + 1] * (2 * k + 1) ** 2 / (2 * k + 3) ** 2
+        v_par = [p * 2 * k / (n + 3) for p, k in zip(prob, ks)]
+        norm = [mpmath.sqrt(a * a + b * b) for a, b in zip(v_t, v_par)]
+        fidelity = (mpmath.fsum(prob) + mpmath.fsum(norm)) / 2
+        return prob, v_t, v_par, fidelity, 1 - fidelity
 
 
 def fidelity_from_guesses(

